@@ -1,0 +1,8 @@
+"""Make the library and the benchmark modules importable for the tests."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parents[1] / "src"))
+sys.path.insert(0, str(HERE))
