@@ -68,12 +68,7 @@ from repro.engine.progress import (
     ProgressEvent,
     ProgressHook,
 )
-from repro.engine.remote import (
-    parse_address,
-    RemoteExecutor,
-    run_worker,
-    worker_identity,
-)
+from repro.engine.remote import RemoteExecutor, run_worker
 from repro.engine.serve import (
     CampaignService,
     follow_campaign,
@@ -103,6 +98,7 @@ from repro.engine.live import (
     LiveRenderer,
     TraceSource,
 )
+from repro.engine.wire import parse_address, worker_identity
 from repro.errors import CampaignError
 
 PlanDoneHook = Callable[[int, CampaignResult], None]
@@ -144,7 +140,8 @@ def run_plans(
     supervision options (combining them is an error).
 
     Distributed execution: ``listen="HOST:PORT"`` serves the shard queue
-    over TCP via :class:`~repro.engine.remote.RemoteExecutor` instead of
+    over TCP via :class:`~repro.engine.remote.RemoteExecutor` (an
+    ephemeral :class:`~repro.engine.serve.CampaignService`) instead of
     running shards locally — start ``repro worker --connect HOST:PORT``
     processes (any machine that can reach the coordinator) to execute
     them.  ``lease_timeout_s`` bounds how long a silent worker holds a

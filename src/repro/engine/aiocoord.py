@@ -1,26 +1,20 @@
-"""Asyncio coordinator core shared by ``RemoteExecutor`` and ``repro serve``.
+"""Asyncio coordinator core of the campaign service.
 
-The blocking coordinator used one thread per worker connection; both the
-refactored :class:`~repro.engine.remote.RemoteExecutor` and the campaign
-service (:mod:`repro.engine.serve`) now multiplex every connection on one
-asyncio event loop.  This module is the part they share:
+The coordinator (:class:`~repro.engine.serve.CampaignService`, which
+also runs ``campaign --listen`` through
+:class:`~repro.engine.remote.RemoteExecutor`) multiplexes every worker
+connection on one asyncio event loop.  This module holds the parts that
+do not depend on the service's submission bookkeeping:
 
 - :func:`read_frame` / :func:`write_frame` — the asyncio frame codec.
   Byte-for-byte the protocol of :func:`repro.engine.wire.send_frame` /
   :func:`~repro.engine.wire.recv_frame`, so a worker cannot tell which
-  pump it is talking to.
+  side of a socket pair it is talking to.
 - :class:`CoordinatorCore` — the lease/retry/checkpoint state machine for
-  one plan batch, extracted from the old ``RemoteExecutor`` internals.
-  Single-threaded by construction: every method runs on the owning event
-  loop, so the old lock/condition choreography disappears instead of
-  being ported.
-- :func:`pump_worker_frames` — the per-connection conversation loop
-  (request → shard/wait/shutdown, heartbeat, result/failure), run after
-  the endpoint-specific handshake.
+  one plan batch.  Single-threaded by construction: every method runs on
+  the owning event loop, so no lock/condition choreography is needed.
 
-Endpoints differ only in what wraps the core: ``RemoteExecutor`` owns
-exactly one (its campaign) and hands completions to a generator thread;
-the campaign service owns one per active submission and adds fair-share
+The service owns one core per active submission and adds fair-share
 scheduling, a result CAS and trace followers on top.
 """
 
@@ -29,7 +23,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.engine.checkpoint import CheckpointJournal, result_from_record
 from repro.engine.executors import ShardKey, ShardTask
@@ -97,8 +91,7 @@ class Lease:
 class CoordinatorCore:
     """Lease, retry, quarantine and checkpoint state for one plan batch.
 
-    The scheduling behaviour is exactly the blocking coordinator's:
-    shards lease in task order, heartbeats move the lease deadline, a
+    Shards lease in task order, heartbeats move the lease deadline, a
     dropped connection or expired lease requeues the shard charged one
     attempt, and retries follow the campaign's
     :class:`~repro.engine.supervisor.RetryPolicy` backoff.  Completed
@@ -360,62 +353,6 @@ class CoordinatorCore:
             self.executed += 1
         if self.on_done is not None:
             self.on_done(key, run)
-
-
-# -- shared connection pump ---------------------------------------------------------
-
-
-class WorkerGate:
-    """What a worker connection needs from its coordinator after handshake.
-
-    ``RemoteExecutor`` implements this directly on its single
-    :class:`CoordinatorCore`; the campaign service interposes fair-share
-    scheduling across submissions before delegating to one.
-    """
-
-    def grant(self, worker: str, conn_id: int) -> Dict:
-        raise NotImplementedError
-
-    def renew(self, frame: Dict, conn_id: int) -> None:
-        raise NotImplementedError
-
-    def outcome(self, frame: Dict, kind: str, worker: str, conn_id: int) -> None:
-        raise NotImplementedError
-
-    def release(self, conn_id: int, worker: str) -> None:
-        raise NotImplementedError
-
-
-async def pump_worker_frames(
-    gate: WorkerGate,
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    worker: str,
-) -> None:
-    """Serve one post-handshake worker conversation until EOF.
-
-    The caller owns handshake, exception policy and closing the writer;
-    leases held by the connection are always released on the way out.
-    """
-    conn_id = id(writer)
-    try:
-        while True:
-            frame = await read_frame(reader)
-            if frame is None:
-                return
-            kind = frame["kind"]
-            if kind == "request":
-                await write_frame(writer, gate.grant(worker, conn_id))
-            elif kind == "heartbeat":
-                gate.renew(frame, conn_id)
-            elif kind in ("result", "failure"):
-                gate.outcome(frame, kind, worker, conn_id)
-            else:
-                raise RemoteProtocolError(
-                    f"unexpected frame kind {kind!r} from {worker}"
-                )
-    finally:
-        gate.release(conn_id, worker)
 
 
 def sweep_interval_s(lease_timeout_s: float) -> float:

@@ -20,6 +20,12 @@ last durable shard instead of from zero.  The design mirrors
   :class:`~repro.errors.CheckpointError` because it means the file was
   damaged, not torn.
 
+The line format and its torn-tail reader (:func:`encode_line`,
+:func:`decode_line`, :func:`read_lines`) are the one CRC line codec of
+the repo: the result CAS (:mod:`repro.engine.cas`) and the stress
+command log (:mod:`repro.stress.cmdlog`) use them too, each raising its
+own typed error.
+
 Records are keyed by ``(plan fingerprint, plan index, shard index)``.  The
 fingerprint hashes every plan field (workload spec, device config, fault
 budget, seeds, shard granularity), so a journal written for one campaign
@@ -34,7 +40,7 @@ import os
 import zlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Dict, IO, Optional, Sequence, Tuple, Union
+from typing import Dict, IO, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.core.results import CampaignResult, FaultCycleResult
 from repro.errors import CheckpointError
@@ -115,30 +121,67 @@ def plans_fingerprint(plans: Sequence) -> str:
     return f"{zlib.crc32(blob.encode('utf-8')):08x}-{len(plans)}"
 
 
-# -- journal records ----------------------------------------------------------------
+# -- CRC line codec -----------------------------------------------------------------
 
 
 def _canonical(payload: Dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def encode_line(payload: Dict) -> str:
-    """One canonical-JSON journal/CAS line with its CRC32 appended."""
+def encode_line(payload: Dict, error: Type[Exception] = CheckpointError) -> str:
+    """One canonical-JSON line with its CRC32 appended.
+
+    ``crc`` is the codec's own reserved field: a payload carrying one
+    would be clobbered on encode and then fail its checksum on decode, so
+    it is rejected loudly here instead, as ``error``.
+    """
+    if "crc" in payload:
+        raise error("payload key 'crc' is reserved for the line codec")
     crc = zlib.crc32(_canonical(payload).encode("utf-8"))
     record = dict(payload)
     record["crc"] = crc
     return _canonical(record)
 
 
-def decode_line(line: str) -> Dict:
-    """Parse + checksum-verify one journal line (raises on any damage)."""
-    record = json.loads(line)
+def decode_line(line: str, error: Type[Exception] = CheckpointError) -> Dict:
+    """Parse + checksum-verify one line; any damage raises ``error``."""
+    try:
+        record = json.loads(line)
+    except ValueError as exc:
+        raise error(f"unparseable line: {exc}") from exc
     if not isinstance(record, dict):
-        raise CheckpointError("journal line is not an object")
+        raise error("line is not a JSON object")
     crc = record.pop("crc", None)
     if crc != zlib.crc32(_canonical(record).encode("utf-8")):
-        raise CheckpointError("journal record checksum mismatch")
+        raise error("record checksum mismatch")
     return record
+
+
+def read_lines(
+    path: PathLike, error: Type[Exception] = CheckpointError
+) -> Tuple[List[Dict], bool]:
+    """Decode a CRC line log, tolerating a torn tail.
+
+    Returns ``(records, dropped_tail)``.  A damaged *final* non-blank
+    line (a crash mid-append) is dropped; damage anywhere before it,
+    blank lines included, raises ``error``, because it means the file was
+    damaged, not torn.
+    """
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    records: List[Dict] = []
+    for index, line in enumerate(lines):
+        try:
+            records.append(decode_line(line, error))
+        except error as exc:
+            if index == len(lines) - 1:
+                return records, True
+            raise error(f"corrupt record at line {index + 1} of {path}: {exc}") from exc
+    return records, False
+
+
+# -- journal records ----------------------------------------------------------------
 
 
 class CheckpointJournal:
@@ -247,24 +290,10 @@ def load_resume_state(path: PathLike, fingerprint: str) -> ResumeState:
     (crash mid-append), and raises :class:`CheckpointError` otherwise.
     """
     state = ResumeState()
-    journal_path = Path(path)
-    if not journal_path.exists():
+    if not Path(path).exists():
         return state
-    lines = journal_path.read_text(encoding="utf-8").splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    for index, line in enumerate(lines):
-        if not line.strip():
-            raise CheckpointError(f"blank journal line {index + 1} before tail")
-        try:
-            record = decode_line(line)
-        except (CheckpointError, ValueError) as exc:
-            if index == len(lines) - 1:
-                state.dropped_tail = True
-                break
-            raise CheckpointError(
-                f"corrupt journal record at line {index + 1} of {journal_path}"
-            ) from exc
+    records, state.dropped_tail = read_lines(path)
+    for record in records:
         if record.get("fp") != fingerprint:
             state.mismatched += 1
             continue
@@ -320,24 +349,7 @@ def compact_journal(path: PathLike) -> CompactionStats:
     journal_path = Path(path)
     if not journal_path.exists():
         raise CheckpointError(f"journal not found: {journal_path}")
-    lines = journal_path.read_text(encoding="utf-8").splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-
-    torn_tail = False
-    records: list = []
-    for index, line in enumerate(lines):
-        try:
-            if not line.strip():
-                raise CheckpointError("blank journal line")
-            records.append(decode_line(line))
-        except (CheckpointError, ValueError) as exc:
-            if index == len(lines) - 1:
-                torn_tail = True
-                break
-            raise CheckpointError(
-                f"corrupt journal record at line {index + 1} of {journal_path}"
-            ) from exc
+    records, torn_tail = read_lines(journal_path)
 
     latest: Dict[Tuple, Dict] = {}
     order: Dict[Tuple, int] = {}

@@ -1,27 +1,24 @@
-"""``repro serve`` — a long-lived campaign coordination service.
+"""``repro serve`` — the engine's coordinator, as a daemon or for one campaign.
 
-:class:`~repro.engine.remote.RemoteExecutor` is scoped to one campaign:
-it exists for one ``run_plans`` call, serves that plan batch to workers,
-and dies with the process.  The paper's methodology chapter describes the
-opposite operational shape — a testbed that runs *thousands* of power-cut
-campaigns across drives and firmware revisions over weeks — and this
-module is that shape: one daemon that accepts campaign submissions over
-TCP, schedules their shards across a shared persistent worker fleet, and
-remembers every shard it has ever completed.
+The paper's methodology chapter describes a testbed that runs
+*thousands* of power-cut campaigns across drives and firmware revisions
+over weeks, and this module is that shape: one service that accepts
+campaign submissions over TCP, schedules their shards across a shared
+persistent worker fleet, and remembers every shard it has ever
+completed.  It is also the only coordinator: ``campaign --listen`` runs
+an ephemeral instance holding one in-process submission, which serves
+workers only (see :meth:`CampaignService.submit_local` and
+:class:`~repro.engine.remote.RemoteExecutor`).
 
 Three client roles share one listening socket, distinguished by their
-first frame (the framing itself is :mod:`repro.engine.wire`'s,
-byte-identical to the single-campaign coordinator's):
+first frame (the framing itself is :mod:`repro.engine.wire`'s):
 
 ``hello``
-    A worker (``repro worker --connect HOST:PORT --persist``).  The
-    handshake is exactly the :class:`RemoteExecutor` handshake — same
-    versioned, fingerprint-gated ``hello``/``welcome``, same lease/
-    heartbeat conversation via
-    :func:`~repro.engine.aiocoord.pump_worker_frames` — so a worker
-    cannot tell a service from a single-campaign coordinator.  A worker
-    that connects before any campaign exists is simply held at handshake
-    until one arrives.
+    A worker (``repro worker --connect HOST:PORT``, with ``--persist`` to
+    outlive campaigns): a versioned, fingerprint-gated ``hello``/
+    ``welcome`` handshake, then the lease/heartbeat conversation of
+    :meth:`CampaignService._pump_worker`.  A worker that connects before
+    any campaign exists is simply held at handshake until one arrives.
 
 ``submit``
     A submitter (:func:`submit_campaign`).  Carries a plan batch; the
@@ -68,25 +65,27 @@ import socket
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.results import CampaignResult
 from repro.engine.aiocoord import (
     CoordinatorCore,
-    pump_worker_frames,
     read_frame,
     sweep_interval_s,
     write_frame,
 )
 from repro.engine.cas import ResultCAS
 from repro.engine.checkpoint import (
+    CheckpointJournal,
     plans_fingerprint,
     result_from_record,
     result_to_record,
 )
-from repro.engine.executors import ShardTask
+from repro.engine.executors import ShardKey, ShardTask
+from repro.engine.plan import ShardSpec
 from repro.engine.progress import EngineTelemetry
 from repro.engine.supervisor import (
     interrupt_flag_guard,
@@ -102,6 +101,7 @@ from repro.engine.trace import (
     TraceWriter,
 )
 from repro.engine.wire import (
+    connect_with_retry,
     DEFAULT_LEASE_TIMEOUT_S,
     decode_plans,
     encode_plans,
@@ -159,16 +159,28 @@ def trace_record_to_wire(record: TraceRecord) -> Dict:
 class _Submission:
     """One active plan batch: its coordinator core, telemetry and trace.
 
-    Lives on the service's event loop; every method runs there.  The
-    trace file doubles as the fan-out medium: the telemetry hook is a
-    :class:`TraceWriter` flushing every record, and each subscriber
-    stream tails the file with its own :class:`TraceCursor` — a follower
-    attaching mid-run replays history for free, and the on-disk trace is
-    the exact stream every subscriber saw.
+    Lives on the service's event loop; every method runs there, except
+    that a local submission is built and prefilled before the loop
+    starts, and its caller waits on :attr:`settled`.  A wire
+    submission (``repro submit``) owns its telemetry, whose hook is a
+    :class:`TraceWriter` flushing every record.  The trace file doubles as
+    the fan-out medium: each subscriber stream tails it with its own
+    :class:`TraceCursor` — a follower attaching mid-run replays history
+    for free, and the on-disk trace is the exact stream every subscriber
+    saw.  A local submission (:meth:`CampaignService.submit_local`)
+    reports through its caller's telemetry and commits to its caller's
+    checkpoint journal instead; it has no trace and no subscribers, and
+    its caller reports each plan's ``plan-finished`` as it merges it.
     """
 
     def __init__(
-        self, service: "CampaignService", serial: int, fingerprint: str, plans: List
+        self,
+        service: "CampaignService",
+        serial: int,
+        fingerprint: str,
+        plans: List,
+        telemetry: Optional[EngineTelemetry] = None,
+        journal: Optional[CheckpointJournal] = None,
     ) -> None:
         self.service = service
         self.serial = serial
@@ -180,91 +192,70 @@ class _Submission:
             for plan_index, plan in enumerate(plans)
             for shard in plan.shards()
         ]
-        # Serial-suffixed path: a resubmission after completion gets a
-        # fresh trace instead of appending onto (and replaying) the old.
-        self.trace_path = service.trace_dir / (
-            f"{fingerprint}-{serial:04d}.trace.jsonl"
-        )
-        self.trace = TraceWriter(self.trace_path, flush_every=1)
-        self.telemetry = EngineTelemetry(
-            shards_total=len(self.tasks),
-            cycles_total=sum(shard.faults for _, _, shard in self.tasks),
-            hook=self.trace,
-        )
+        self.local = telemetry is not None
+        self.trace: Optional[TraceWriter] = None
+        self.trace_path: Optional[Path] = None
+        if telemetry is None:
+            # Serial-suffixed path: a resubmission after completion gets a
+            # fresh trace instead of appending onto (and replaying) the old.
+            self.trace_path = service.trace_dir / (
+                f"{fingerprint}-{serial:04d}.trace.jsonl"
+            )
+            self.trace = TraceWriter(self.trace_path, flush_every=1)
+            telemetry = EngineTelemetry(
+                shards_total=len(self.tasks),
+                cycles_total=sum(shard.faults for _, _, shard in self.tasks),
+                hook=self.trace,
+            )
+        self.telemetry = telemetry
         self.core = CoordinatorCore(
             self.tasks,
             policy=service.policy,
-            telemetry=self.telemetry,
-            journal=None,  # the CAS is the durability story here
+            telemetry=telemetry,
+            journal=journal,
             quarantine_enabled=service.quarantine_enabled,
             shard_timeout_s=service.shard_timeout_s,
             lease_timeout_s=service.lease_timeout_s,
         )
         self.core.on_done = self._note_done
         self.core.on_fatal = self._note_fatal
-        self.cas_hits = 0
+        self.settled = threading.Condition()
+        """Notified whenever a shard settles or the batch fails."""
+        self.prefilled = 0
+        """Shards settled before any worker saw them: CAS hits of a wire
+        submission, resumed shards of a local one."""
         self.submitters = 0
         self.last_grant_tick = 0
         self.done = False
         self.error: Optional[str] = None
-        self.summary_frame: Optional[Dict] = None
-        self._plan_remaining: Dict[int, int] = {}
-        for plan_index, _plan, _shard in self.tasks:
-            self._plan_remaining[plan_index] = (
-                self._plan_remaining.get(plan_index, 0) + 1
-            )
+        self._plan_remaining = Counter(plan_index for plan_index, _, _ in self.tasks)
 
     # -- lifecycle ------------------------------------------------------------------
 
-    def prefill_from_cas(self, cas: ResultCAS) -> None:
-        """Serve every already-known shard from the CAS before workers do."""
+    def prefill(self, cached: Callable[[int, ShardSpec], Optional[ShardRun]]) -> None:
+        """Settle every shard ``cached`` already knows before workers do.
+
+        Prefilled shards report ``shard-skipped`` and never lease.
+        """
         for plan_index, plan, shard in self.tasks:
-            result = cas.get(self.fingerprint, plan_index, shard.index, shard.seed)
-            if result is None:
+            run = cached(plan_index, shard)
+            if run is None:
                 continue
-            key = (plan_index, shard.index)
-            self.core.prefill(
-                key, ShardRun(result=result, attempts=1, status="resumed")
-            )
-            self.cas_hits += 1
+            self.core.prefill((plan_index, shard.index), run)
+            self.prefilled += 1
             self.telemetry.shard_skipped(
                 plan.display_label(), shard.index, shard.count, shard.faults
             )
             self._shard_settled(plan_index)
         if self.core.complete:
-            self._finalize()
+            self._conclude()
 
     def eligible(self) -> bool:
         """True while this submission can still use workers."""
         return not self.done and self.core.fatal is None and not self.core.complete
 
-    def _note_done(self, key, run: ShardRun) -> None:
-        if run.status == "completed" and run.result is not None:
-            plan_index, shard_index = key
-            _, _plan, shard = self.core.by_key[key]
-            self.service.cas.put(
-                self.fingerprint, plan_index, shard_index, shard.seed, run.result
-            )
-        self._shard_settled(key[0])
-        if self.core.complete:
-            self._finalize()
-
-    def _note_fatal(self, exc: Exception) -> None:
-        self.error = str(exc)
-        self.done = True
-        self.trace.close()
-        self.service._retire(self)
-
-    def _shard_settled(self, plan_index: int) -> None:
-        remaining = self._plan_remaining.get(plan_index, 0) - 1
-        self._plan_remaining[plan_index] = remaining
-        if remaining == 0:
-            plan = self.plans[plan_index]
-            self.telemetry.plan_finished(plan.display_label(), plan.shard_count())
-
-    def _finalize(self) -> None:
-        if self.done:
-            return
+    def summary_frame(self) -> Dict:
+        """The terminal ``summary`` frame of a completed batch."""
         results = []
         for plan_index, _plan, shard in self.tasks:
             run = self.core.done[(plan_index, shard.index)]
@@ -284,47 +275,49 @@ class _Submission:
                     ),
                 }
             )
-        self.summary_frame = {
+        return {
             "kind": "summary",
             "v": PROTOCOL_VERSION,
             "fingerprint": self.fingerprint,
             "shards_total": len(self.tasks),
             "executed": self.core.executed,
-            "cas_hits": self.cas_hits,
+            "cas_hits": self.prefilled,
             "results": results,
         }
+
+    def _note_done(self, key: ShardKey, run: ShardRun) -> None:
+        if run.status == "completed" and run.result is not None:
+            _, _plan, shard = self.core.by_key[key]
+            self.service.cas.put(
+                self.fingerprint, key[0], key[1], shard.seed, run.result
+            )
+        self._shard_settled(key[0])
+        if self.core.complete:
+            self._conclude()
+        with self.settled:
+            self.settled.notify_all()
+
+    def _note_fatal(self, exc: Exception) -> None:
+        self._conclude(error=str(exc))
+        with self.settled:
+            self.settled.notify_all()
+
+    def _shard_settled(self, plan_index: int) -> None:
+        if self.local:
+            return
+        self._plan_remaining[plan_index] -= 1
+        if self._plan_remaining[plan_index] == 0:
+            plan = self.plans[plan_index]
+            self.telemetry.plan_finished(plan.display_label(), plan.shard_count())
+
+    def _conclude(self, error: Optional[str] = None) -> None:
+        if self.done:
+            return
+        self.error = error
         self.done = True
-        self.trace.close()
+        if self.trace is not None:
+            self.trace.close()
         self.service._retire(self)
-
-
-class _WorkerBinding:
-    """The :class:`~repro.engine.aiocoord.WorkerGate` for one connection.
-
-    Binds the connection to one submission; grants route through the
-    service so fair share can release the worker toward a starved
-    submission.  Once the submission concludes, every verb degrades to a
-    no-op/shutdown — late frames from slow workers have nowhere to go.
-    """
-
-    def __init__(self, service: "CampaignService", submission: _Submission) -> None:
-        self.service = service
-        self.submission = submission
-
-    def grant(self, worker: str, conn_id: int) -> Dict:
-        return self.service._grant(self.submission, worker, conn_id)
-
-    def renew(self, frame: Dict, conn_id: int) -> None:
-        if not self.submission.done:
-            self.submission.core.renew(frame, conn_id)
-
-    def outcome(self, frame: Dict, kind: str, worker: str, conn_id: int) -> None:
-        if not self.submission.done:
-            self.submission.core.outcome(frame, kind, worker, conn_id)
-
-    def release(self, conn_id: int, worker: str) -> None:
-        if not self.submission.done:
-            self.submission.core.release(conn_id, worker)
 
 
 # -- the service --------------------------------------------------------------------
@@ -365,6 +358,7 @@ class CampaignService:
         self._server.listen(32)
         self.address: Tuple[str, int] = self._server.getsockname()[:2]
         self._active: Dict[str, _Submission] = {}
+        self._local: Optional[_Submission] = None
         self._worker_conns: set = set()
         self._serial = 0
         self._tick = 0
@@ -385,6 +379,39 @@ class CampaignService:
         return self.address[1]
 
     # -- running --------------------------------------------------------------------
+
+    def submit_local(
+        self,
+        plans: Sequence,
+        telemetry: EngineTelemetry,
+        journal: Optional[CheckpointJournal] = None,
+        resumed: Optional[Dict[ShardKey, ShardRun]] = None,
+    ) -> _Submission:
+        """Register this service's one in-process submission; call before :meth:`start`.
+
+        This is how ``campaign --listen`` runs (see
+        :class:`~repro.engine.remote.RemoteExecutor`).  The submission
+        reports through ``telemetry``, commits every shard to ``journal``
+        before reporting it, and prefills the ``resumed`` runs the way a
+        wire submission prefills CAS hits.  Wire clients can neither
+        submit to nor follow a service holding one.
+        """
+        resumed = resumed or {}
+        self._serial += 1
+        submission = _Submission(
+            self,
+            self._serial,
+            plans_fingerprint(plans),
+            list(plans),
+            telemetry=telemetry,
+            journal=journal,
+        )
+        self._local = submission
+        self._active[submission.fingerprint] = submission
+        submission.prefill(
+            lambda plan_index, shard: resumed.get((plan_index, shard.index))
+        )
+        return submission
 
     def serve_forever(self) -> None:
         """Run the service on the calling thread until :meth:`stop`."""
@@ -421,23 +448,17 @@ class CampaignService:
         self._stop_event = asyncio.Event()
         server = await asyncio.start_server(self._dispatch, sock=self._server)
         sweeper = asyncio.create_task(self._sweep_loop())
-        self._announce(
-            f"[serve] campaign service listening on {self.host}:{self.port} "
-            f"(cas {self.cas.root}, result schema {self.cas.schema}) — "
-            f"submit with: repro submit --connect {self.host}:{self.port}"
-        )
         try:
             await self._stop_event.wait()
         finally:
             sweeper.cancel()
+            # No wait_closed(): from Python 3.12 it waits for every open
+            # connection, a wedged worker's too; loop teardown closes those.
             server.close()
-            try:
-                await server.wait_closed()
-            except Exception:
-                pass
             await self._drain_worker_conns()
             for submission in list(self._active.values()):
-                submission.trace.close()
+                if submission.trace is not None:
+                    submission.trace.close()
 
     async def _drain_worker_conns(self) -> None:
         """Push a clean ``shutdown`` to every connected worker, then wait.
@@ -482,14 +503,20 @@ class CampaignService:
             kind = first["kind"]
             if kind == "hello":
                 await self._serve_worker(first, reader, writer)
-            elif kind == "submit":
-                await self._serve_submitter(first, writer)
-            elif kind == "follow":
-                await self._serve_follower(first, writer)
-            else:
+            elif kind not in ("submit", "follow"):
                 raise RemoteProtocolError(
                     f"expected hello/submit/follow, got {kind!r}"
                 )
+            elif self._local is not None:
+                reason = (
+                    "this coordinator runs one in-process campaign "
+                    "(campaign --listen); submit to a `repro serve` daemon"
+                )
+                await write_frame(writer, {"kind": "error", "reason": reason})
+            elif kind == "submit":
+                await self._serve_submitter(first, writer)
+            else:
+                await self._serve_follower(first, writer)
         except (
             RemoteProtocolError,
             OSError,
@@ -549,11 +576,47 @@ class CampaignService:
                     "heartbeat_s": self.lease_timeout_s / 3.0,
                 },
             )
-            await pump_worker_frames(
-                _WorkerBinding(self, submission), reader, writer, worker
-            )
+            await self._pump_worker(submission, reader, writer, worker)
         finally:
             self._worker_conns.discard(writer)
+
+    async def _pump_worker(
+        self,
+        submission: _Submission,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        worker: str,
+    ) -> None:
+        """Serve one bound worker's conversation until EOF.
+
+        Grants route through :meth:`_grant`, so fair share can release the
+        worker toward a starved submission.  Once the submission concludes,
+        the other verbs are no-ops — late frames from slow workers have
+        nowhere to go.  Leases the connection holds are released on exit.
+        """
+        conn_id = id(writer)
+        core = submission.core
+        try:
+            while True:
+                frame = await read_frame(reader)
+                if frame is None:
+                    return
+                kind = frame["kind"]
+                if kind == "request":
+                    await write_frame(writer, self._grant(submission, worker, conn_id))
+                elif kind not in ("heartbeat", "result", "failure"):
+                    raise RemoteProtocolError(
+                        f"unexpected frame kind {kind!r} from {worker}"
+                    )
+                elif submission.done:
+                    continue
+                elif kind == "heartbeat":
+                    core.renew(frame, conn_id)
+                else:
+                    core.outcome(frame, kind, worker, conn_id)
+        finally:
+            if not submission.done:
+                core.release(conn_id, worker)
 
     def _bind_choice(self, held: Optional[str]) -> Optional[_Submission]:
         """The submission a connecting worker should serve, if any.
@@ -629,11 +692,15 @@ class CampaignService:
             self._serial += 1
             submission = _Submission(self, self._serial, fingerprint, plans)
             self._active[fingerprint] = submission
-            submission.prefill_from_cas(self.cas)
+            submission.prefill(
+                lambda plan_index, shard: self._cached_run(
+                    fingerprint, plan_index, shard
+                )
+            )
             self._announce(
                 f"[serve] accepted campaign {fingerprint} "
                 f"({len(submission.tasks)} shard(s), "
-                f"{submission.cas_hits} from cache)"
+                f"{submission.prefilled} from cache)"
             )
         else:
             self._announce(
@@ -651,11 +718,19 @@ class CampaignService:
                 "v": PROTOCOL_VERSION,
                 "fingerprint": fingerprint,
                 "shards_total": len(submission.tasks),
-                "cas_hits": submission.cas_hits,
+                "cas_hits": submission.prefilled,
                 "coalesced": coalesced,
             },
         )
         await self._stream_to(submission, writer)
+
+    def _cached_run(
+        self, fingerprint: str, plan_index: int, shard: ShardSpec
+    ) -> Optional[ShardRun]:
+        result = self.cas.get(fingerprint, plan_index, shard.index, shard.seed)
+        if result is None:
+            return None
+        return ShardRun(result=result, attempts=1, status="resumed")
 
     async def _serve_follower(self, frame: Dict, writer: asyncio.StreamWriter) -> None:
         wanted = frame.get("fingerprint")
@@ -685,7 +760,7 @@ class CampaignService:
                 "v": PROTOCOL_VERSION,
                 "fingerprint": submission.fingerprint,
                 "shards_total": len(submission.tasks),
-                "cas_hits": submission.cas_hits,
+                "cas_hits": submission.prefilled,
                 "coalesced": False,
             },
         )
@@ -721,7 +796,7 @@ class CampaignService:
                 writer, {"kind": "error", "reason": submission.error}
             )
         else:
-            await write_frame(writer, submission.summary_frame)
+            await write_frame(writer, submission.summary_frame())
 
     # -- bookkeeping ------------------------------------------------------------------
 
@@ -729,12 +804,14 @@ class CampaignService:
         current = self._active.get(submission.fingerprint)
         if current is submission:
             del self._active[submission.fingerprint]
+        if submission.local:
+            return  # its caller reports the outcome
         outcome = (
             f"failed ({submission.error})"
             if submission.error is not None
             else (
                 f"complete ({submission.core.executed} executed, "
-                f"{submission.cas_hits} from cache)"
+                f"{submission.prefilled} from cache)"
             )
         )
         self._announce(f"[serve] campaign {submission.fingerprint} {outcome}")
@@ -768,10 +845,8 @@ class SubmissionOutcome:
 def _open_service_connection(
     address: Union[str, Tuple[str, int]], connect_timeout_s: float
 ) -> socket.socket:
-    from repro.engine.remote import _connect_with_retry
-
     host, port = parse_address(address)
-    return _connect_with_retry(host, port, connect_timeout_s)
+    return connect_with_retry(host, port, connect_timeout_s)
 
 
 def _consume_stream(sock: socket.socket, on_record) -> Dict:
@@ -939,6 +1014,11 @@ def run_serve(
     )
     with interrupt_flag_guard() as flag:
         service.start()
+        service._announce(
+            f"[serve] campaign service listening on {service.host}:{service.port} "
+            f"(cas {service.cas.root}, result schema {service.cas.schema}) — "
+            f"submit with: repro submit --connect {service.host}:{service.port}"
+        )
         try:
             while not flag:
                 thread = service._thread

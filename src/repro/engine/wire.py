@@ -1,10 +1,10 @@
 """Wire-protocol primitives shared by every distributed-engine endpoint.
 
-The blocking coordinator (:mod:`repro.engine.remote`), the asyncio
-campaign service (:mod:`repro.engine.serve`) and the worker all speak the
-same protocol; this module is the single definition of its framing,
-addressing, plan transport and handshake validation, so the endpoints
-cannot drift apart.
+The coordinator (:mod:`repro.engine.serve`, which also runs ``campaign
+--listen``), its submit/follow clients and the worker
+(:mod:`repro.engine.remote`) all speak the same protocol; this module is
+the single definition of its framing, addressing, plan transport and
+handshake validation, so the endpoints cannot drift apart.
 
 Frames are **length-prefixed JSON objects**: a 4-byte big-endian unsigned
 payload length followed by that many bytes of UTF-8 JSON.  Every frame is
@@ -22,6 +22,7 @@ import os
 import pickle
 import socket
 import struct
+import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import CampaignError, RemoteProtocolError
@@ -98,6 +99,21 @@ def recv_frame(sock: socket.socket) -> Optional[Dict]:
     if body is None:
         raise RemoteProtocolError("connection closed between header and payload")
     return decode_frame_body(body)
+
+
+def connect_with_retry(host: str, port: int, timeout_s: float) -> socket.socket:
+    """Connect to a coordinator, retrying refused connections for ``timeout_s``."""
+    deadline = time.monotonic() + max(0.0, timeout_s)
+    while True:
+        try:
+            return socket.create_connection((host, port), timeout=10.0)
+        except OSError as exc:
+            if time.monotonic() >= deadline:
+                raise CampaignError(
+                    f"could not connect to coordinator {host}:{port} "
+                    f"within {timeout_s:g}s: {exc}"
+                ) from exc
+            time.sleep(0.2)
 
 
 # -- addresses & plan transport -----------------------------------------------------

@@ -1,9 +1,7 @@
 """Flash array state machine with interruptible operations.
 
 The chip tracks per-page state in a :mod:`~repro.nand.pagestore` — flat
-per-block columns by default (``REPRO_PAGESTORE=legacy`` selects the old
-object-per-page layout for equivalence testing) — and exposes two API
-layers:
+per-block columns — and exposes two API layers:
 
 **Event API** (``begin_program`` / ``begin_erase``): each operation occupies
 its die for the device-accurate latency and fires a completion callback.
@@ -38,11 +36,10 @@ from repro.nand.corruption import CorruptionModel
 from repro.nand.ecc import EccScheme
 from repro.nand.geometry import NandGeometry
 from repro.nand.pagestore import (
+    ArrayPageStore,
     STATE_CORRUPT,
     STATE_ERASED,
     STATE_VALID,
-    PageStoreBase,
-    select_store,
 )
 from repro.nand.timing import NandTiming
 from repro.sim.kernel import Event, Kernel
@@ -102,7 +99,7 @@ class PageRecordView:
 
     __slots__ = ("_store", "_ppa")
 
-    def __init__(self, store: PageStoreBase, ppa: int) -> None:
+    def __init__(self, store: ArrayPageStore, ppa: int) -> None:
         self._store = store
         self._ppa = ppa
 
@@ -149,7 +146,7 @@ class PageTable:
 
     __slots__ = ("_store",)
 
-    def __init__(self, store: PageStoreBase) -> None:
+    def __init__(self, store: ArrayPageStore) -> None:
         self._store = store
 
     def __len__(self) -> int:
@@ -306,7 +303,7 @@ class FlashChip:
         self.rng = rng if rng is not None else Random(0)
         self.voltage_source = voltage_source if voltage_source is not None else (lambda: 5.0)
         self.powered = True
-        self.store: PageStoreBase = select_store(geometry)
+        self.store = ArrayPageStore(geometry)
         self.pages = PageTable(self.store)
         self.active_programs: List[ProgramOp] = []
         self.active_erases: List[EraseOp] = []

@@ -20,20 +20,15 @@ campaign only ever touches its working set), and an erased block simply drops
 its chunk.  Block-wide operations (erase, corrupt-all-valid, scans) are C
 speed passes over the ``state`` bytearray rather than per-page dict probes.
 
-:class:`LegacyPageStore` is the seed's object-per-page representation behind
-the same primitive API.  It is kept for one release so the golden-equivalence
-suite (``tests/test_pagestore_equivalence.py``) can prove the two paths
-byte-identical; select it with ``REPRO_PAGESTORE=legacy``.
-
-Neither store draws randomness or applies policy — corruption physics and
-every RNG draw stay in :class:`~repro.nand.chip.FlashChip`, in the same
-per-page order for both stores, which is what makes campaign results
-bit-identical by construction.
+The store draws no randomness and applies no policy — corruption physics and
+every RNG draw stay in :class:`~repro.nand.chip.FlashChip`, in per-page order,
+so the layout cannot move a campaign result.
+``tests/test_pagestore_equivalence.py`` drives it against an independent
+dict-of-tuples reference through random operation sequences.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -48,80 +43,12 @@ _NO_TOKEN = 0
 state column — 0 is also a legitimate stored token, e.g. the journal's)."""
 
 
-def select_store(geometry: NandGeometry) -> "PageStoreBase":
-    """Build the page store selected by ``REPRO_PAGESTORE``.
-
-    ``array`` (the default) picks the columnar store; ``legacy`` picks the
-    object-per-page store kept for equivalence testing.
-    """
-    kind = os.environ.get("REPRO_PAGESTORE", "array").strip().lower()
-    if kind == "legacy":
-        return LegacyPageStore(geometry)
-    return ArrayPageStore(geometry)
-
-
-class PageStoreBase:
-    """Primitive page-state operations shared by both representations.
+class ArrayPageStore:
+    """Chunked columnar store of primitive page-state operations.
 
     Entries are ``(state, token, err, quality)`` tuples; ``entry`` returns
     ``None`` for erased pages.  Tokens are only meaningful for VALID pages.
     """
-
-    geometry: NandGeometry
-
-    def entry(self, ppa: int) -> Optional[Tuple[int, int, int, float]]:
-        raise NotImplementedError
-
-    def state_of(self, ppa: int) -> int:
-        raise NotImplementedError
-
-    def program(self, ppa: int, token: int, err: int, quality: float) -> None:
-        raise NotImplementedError
-
-    def corrupt(self, ppa: int) -> None:
-        raise NotImplementedError
-
-    def corrupt_if_valid(self, ppa: int) -> bool:
-        raise NotImplementedError
-
-    def add_error_bits_if_valid(self, ppa: int, bits: int) -> bool:
-        raise NotImplementedError
-
-    def set_error_bits(self, ppa: int, bits: int) -> bool:
-        raise NotImplementedError
-
-    def discard(self, ppa: int) -> bool:
-        raise NotImplementedError
-
-    def erase_block(self, block: int) -> None:
-        raise NotImplementedError
-
-    def corrupt_valid_in_block(self, block: int) -> List[int]:
-        raise NotImplementedError
-
-    def scan_valid(self, block: int) -> List[int]:
-        raise NotImplementedError
-
-    def iter_entries(self) -> Iterator[Tuple[int, int, int, int, float]]:
-        raise NotImplementedError
-
-    def age_retention(
-        self, bits_per_hour: float, hours: float, can_correct: Callable[[int], bool]
-    ) -> int:
-        raise NotImplementedError
-
-    def written_count(self) -> int:
-        raise NotImplementedError
-
-    def valid_count(self) -> int:
-        raise NotImplementedError
-
-    def corrupt_count(self) -> int:
-        raise NotImplementedError
-
-
-class ArrayPageStore(PageStoreBase):
-    """Chunked columnar store (the default hot-path representation)."""
 
     def __init__(self, geometry: NandGeometry) -> None:
         self.geometry = geometry
@@ -344,121 +271,3 @@ class ArrayPageStore(PageStoreBase):
 
     def corrupt_count(self) -> int:
         return self._written - self._valid
-
-
-class _LegacyRecord:
-    """Seed-layout per-page record (state, token, err, quality as slots)."""
-
-    __slots__ = ("state", "token", "err", "quality")
-
-    def __init__(self, state: int, token: int, err: int, quality: float) -> None:
-        self.state = state
-        self.token = token
-        self.err = err
-        self.quality = quality
-
-
-class LegacyPageStore(PageStoreBase):
-    """The seed's object-per-page representation behind the store API.
-
-    Kept for one release so ``REPRO_PAGESTORE=legacy`` can replay any
-    campaign through the pre-refactor data layout and prove the columnar
-    path emits bit-identical results.
-    """
-
-    def __init__(self, geometry: NandGeometry) -> None:
-        self.geometry = geometry
-        self._pages: Dict[int, _LegacyRecord] = {}
-
-    def entry(self, ppa: int) -> Optional[Tuple[int, int, int, float]]:
-        record = self._pages.get(ppa)
-        if record is None:
-            return None
-        return (record.state, record.token, record.err, record.quality)
-
-    def state_of(self, ppa: int) -> int:
-        record = self._pages.get(ppa)
-        return STATE_ERASED if record is None else record.state
-
-    def program(self, ppa: int, token: int, err: int, quality: float) -> None:
-        self._pages[ppa] = _LegacyRecord(STATE_VALID, token, err, quality)
-
-    def corrupt(self, ppa: int) -> None:
-        self._pages[ppa] = _LegacyRecord(STATE_CORRUPT, _NO_TOKEN, 0, 1.0)
-
-    def corrupt_if_valid(self, ppa: int) -> bool:
-        record = self._pages.get(ppa)
-        if record is None or record.state != STATE_VALID:
-            return False
-        self._pages[ppa] = _LegacyRecord(STATE_CORRUPT, _NO_TOKEN, 0, 1.0)
-        return True
-
-    def add_error_bits_if_valid(self, ppa: int, bits: int) -> bool:
-        record = self._pages.get(ppa)
-        if record is None or record.state != STATE_VALID:
-            return False
-        record.err += bits
-        return True
-
-    def set_error_bits(self, ppa: int, bits: int) -> bool:
-        record = self._pages.get(ppa)
-        if record is None:
-            return False
-        record.err = bits
-        return True
-
-    def discard(self, ppa: int) -> bool:
-        return self._pages.pop(ppa, None) is not None
-
-    def erase_block(self, block: int) -> None:
-        pages = self._pages
-        for ppa in self.geometry.iter_block_pages(block):
-            pages.pop(ppa, None)
-
-    def corrupt_valid_in_block(self, block: int) -> List[int]:
-        pages = self._pages
-        victims: List[int] = []
-        for ppa in self.geometry.iter_block_pages(block):
-            record = pages.get(ppa)
-            if record is not None and record.state == STATE_VALID:
-                pages[ppa] = _LegacyRecord(STATE_CORRUPT, _NO_TOKEN, 0, 1.0)
-                victims.append(ppa)
-        return victims
-
-    def scan_valid(self, block: int) -> List[int]:
-        pages = self._pages
-        return [
-            ppa
-            for ppa in self.geometry.iter_block_pages(block)
-            if ppa in pages and pages[ppa].state == STATE_VALID
-        ]
-
-    def iter_entries(self) -> Iterator[Tuple[int, int, int, int, float]]:
-        for ppa in sorted(self._pages):
-            record = self._pages[ppa]
-            yield (ppa, record.state, record.token, record.err, record.quality)
-
-    def age_retention(
-        self, bits_per_hour: float, hours: float, can_correct: Callable[[int], bool]
-    ) -> int:
-        newly_uncorrectable = 0
-        for record in self._pages.values():
-            if record.state != STATE_VALID:
-                continue
-            fragility = 1.0 + 9.0 * (1.0 - record.quality)
-            grown = max(0, round(bits_per_hour * fragility * hours))
-            if grown:
-                before = record.err
-                record.err = before + grown
-                if can_correct(before) and not can_correct(before + grown):
-                    newly_uncorrectable += 1
-        return newly_uncorrectable
-
-    def written_count(self) -> int:
-        return len(self._pages)
-
-    def valid_count(self) -> int:
-        return sum(1 for r in self._pages.values() if r.state == STATE_VALID)
-
-    def corrupt_count(self) -> int:
-        return sum(1 for r in self._pages.values() if r.state == STATE_CORRUPT)

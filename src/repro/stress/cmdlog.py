@@ -1,8 +1,10 @@
 """Append-only command log for the dirty-power-cycle harness.
 
 Every NVMe submission and completion of a stress run is appended to a
-JSONL log with the same crash-consistency discipline the engine's shard
-checkpoint journal applies to itself (:mod:`repro.engine.checkpoint`):
+JSONL log in the engine's CRC line format, with the same
+crash-consistency discipline the shard checkpoint journal applies to
+itself (:mod:`repro.engine.checkpoint`, whose codec and torn-tail reader
+this module uses, raising :class:`~repro.errors.CmdlogError`):
 
 - **append-only**: records are only ever appended, never rewritten;
 - **per-record CRC**: each line carries a CRC32 over its canonical JSON
@@ -27,14 +29,13 @@ the rail fell.
 
 from __future__ import annotations
 
-import json
 import os
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, IO, List, Optional, Sequence, Tuple, Union
 
 from repro.core.analyzer import Analyzer, FailureKind, VerificationOutcome
+from repro.engine.checkpoint import encode_line, read_lines
 from repro.errors import CmdlogError
 from repro.nvme.command import NvmeCommand, NvmeCompletion, NvmeOpcode
 from repro.workload.packet import DataPacket
@@ -46,40 +47,7 @@ CMDLOG_VERSION = 1
 _WRITE_OPS = ("write", "write_zeroes")
 
 
-# -- line codec ---------------------------------------------------------------------
-
-
-def _canonical(payload: Dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def encode_record(payload: Dict) -> str:
-    """Canonical JSON line with an appended CRC32 field.
-
-    ``crc`` is the codec's own reserved field: a payload carrying one
-    would be silently clobbered on encode and then fail its checksum on
-    decode, so it is rejected loudly here instead.
-    """
-    if "crc" in payload:
-        raise CmdlogError("payload key 'crc' is reserved for the line codec")
-    crc = zlib.crc32(_canonical(payload).encode("utf-8"))
-    record = dict(payload)
-    record["crc"] = crc
-    return _canonical(record)
-
-
-def decode_record(line: str) -> Dict:
-    """Parse + checksum-verify one log line (raises on any damage)."""
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise CmdlogError(f"unparseable command-log line: {exc}") from exc
-    if not isinstance(record, dict):
-        raise CmdlogError("command-log line is not an object")
-    crc = record.pop("crc", None)
-    if crc != zlib.crc32(_canonical(record).encode("utf-8")):
-        raise CmdlogError("command-log record checksum mismatch")
-    return record
+# -- replay -------------------------------------------------------------------------
 
 
 def record_identity(record: Dict) -> Tuple:
@@ -88,9 +56,6 @@ def record_identity(record: Dict) -> Tuple:
     if kind == "mark":
         return (kind, record.get("cycle"), record.get("event"))
     return (kind, record.get("cycle"), record.get("cid"))
-
-
-# -- replay -------------------------------------------------------------------------
 
 
 @dataclass
@@ -128,21 +93,7 @@ def replay_cmdlog(path: PathLike) -> ReplayedLog:
     corruption before the tail raises :class:`CmdlogError` because the
     file was damaged, not torn.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    records: List[Dict] = []
-    dropped_tail = False
-    for index, line in enumerate(lines):
-        if not line.strip():
-            raise CmdlogError(f"blank line {index + 1} inside command log")
-        try:
-            records.append(decode_record(line))
-        except CmdlogError:
-            if index == len(lines) - 1:
-                dropped_tail = True
-                break
-            raise
+    records, dropped_tail = read_lines(path, CmdlogError)
     unique, duplicates = dedupe_records(records)
     return ReplayedLog(
         records=unique, dropped_tail=dropped_tail, duplicates_dropped=duplicates
@@ -222,7 +173,7 @@ class CommandLog:
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = self.path.open("w", encoding="utf-8")
-        self._handle.write(encode_record(payload) + "\n")
+        self._handle.write(encode_line(payload, CmdlogError) + "\n")
         self._since_sync += 1
         if sync or self._since_sync >= self.fsync_every:
             self._handle.flush()

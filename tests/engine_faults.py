@@ -4,7 +4,12 @@ Everything the engine's failure tests keep rebuilding lives here once:
 the zero-backoff retry policy, the small deterministic campaign plan and
 its cached unfaulted baseline, the event-collecting progress hook, CLI
 subprocess helpers, and the distributed-execution harness (free ports,
-``repro worker`` subprocesses, a one-call ``run_distributed``).
+``repro worker`` subprocesses, a one-call ``run_distributed`` and its
+twin ``run_served``).  Both distributed harnesses drive the same
+coordinator, :class:`~repro.engine.serve.CampaignService`:
+``run_distributed`` through ``run_plan(listen=...)``, which runs an
+ephemeral service for one in-process submission, and ``run_served``
+through a standing service and the wire submission client.
 
 Fault injection rides on the ``REPRO_ENGINE_TEST_FAULT`` environment
 fixture (see :mod:`repro.engine.executors`): it reaches process-pool
@@ -233,8 +238,9 @@ def run_distributed(
     """One distributed ``run_plan``: local coordinator + worker subprocesses.
 
     Starts ``workers`` ``repro worker`` processes (each optionally carrying
-    ``worker_fault`` in its environment), runs the coordinator in this
-    process on a pre-picked free port, and returns ``(result,
+    ``worker_fault`` in its environment), runs the coordinator — an
+    ephemeral campaign service — in this process on a pre-picked free
+    port, and returns ``(result,
     worker_exit_codes)``.  ``on_workers_started(worker_list)`` runs right
     after the workers spawn — tests use it to SIGKILL/SIGSTOP one of them
     mid-campaign.  ``on_before_drain(worker_list)`` runs after the
@@ -284,7 +290,8 @@ def run_served(
 ):
     """One campaign through an in-process :class:`CampaignService`.
 
-    The serve twin of :func:`run_distributed`: starts the service on a
+    The serve twin of :func:`run_distributed`, on the same coordinator
+    but through its wire entry point: starts the service on a
     background thread, spawns ``workers`` *persistent* ``repro worker``
     subprocesses against it, submits ``plan`` through the wire client,
     and returns ``(SubmissionOutcome, worker_exit_codes)``.  Persistent

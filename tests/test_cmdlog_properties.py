@@ -1,11 +1,14 @@
-"""Property-based tests for the stress harness's command-log codec.
+"""Property-based tests for the CRC line codec and the command log.
 
 The acked-write audit is only sound if the command log never lies, so
 hypothesis drives the same claims :mod:`tests.test_checkpoint_properties`
 makes for the engine journal, against :mod:`repro.stress.cmdlog`:
 
-- **lossless codec**: any record payload survives ``encode_record`` /
-  ``decode_record``, including a trip through file bytes;
+- **lossless codec**: any record payload survives
+  :func:`~repro.engine.checkpoint.encode_line` /
+  :func:`~repro.engine.checkpoint.decode_line`, including a trip through
+  file bytes — the one codec of the command log, the checkpoint journal
+  and the result CAS, checked once per caller's typed error;
 - **no silent corruption**: a flipped byte in the final line reads as a
   torn tail (crash mid-append, dropped); a flipped byte anywhere earlier
   refuses the whole log with :class:`~repro.errors.CmdlogError`;
@@ -19,11 +22,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import CmdlogError
+from repro.engine.checkpoint import decode_line, encode_line
+from repro.errors import CheckpointError, CmdlogError
 from repro.stress.cmdlog import (
-    decode_record,
     dedupe_records,
-    encode_record,
     record_identity,
     replay_cmdlog,
 )
@@ -81,23 +83,32 @@ json_values = st.recursive(
 )
 arbitrary_payloads = st.dictionaries(keys, json_values, max_size=6)
 
+# The codec raises its caller's typed error: the command log's, or the
+# checkpoint journal's (which the result CAS shares).
+errors = st.sampled_from([CmdlogError, CheckpointError])
+
+
+def encode_record(payload):
+    """One command-log line, encoded as :class:`CommandLog` writes it."""
+    return encode_line(payload, CmdlogError)
+
 
 class TestLineCodec:
-    @given(arbitrary_payloads)
-    def test_round_trip_is_lossless(self, payload):
-        assert decode_record(encode_record(payload)) == payload
+    @given(arbitrary_payloads, errors)
+    def test_round_trip_is_lossless(self, payload, error):
+        assert decode_line(encode_line(payload, error), error) == payload
 
-    @given(arbitrary_payloads)
-    def test_round_trip_survives_file_bytes(self, payload):
+    @given(arbitrary_payloads, errors)
+    def test_round_trip_survives_file_bytes(self, payload, error):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "one.jsonl"
-            path.write_text(encode_record(payload) + "\n", encoding="utf-8")
+            path.write_text(encode_line(payload, error) + "\n", encoding="utf-8")
             line = path.read_text(encoding="utf-8").splitlines()[0]
-        assert decode_record(line) == payload
+        assert decode_line(line, error) == payload
 
-    @given(any_record, st.data())
-    def test_flipped_byte_is_rejected(self, payload, data):
-        line = encode_record(payload)
+    @given(any_record, errors, st.data())
+    def test_flipped_byte_is_rejected(self, payload, error, data):
+        line = encode_line(payload, error)
         col = data.draw(st.integers(0, len(line) - 1), label="col")
         flipped = data.draw(
             st.characters(min_codepoint=33, max_codepoint=126).filter(
@@ -110,21 +121,22 @@ class TestLineCodec:
         # always catches — unless the substitution lands inside the crc
         # field itself and happens to change nothing checksummed; that
         # still mismatches, because the payload didn't change.
-        with pytest.raises(CmdlogError):
-            decode_record(damaged)
+        with pytest.raises(error):
+            decode_line(damaged, error)
 
-    def test_reserved_crc_key_rejected(self):
+    @given(errors)
+    def test_reserved_crc_key_rejected(self, error):
         # A payload carrying the codec's own checksum field would be
         # silently clobbered and could never round-trip — refuse it at
         # encode time instead of corrupting on decode.
-        with pytest.raises(CmdlogError, match="reserved"):
-            encode_record({"crc": None})
+        with pytest.raises(error, match="reserved"):
+            encode_line({"crc": None}, error)
 
-    @given(st.text(max_size=40))
-    def test_garbage_lines_never_crash_differently(self, garbage):
+    @given(st.text(max_size=40), errors)
+    def test_garbage_lines_never_crash_differently(self, garbage, error):
         try:
-            decode_record(garbage)
-        except CmdlogError:
+            decode_line(garbage, error)
+        except error:
             pass
 
 

@@ -6,12 +6,17 @@ directions at once: for each injected fault mode (``crash``, ``exit``,
 multiprocess pool, distributed TCP workers), the perturbed campaign's
 merged ``summary()`` equals the unfaulted serial baseline.
 
-The remote lane gets extra scrutiny, because its failure surface is new:
-a worker SIGKILLed mid-shard (connection drop → requeue), a worker
-SIGSTOPped mid-shard (heartbeats stop → lease expiry → requeue), a
-checkpoint written by a distributed run resumed serially, and a stale
-worker turned away at handshake.  Wire-protocol framing is unit-tested at
-the bottom.
+The ``remote`` and ``serve`` lanes drive one coordinator, the campaign
+service, through its two entry points: ``run_plan(listen=...)`` (the
+ephemeral service ``campaign --listen`` runs, with one in-process
+submission and one-shot workers) and a standing service fed by
+``submit_campaign`` (persistent workers).
+
+The distributed path gets extra scrutiny: a worker SIGKILLed mid-shard
+(connection drop → requeue), a worker SIGSTOPped mid-shard (heartbeats
+stop → lease expiry → requeue), a checkpoint written by a distributed
+run resumed serially, and a stale worker turned away at handshake.
+Wire-protocol framing is unit-tested at the bottom.
 """
 
 import os
@@ -25,7 +30,7 @@ import pytest
 
 from repro.engine import run_plan
 from repro.engine.executors import TEST_FAULT_ENV
-from repro.engine.remote import (
+from repro.engine.wire import (
     MAX_FRAME_BYTES,
     parse_address,
     PROTOCOL_VERSION,

@@ -18,6 +18,7 @@ import pytest
 from repro.engine import run_plan
 from repro.engine.cas import QUARANTINE_SUFFIX, ResultCAS
 from repro.engine.checkpoint import plans_fingerprint
+from repro.engine.progress import EngineTelemetry
 from repro.engine.serve import (
     CampaignService,
     follow_campaign,
@@ -335,3 +336,24 @@ class TestServeHandshake:
         finally:
             codes = fleet.teardown()
         assert codes == [0]
+
+
+class TestLocalSubmission:
+    def test_wire_clients_are_turned_away_from_a_local_submission(self, tmp_path):
+        # `campaign --listen` runs the service with one in-process
+        # submission, which has no trace to stream: submitters and
+        # followers get an error naming the daemon instead.
+        plan = small_plan()
+        service = CampaignService(cas_root=tmp_path / "cas", policy=FAST)
+        service.submit_local(
+            [plan],
+            EngineTelemetry(shards_total=plan.shard_count(), cycles_total=plan.faults),
+        )
+        service.start()
+        try:
+            with pytest.raises(CampaignError, match="repro serve"):
+                follow_campaign(service.address)
+            with pytest.raises(CampaignError, match="repro serve"):
+                submit_campaign(service.address, [plan])
+        finally:
+            service.stop()

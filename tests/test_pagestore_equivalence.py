@@ -1,87 +1,36 @@
-"""Golden equivalence of the columnar and legacy page stores.
+"""Equivalence of the columnar page store and a naive reference model.
 
-Two layers of proof that the array-backed hot path changed *nothing*
-observable:
-
-1. A faulted mini-campaign run twice — once through the seed's
-   object-per-page layout (``REPRO_PAGESTORE=legacy``) and once through the
-   columnar :class:`~repro.nand.pagestore.ArrayPageStore` — must produce a
-   byte-identical ``CampaignResult.summary()``.  Both stores are pure state
-   containers (all RNG draws stay in ``FlashChip`` in per-page order), so any
-   divergence is a store bug, not noise.
-
-2. Hypothesis property tests drive both stores *and* an independently
-   written naive per-page reference model through random operation
-   sequences, comparing every return value and the full array dump after
-   each op.
+Hypothesis property tests drive the columnar
+:class:`~repro.nand.pagestore.ArrayPageStore` and an independently written
+naive per-page reference model through random operation sequences,
+comparing every return value and the full array dump after each op.  The
+store is a pure state container (all RNG draws stay in ``FlashChip`` in
+per-page order), so any divergence is a store bug, not noise.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.campaign import Campaign, CampaignConfig
-from repro.core.platform import TestPlatform
 from repro.nand.geometry import NandGeometry
 from repro.nand.pagestore import (
     STATE_CORRUPT,
     STATE_ERASED,
     STATE_VALID,
     ArrayPageStore,
-    LegacyPageStore,
-    select_store,
 )
-from repro.units import GIB, KIB
-from repro.workload.spec import WorkloadSpec
 
-# -- 1. golden-equivalence campaign -----------------------------------------------------
-
-
-def _run_mini_campaign(monkeypatch, store_kind: str) -> dict:
-    monkeypatch.setenv("REPRO_PAGESTORE", store_kind)
-    spec = WorkloadSpec(
-        wss_bytes=2 * GIB,
-        read_fraction=0.0,
-        size_min_bytes=4 * KIB,
-        size_max_bytes=4 * KIB,
-        requested_iops=1500.0,
-    )
-    platform = TestPlatform(spec, seed=42)
-    result = Campaign(platform, CampaignConfig(faults=2)).run()
-    return result.summary()
-
-
-class TestGoldenEquivalence:
-    def test_store_selection_honours_env(self, monkeypatch):
-        geometry = NandGeometry()
-        monkeypatch.setenv("REPRO_PAGESTORE", "legacy")
-        assert isinstance(select_store(geometry), LegacyPageStore)
-        monkeypatch.setenv("REPRO_PAGESTORE", "array")
-        assert isinstance(select_store(geometry), ArrayPageStore)
-        monkeypatch.delenv("REPRO_PAGESTORE")
-        assert isinstance(select_store(geometry), ArrayPageStore)
-
-    def test_faulted_campaign_summary_is_bit_identical(self, monkeypatch):
-        legacy = _run_mini_campaign(monkeypatch, "legacy")
-        columnar = _run_mini_campaign(monkeypatch, "array")
-        assert columnar == legacy
-        # The campaign must have actually exercised the fault path.
-        assert columnar["faults"] == 2
-        assert columnar["requests_completed"] > 0
-
-
-# -- 2. property tests vs a naive per-page reference model ------------------------------
+# -- property tests vs a naive per-page reference model ------------------------------
 
 
 class NaiveStore:
     """Deliberately simple dict-of-lists model of the store semantics.
 
-    Written from the documented contract, not from either implementation, so
-    a shared bug in the two real stores still trips the comparison.
+    Written from the documented contract, not from the implementation, so a
+    bug in the real store trips the comparison.
     """
 
     def __init__(self, geometry: NandGeometry) -> None:
@@ -217,7 +166,7 @@ class TestPropertyEquivalence:
     @settings(max_examples=150, deadline=None)
     @given(ops=st.lists(_op, max_size=60))
     def test_random_op_sequences_agree(self, ops):
-        stores = [ArrayPageStore(_TINY), LegacyPageStore(_TINY), NaiveStore(_TINY)]
+        stores = [ArrayPageStore(_TINY), NaiveStore(_TINY)]
         for op in ops:
             name, args = op[0], op[1:]
             if name == "age_retention":
@@ -226,16 +175,16 @@ class TestPropertyEquivalence:
                 ]
             else:
                 results = [getattr(s, name)(*args) for s in stores]
-            assert results[0] == results[1] == results[2], (name, args)
+            assert results[0] == results[1], (name, args)
         dumps = [_dump(s) for s in stores]
-        assert dumps[0] == dumps[1] == dumps[2]
+        assert dumps[0] == dumps[1]
         counts = [_counters(s) for s in stores]
-        assert counts[0] == counts[1] == counts[2]
+        assert counts[0] == counts[1]
 
     @settings(max_examples=100, deadline=None)
     @given(ops=st.lists(_op, max_size=40), probe=_ppa)
     def test_point_reads_agree_after_any_sequence(self, ops, probe):
-        stores = [ArrayPageStore(_TINY), LegacyPageStore(_TINY), NaiveStore(_TINY)]
+        stores = [ArrayPageStore(_TINY), NaiveStore(_TINY)]
         for op in ops:
             name, args = op[0], op[1:]
             if name == "age_retention":
@@ -246,8 +195,8 @@ class TestPropertyEquivalence:
                     getattr(s, name)(*args)
         entries = [s.entry(probe) for s in stores]
         states = [s.state_of(probe) for s in stores]
-        assert entries[0] == entries[1] == entries[2]
-        assert states[0] == states[1] == states[2]
+        assert entries[0] == entries[1]
+        assert states[0] == states[1]
 
     def test_erase_drops_chunk_and_counters(self):
         store = ArrayPageStore(_TINY)
