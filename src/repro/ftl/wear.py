@@ -18,6 +18,13 @@ from repro.errors import ConfigurationError
 class WearLeveler:
     """Erase-count accounting plus a min-wear free-block pool.
 
+    The pool has two parts.  Every block from the cursor ``_lo`` to the end is
+    free at wear 0: :meth:`free_blocks` sets it for the format-time free of a
+    fresh device, so building one costs nothing per block.  Blocks freed any
+    other way wait in a heap keyed by ``(erase count when freed, block)``.
+    :meth:`take_freest` pops the smaller of ``(0, _lo)`` and the heap top, the
+    order one heap holding every free block would give.
+
     Example
     -------
     >>> wl = WearLeveler(block_count=4)
@@ -33,8 +40,9 @@ class WearLeveler:
             raise ConfigurationError("block count must be positive")
         self.block_count = block_count
         self.erase_counts: Dict[int, int] = {}
+        self._lo = block_count  # blocks [_lo, block_count) are free at wear 0
         self._free_heap: List[Tuple[int, int]] = []  # (erase_count, block)
-        self._free_set: set = set()
+        self._free_set: set = set()  # the blocks in the heap
 
     def _check(self, block: int) -> None:
         if not 0 <= block < self.block_count:
@@ -59,33 +67,50 @@ class WearLeveler:
     def free_block(self, block: int) -> None:
         """Return an erased block to the allocatable pool."""
         self._check(block)
-        if block in self._free_set:
+        if self.is_free(block):
             raise ConfigurationError(f"block {block} freed twice")
         self._free_set.add(block)
         heapq.heappush(self._free_heap, (self.erases_of(block), block))
 
     def free_blocks(self, blocks: Iterable[int]) -> None:
-        """Bulk :meth:`free_block`."""
+        """Bulk :meth:`free_block`.
+
+        A ``range`` that runs to the last block, freed into an empty pool that
+        has never seen an erase, only moves the cursor: every block in it is
+        then free at wear 0.  Anything else is freed block by block.
+        """
+        if (
+            isinstance(blocks, range)
+            and blocks.step == 1
+            and 0 <= blocks.start < blocks.stop == self.block_count
+            and self.free_count == 0
+            and not self.erase_counts
+        ):
+            self._lo = blocks.start
+            return
         for block in blocks:
             self.free_block(block)
 
     def take_freest(self) -> int:
         """Pop the least-worn free block (ties broken by lowest index)."""
-        while self._free_heap:
-            _, block = heapq.heappop(self._free_heap)
-            if block in self._free_set:
-                self._free_set.remove(block)
-                return block
-        raise ConfigurationError("no free blocks available")
+        heap = self._free_heap
+        if self._lo < self.block_count and (not heap or (0, self._lo) < heap[0]):
+            self._lo += 1
+            return self._lo - 1
+        if not heap:
+            raise ConfigurationError("no free blocks available")
+        _, block = heapq.heappop(heap)
+        self._free_set.remove(block)
+        return block
 
     @property
     def free_count(self) -> int:
         """Blocks currently in the free pool."""
-        return len(self._free_set)
+        return self.block_count - self._lo + len(self._free_set)
 
     def is_free(self, block: int) -> bool:
         """True when ``block`` sits in the free pool."""
-        return block in self._free_set
+        return self._lo <= block < self.block_count or block in self._free_set
 
     # -- statistics -------------------------------------------------------------------------
 

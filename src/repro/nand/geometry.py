@@ -64,28 +64,38 @@ class NandGeometry:
                 raise ConfigurationError(f"{field_name} must be positive")
         if self.page_size % 512:
             raise ConfigurationError("page_size must be a multiple of 512")
+        # The counts are read on every page access, so they are computed once
+        # here.  They live outside the dataclass fields: ``asdict``, ``repr``,
+        # equality and hashing see only the six fields above.
+        dies = self.channels * self.dies_per_channel
+        planes = dies * self.planes_per_die
+        blocks = planes * self.blocks_per_plane
+        object.__setattr__(self, "_dies", dies)
+        object.__setattr__(self, "_planes", planes)
+        object.__setattr__(self, "_blocks", blocks)
+        object.__setattr__(self, "_total_pages", blocks * self.pages_per_block)
 
     # -- derived sizes -------------------------------------------------------------
 
     @property
     def dies(self) -> int:
         """Total die count across all channels."""
-        return self.channels * self.dies_per_channel
+        return self._dies
 
     @property
     def planes(self) -> int:
         """Total plane count."""
-        return self.dies * self.planes_per_die
+        return self._planes
 
     @property
     def blocks(self) -> int:
         """Total block count."""
-        return self.planes * self.blocks_per_plane
+        return self._blocks
 
     @property
     def total_pages(self) -> int:
         """Total physical page count."""
-        return self.blocks * self.pages_per_block
+        return self._total_pages
 
     @property
     def block_size(self) -> int:

@@ -1,15 +1,21 @@
 """Tests for the map journal, wear leveler, and garbage collector."""
 
+import heapq
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.ftl import Ftl, FtlConfig, MapJournal, MapUpdate, WearLeveler
 from repro.ftl.ftl import STREAM_RANDOM
+from repro.host import HostSystem
 from repro.nand import FlashChip, NandGeometry
 from repro.sim import Kernel
-from repro.units import MSEC
+from repro.ssd import models
+from repro.units import MIB, MSEC
 
 
 class TestMapJournal:
@@ -102,6 +108,106 @@ class TestWearLeveler:
         wl.free_block(taken)  # re-enters heap with new wear
         assert wl.take_freest() == 1  # the never-erased block wins
         assert wl.free_count == 1
+
+
+class EagerWearLeveler:
+    """Reference model: one heap and one set hold every free block.
+
+    Every freed block is pushed on its own, so the order of
+    :meth:`take_freest` is the heap's by construction.  ``WearLeveler`` must
+    match it call for call.
+    """
+
+    def __init__(self, block_count):
+        self.block_count = block_count
+        self.erase_counts = {}
+        self._free_heap = []  # (erase_count, block)
+        self._free_set = set()
+
+    def _check(self, block):
+        if not 0 <= block < self.block_count:
+            raise ConfigurationError(f"block {block} out of range")
+
+    def note_erase(self, block):
+        self._check(block)
+        count = self.erase_counts.get(block, 0) + 1
+        self.erase_counts[block] = count
+        return count
+
+    def free_block(self, block):
+        self._check(block)
+        if block in self._free_set:
+            raise ConfigurationError(f"block {block} freed twice")
+        self._free_set.add(block)
+        heapq.heappush(self._free_heap, (self.erase_counts.get(block, 0), block))
+
+    def free_blocks(self, blocks):
+        for block in blocks:
+            self.free_block(block)
+
+    def take_freest(self):
+        while self._free_heap:
+            _, block = heapq.heappop(self._free_heap)
+            if block in self._free_set:
+                self._free_set.remove(block)
+                return block
+        raise ConfigurationError("no free blocks available")
+
+    @property
+    def free_count(self):
+        return len(self._free_set)
+
+    def is_free(self, block):
+        return block in self._free_set
+
+
+def _outcome(call, *args):
+    try:
+        return "ok", call(*args)
+    except ConfigurationError as exc:
+        return "error", str(exc)
+
+
+class TestWearPoolAgainstEagerModel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10), st.data())
+    def test_every_call_matches(self, block_count, data):
+        real, ref = WearLeveler(block_count), EagerWearLeveler(block_count)
+        blocks = st.integers(-1, block_count)  # one out of range at each end
+        ops = ["free_blocks", "free_block", "take_freest", "note_erase", "is_free"]
+        for _ in range(data.draw(st.integers(1, 40))):
+            op = data.draw(st.sampled_from(ops))
+            if op == "free_blocks":
+                start = data.draw(blocks)
+                stop = data.draw(st.one_of(st.just(block_count), blocks))
+                args = (range(start, stop, data.draw(st.integers(1, 2))),)
+            elif op == "take_freest":
+                args = ()
+            else:
+                args = (data.draw(blocks),)
+            assert _outcome(getattr(real, op), *args) == _outcome(
+                getattr(ref, op), *args
+            ), (op, args)
+            assert real.free_count == ref.free_count
+            assert [b for b in range(block_count) if real.is_free(b)] == sorted(
+                ref._free_set
+            )
+            assert real.erase_counts == ref.erase_counts
+
+
+class TestConstructionCost:
+    def test_ssd_a_host_allocates_under_one_mib(self):
+        # Nothing built with a device may grow with its capacity: ssd-a has
+        # 131,072 blocks, and a per-block free pool alone costs 16 MiB.
+        config = models.by_name("ssd-a")
+        HostSystem(config=config)  # first build pays for lazy imports
+        tracemalloc.start()
+        try:
+            HostSystem(config=config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 * MIB
 
 
 def tiny_ftl(seed=0, **config_kwargs):

@@ -1,5 +1,8 @@
 """Tests for NAND geometry and address math."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -26,6 +29,26 @@ class TestDerivedSizes:
 
     def test_block_size(self):
         assert SMALL.block_size == 8 * 4096
+
+    def test_counts_after_replace(self):
+        geo = dataclasses.replace(SMALL, channels=3, blocks_per_plane=5)
+        assert (geo.dies, geo.planes, geo.blocks) == (6, 12, 60)
+        assert geo.total_pages == 480
+
+    def test_counts_after_pickle_roundtrip(self):
+        geo = pickle.loads(pickle.dumps(SMALL))
+        assert geo == SMALL and hash(geo) == hash(SMALL)
+        assert (geo.dies, geo.planes, geo.blocks, geo.total_pages) == (4, 8, 32, 256)
+
+    def test_asdict_has_only_the_six_fields(self):
+        assert dataclasses.asdict(SMALL) == {
+            "channels": 2,
+            "dies_per_channel": 2,
+            "planes_per_die": 2,
+            "blocks_per_plane": 4,
+            "pages_per_block": 8,
+            "page_size": 4096,
+        }
 
     def test_invalid_field_rejected(self):
         with pytest.raises(ConfigurationError):
