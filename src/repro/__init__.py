@@ -27,8 +27,6 @@ from repro.core.results import CampaignResult, FaultCycleResult
 from repro.core.scheduler import FaultScheduler
 from repro.engine import (
     CampaignPlan,
-    ParallelExecutor,
-    SerialExecutor,
     run_plan,
     run_plans,
 )
@@ -57,8 +55,6 @@ __all__ = [
     "HostSystem",
     "IOGenerator",
     "InstantCutoffPsu",
-    "ParallelExecutor",
-    "SerialExecutor",
     "SsdConfig",
     "SsdDevice",
     "TestPlatform",

@@ -23,8 +23,12 @@ Usage (installed or via ``python -m repro``)::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from typing import List, Optional
+from contextlib import contextmanager
+from functools import partial
+from pathlib import Path
+from typing import Callable, Dict, List, Optional
 
 from repro.analysis import ascii_table
 from repro.core.campaign import Campaign, CampaignConfig
@@ -44,14 +48,28 @@ from repro.errors import (
     CampaignInterrupted,
     CheckpointError,
     EngineTraceError,
+    ReproError,
 )
 from repro.ssd import models
 from repro.units import GIB, KIB
 from repro.workload.spec import AccessPattern, WorkloadSpec
 
 
-def _add_fault_tolerance_flags(command: argparse.ArgumentParser) -> None:
-    """Shared engine fault-tolerance/resume flags (campaign + fleet)."""
+def _add_connect_timeout(command: argparse.ArgumentParser) -> None:
+    command.add_argument(
+        "--connect-timeout",
+        type=float,
+        default=10.0,
+        metavar="SECONDS",
+        help="how long to keep retrying the initial connection (default 10)",
+    )
+
+
+def _add_engine_flags(command: argparse.ArgumentParser) -> None:
+    """Engine telemetry and fault-tolerance/resume flags (run commands + fleet)."""
+    command.add_argument(
+        "--progress", action="store_true", help="print engine shard telemetry to stderr"
+    )
     command.add_argument(
         "--checkpoint",
         metavar="PATH",
@@ -106,60 +124,394 @@ def _add_fault_tolerance_flags(command: argparse.ArgumentParser) -> None:
     )
 
 
+class RunKind:
+    """One plan kind's part of the shared run command (:func:`_cmd_run`).
+
+    A subclass declares the command's own flags in ``add_flags(command)``
+    (the engine flags are shared) and turns the parsed flags into its plan
+    in ``build_plan(args)``.  The attributes shape what the command prints:
+    the banner ``noun``, the ``--per-cycle`` table after the cycle index
+    (``cycle_columns``: header -> ``FaultCycleResult`` attribute), the
+    summary ``title``, and the totals appended to
+    ``CampaignResult.summary()`` (``extra_totals``: column ->
+    ``CampaignResult`` attribute).  A kind with an ``explain(plan, cycle)``
+    method declares the ``--explain CYCLE`` flag that selects it.
+    """
+
+    noun: str
+    title: str
+    cycle_columns: Dict[str, str]
+    extra_totals: Dict[str, str] = {}
+    shard_flag = "--shard-cycles"
+    shard_unit = "fault cycles"
+    per_cycle_help = "print per-cycle rows"
+    explain: Optional[Callable[[CampaignPlan, int], str]] = None
+
+    def add_shard_flag(self, command: argparse.ArgumentParser) -> None:
+        command.add_argument(
+            self.shard_flag,
+            type=int,
+            default=DEFAULT_SHARD_FAULTS,
+            help=f"max {self.shard_unit} per engine shard (determines available parallelism)",
+        )
+
+    def add_command(self, command: argparse.ArgumentParser) -> None:
+        """The kind's own flags, the shared engine flags, and the run handler."""
+        self.add_flags(command)
+        command.add_argument("--per-cycle", action="store_true", help=self.per_cycle_help)
+        command.add_argument(
+            "--jobs",
+            type=int,
+            default=1,
+            help="worker processes (shard plan is fixed, so results match any job count)",
+        )
+        self.add_shard_flag(command)
+        _add_engine_flags(command)
+        command.set_defaults(handler=partial(_cmd_run, self))
+
+
+def _workload_spec(args: argparse.Namespace, **fields) -> WorkloadSpec:
+    """Traffic from the ``--wss-gib`` and ``--size-*-kib`` flags, plus ``fields``."""
+    return WorkloadSpec(
+        wss_bytes=args.wss_gib * GIB,
+        size_min_bytes=args.size_min_kib * KIB,
+        size_max_bytes=args.size_max_kib * KIB,
+        **fields,
+    )
+
+
+class _Campaign(RunKind):
+    noun = "faults"
+    title = "campaign summary"
+    shard_flag = "--shard-faults"
+    shard_unit = "faults"
+    per_cycle_help = "print per-fault rows"
+    cycle_columns = {
+        "completed": "requests_completed",
+        "data failures": "data_failures",
+        "FWA": "fwa_failures",
+        "IO errors": "io_errors",
+    }
+
+    def add_flags(self, command: argparse.ArgumentParser) -> None:
+        command.add_argument("--device", default="ssd-a", help="device preset name")
+        command.add_argument("--faults", type=int, default=10)
+        command.add_argument("--seed", type=int, default=1)
+        command.add_argument("--wss-gib", type=int, default=16)
+        command.add_argument("--read-pct", type=int, default=0, choices=range(0, 101), metavar="0-100")
+        command.add_argument("--size-min-kib", type=int, default=4)
+        command.add_argument("--size-max-kib", type=int, default=1024)
+        command.add_argument(
+            "--pattern", choices=["random", "sequential"], default="random"
+        )
+        command.add_argument(
+            "--sequence", choices=["RAR", "RAW", "WAR", "WAW"], default=None
+        )
+        command.add_argument("--iops", type=float, default=None, help="open-loop requested IOPS")
+
+    def build_plan(self, args: argparse.Namespace) -> CampaignPlan:
+        return CampaignPlan(
+            spec=_workload_spec(
+                args,
+                read_fraction=args.read_pct / 100.0,
+                pattern=AccessPattern(args.pattern),
+                requested_iops=args.iops,
+                sequence=args.sequence,
+            ),
+            faults=args.faults,
+            device=models.by_name(args.device),
+            base_seed=args.seed,
+            shard_faults=args.shard_faults,
+        )
+
+
+class _DirtyCycle(RunKind):
+    noun = "dirty power cycles"
+    title = "dirty-cycle summary"
+    shard_unit = "dirty cycles"
+    cycle_columns = {
+        "acked": "writes_completed",
+        "intact": "intact_writes",
+        "FWA": "fwa_failures",
+        "data loss": "data_failures",
+        "IO err": "io_errors",
+        "unsafe": "unsafe_shutdowns",
+    }
+    extra_totals = {
+        "unsafe_shutdowns": "unsafe_shutdowns",
+        "intact_writes": "intact_writes",
+    }
+
+    def add_flags(self, command: argparse.ArgumentParser) -> None:
+        command.add_argument("--device", default="ssd-a", help="device preset name")
+        command.add_argument("--repeat", type=int, default=10, help="dirty cycles to run")
+        command.add_argument("--seed", type=int, default=1)
+        command.add_argument("--wss-gib", type=int, default=4)
+        command.add_argument("--read-pct", type=int, default=0, choices=range(0, 101), metavar="0-100")
+        command.add_argument("--size-min-kib", type=int, default=4)
+        command.add_argument("--size-max-kib", type=int, default=64)
+        command.add_argument(
+            "--pattern", choices=["random", "sequential"], default="random"
+        )
+        command.add_argument("--iops", type=float, default=None, help="open-loop requested IOPS")
+        command.add_argument("--qdepth", type=int, default=64, help="NVMe queue-pair depth")
+        command.add_argument(
+            "--flush-every",
+            type=int,
+            default=0,
+            help="chase every Nth write with a FLUSH (0 disables)",
+        )
+        command.add_argument(
+            "--write-zeroes-pct",
+            type=int,
+            default=0,
+            choices=range(0, 101),
+            metavar="0-100",
+            help="percent of writes issued as WRITE ZEROES",
+        )
+        command.add_argument(
+            "--recovery-fault-every",
+            type=int,
+            default=0,
+            metavar="N",
+            help="every Nth cycle also cuts power mid-FTL-recovery (0 disables)",
+        )
+        command.add_argument(
+            "--cmdlog",
+            metavar="DIR",
+            default=None,
+            help="persist per-shard command logs (JSONL, CRC per record) here",
+        )
+
+    def build_plan(self, args: argparse.Namespace) -> CampaignPlan:
+        from repro.stress import DirtyCyclePlan
+
+        return DirtyCyclePlan(
+            spec=_workload_spec(
+                args,
+                read_fraction=args.read_pct / 100.0,
+                pattern=AccessPattern(args.pattern),
+                requested_iops=args.iops,
+            ),
+            faults=args.repeat,
+            device=models.by_name(args.device),
+            base_seed=args.seed,
+            shard_faults=args.shard_cycles,
+            qdepth=args.qdepth,
+            flush_every=args.flush_every,
+            write_zeroes_frac=args.write_zeroes_pct / 100.0,
+            recovery_fault_every=args.recovery_fault_every,
+            cmdlog_dir=args.cmdlog,
+        )
+
+
+class _Topology(RunKind):
+    noun = "topology faults"
+    title = "topology summary"
+    cycle_columns = {
+        "acked": "writes_completed",
+        "intact": "intact_writes",
+        "recovered": "topology_recovered",
+        "app loss": "fwa_failures",
+        "IO err": "io_errors",
+        "unsafe": "unsafe_shutdowns",
+    }
+    extra_totals = {
+        "intact_writes": "intact_writes",
+        "topology_recovered": "topology_recovered",
+        "app_visible_loss": "fwa_failures",
+        "unsafe_shutdowns": "unsafe_shutdowns",
+    }
+
+    def add_flags(self, command: argparse.ArgumentParser) -> None:
+        command.add_argument(
+            "--policy",
+            choices=["wb", "wt", "wa"],
+            default="wb",
+            help="cache policy: write-back, write-through, or write-around",
+        )
+        command.add_argument(
+            "--mirror-cache",
+            action="store_true",
+            help="mirror the cache tier across two legs (RAID-1 MirrorPair)",
+        )
+        command.add_argument(
+            "--shared-power",
+            action="store_true",
+            help=(
+                "one PDU for cache legs and backing store (default: independent "
+                "rails; faults rotate across cache legs, backing never faults)"
+            ),
+        )
+        command.add_argument("--device", default="ssd-a", help="cache-leg device preset")
+        command.add_argument("--faults", type=int, default=6, help="power-fault cycles")
+        command.add_argument("--seed", type=int, default=1)
+        command.add_argument("--wss-gib", type=int, default=1)
+        command.add_argument("--size-min-kib", type=int, default=4)
+        command.add_argument("--size-max-kib", type=int, default=64)
+        command.add_argument(
+            "--outstanding", type=int, default=32, help="closed-loop host writes in flight"
+        )
+        command.add_argument(
+            "--destage-batch",
+            type=int,
+            default=64,
+            metavar="PAGES",
+            help="WB destage batch size (FlushPolicy.batch_pages)",
+        )
+        command.add_argument(
+            "--max-dirty",
+            type=int,
+            default=256,
+            metavar="PAGES",
+            help="WB admission throttle (FlushPolicy.max_dirty_pages)",
+        )
+
+    def build_plan(self, args: argparse.Namespace) -> CampaignPlan:
+        from repro.cache.flush import FlushPolicy
+        from repro.topology import TopologyPlan
+
+        return TopologyPlan(
+            spec=_workload_spec(args, read_fraction=0.0, outstanding=args.outstanding),
+            faults=args.faults,
+            device=models.by_name(args.device),
+            base_seed=args.seed,
+            shard_faults=args.shard_cycles,
+            policy=args.policy,
+            mirror_cache=args.mirror_cache,
+            shared_power=args.shared_power,
+            destage=FlushPolicy(
+                batch_pages=args.destage_batch, max_dirty_pages=args.max_dirty
+            ),
+        )
+
+
+class _Apps(RunKind):
+    noun = "app fault cycles"
+    title = "apps summary"
+    cycle_columns = {
+        "promises": "app_promises",
+        "intact": "app_intact",
+        "torn-rec": "app_torn_recovered",
+        "loss": "app_committed_loss",
+        "silent": "app_silent_corruption",
+        "rec-fail": "app_recovery_failed",
+    }
+    extra_totals = {
+        "app_promises": "app_promises",
+        "app_intact": "app_intact",
+        "app_torn_recovered": "app_torn_recovered",
+        "app_committed_loss": "app_committed_loss",
+        "app_silent_corruption": "app_silent_corruption",
+        "app_recovery_failed": "app_recovery_failed",
+    }
+
+    def add_flags(self, command: argparse.ArgumentParser) -> None:
+        command.add_argument(
+            "--app",
+            choices=["wal", "kv", "hpc"],
+            default="wal",
+            help="which workload model to run (default wal)",
+        )
+        command.add_argument("--device", default="ssd-a", help="device preset name")
+        command.add_argument("--faults", type=int, default=8, help="power-fault cycles")
+        command.add_argument("--seed", type=int, default=1)
+        command.add_argument(
+            "--journal-blocks",
+            type=int,
+            default=64,
+            help="filesystem journal size in blocks (small values wrap often)",
+        )
+        command.add_argument(
+            "--no-fsync",
+            action="store_true",
+            help="ack before flush (the mis-configured-application contrast leg)",
+        )
+        command.add_argument(
+            "--no-checksums",
+            action="store_true",
+            help="KV records unsealed: replay trusts storage (silent-corruption leg)",
+        )
+        command.add_argument(
+            "--warmup-ms",
+            type=int,
+            default=40,
+            help="traffic before the fault window opens (default 40 ms)",
+        )
+        command.add_argument(
+            "--fault-window-ms",
+            type=int,
+            default=150,
+            help="fault instant drawn uniformly from this window (default 150 ms)",
+        )
+        command.add_argument(
+            "--explain",
+            type=int,
+            default=None,
+            metavar="CYCLE",
+            help=(
+                "replay one campaign cycle in isolation and print the mini-report "
+                "(promise log, per-LBA device verdicts, semantic verdict chain)"
+            ),
+        )
+
+    def build_plan(self, args: argparse.Namespace) -> CampaignPlan:
+        from repro.apps import AppPlan
+        from repro.units import MSEC
+
+        return AppPlan(
+            spec=WorkloadSpec(),
+            faults=args.faults,
+            device=models.by_name(args.device),
+            base_seed=args.seed,
+            shard_faults=args.shard_cycles,
+            warmup_us=args.warmup_ms * MSEC,
+            app=args.app,
+            fault_window_us=args.fault_window_ms * MSEC,
+            journal_blocks=args.journal_blocks,
+            app_fsync=not args.no_fsync,
+            app_checksums=not args.no_checksums,
+        )
+
+    def explain(self, plan: CampaignPlan, cycle: int) -> str:
+        from repro.apps.explain import explain_cycle
+
+        return explain_cycle(plan, cycle)
+
+
+CAMPAIGN = _Campaign()
+DIRTY_CYCLE = _DirtyCycle()
+TOPOLOGY = _Topology()
+APPS = _Apps()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse tree (exposed for tests and docs)."""
+    """The argparse tree (exposed for tests and docs); ``handler`` runs the command."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SSD power-outage fault-injection testbed (DATE'18 reproduction)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list-devices", help="show the device presets (Table I + extras)")
+    sub.add_parser(
+        "list-devices", help="show the device presets (Table I + extras)"
+    ).set_defaults(handler=_cmd_list_devices)
 
-    campaign = sub.add_parser("campaign", help="run a fault-injection campaign")
-    campaign.add_argument("--device", default="ssd-a", help="device preset name")
-    campaign.add_argument("--faults", type=int, default=10)
-    campaign.add_argument("--seed", type=int, default=1)
-    campaign.add_argument("--wss-gib", type=int, default=16)
-    campaign.add_argument("--read-pct", type=int, default=0, choices=range(0, 101), metavar="0-100")
-    campaign.add_argument("--size-min-kib", type=int, default=4)
-    campaign.add_argument("--size-max-kib", type=int, default=1024)
-    campaign.add_argument(
-        "--pattern", choices=["random", "sequential"], default="random"
-    )
-    campaign.add_argument(
-        "--sequence", choices=["RAR", "RAW", "WAR", "WAW"], default=None
-    )
-    campaign.add_argument("--iops", type=float, default=None, help="open-loop requested IOPS")
-    campaign.add_argument("--per-cycle", action="store_true", help="print per-fault rows")
-    campaign.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes (shard plan is fixed, so results match any job count)",
-    )
-    campaign.add_argument(
-        "--shard-faults",
-        type=int,
-        default=DEFAULT_SHARD_FAULTS,
-        help="max faults per engine shard (determines available parallelism)",
-    )
-    campaign.add_argument(
-        "--progress", action="store_true", help="print engine shard telemetry to stderr"
-    )
-    _add_fault_tolerance_flags(campaign)
+    CAMPAIGN.add_command(sub.add_parser("campaign", help="run a fault-injection campaign"))
 
     discharge = sub.add_parser("discharge", help="capture the Fig. 4 PSU waveform")
     group = discharge.add_mutually_exclusive_group()
     group.add_argument("--load", dest="load", action="store_true", default=True)
     group.add_argument("--no-load", dest="load", action="store_false")
     discharge.add_argument("--samples", type=int, default=20, help="rows to print")
+    discharge.set_defaults(handler=_cmd_discharge)
 
     post_ack = sub.add_parser("post-ack", help="run the §IV-A post-ACK interval sweep")
     post_ack.add_argument("--intervals", default="50,250,450,800")
     post_ack.add_argument("--cycles", type=int, default=3)
     post_ack.add_argument("--burst", type=int, default=30)
     post_ack.add_argument("--seed", type=int, default=1)
+    post_ack.set_defaults(handler=_cmd_post_ack)
 
     smart = sub.add_parser("smart", help="campaign, then print the SMART snapshot")
     smart.add_argument("--device", default="ssd-a")
@@ -170,6 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the snapshot as machine-readable JSON instead of a table",
     )
+    smart.set_defaults(handler=_cmd_smart)
 
     stress = sub.add_parser(
         "stress", help="NVMe dirty-power-cycle stress loops with acked-write audit"
@@ -183,62 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
             "replay and SMART counters are audited each cycle"
         ),
     )
-    dirty.add_argument("--device", default="ssd-a", help="device preset name")
-    dirty.add_argument("--repeat", type=int, default=10, help="dirty cycles to run")
-    dirty.add_argument("--seed", type=int, default=1)
-    dirty.add_argument("--wss-gib", type=int, default=4)
-    dirty.add_argument("--read-pct", type=int, default=0, choices=range(0, 101), metavar="0-100")
-    dirty.add_argument("--size-min-kib", type=int, default=4)
-    dirty.add_argument("--size-max-kib", type=int, default=64)
-    dirty.add_argument(
-        "--pattern", choices=["random", "sequential"], default="random"
-    )
-    dirty.add_argument("--iops", type=float, default=None, help="open-loop requested IOPS")
-    dirty.add_argument("--qdepth", type=int, default=64, help="NVMe queue-pair depth")
-    dirty.add_argument(
-        "--flush-every",
-        type=int,
-        default=0,
-        help="chase every Nth write with a FLUSH (0 disables)",
-    )
-    dirty.add_argument(
-        "--write-zeroes-pct",
-        type=int,
-        default=0,
-        choices=range(0, 101),
-        metavar="0-100",
-        help="percent of writes issued as WRITE ZEROES",
-    )
-    dirty.add_argument(
-        "--recovery-fault-every",
-        type=int,
-        default=0,
-        metavar="N",
-        help="every Nth cycle also cuts power mid-FTL-recovery (0 disables)",
-    )
-    dirty.add_argument(
-        "--cmdlog",
-        metavar="DIR",
-        default=None,
-        help="persist per-shard command logs (JSONL, CRC per record) here",
-    )
-    dirty.add_argument("--per-cycle", action="store_true", help="print per-cycle rows")
-    dirty.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes (shard plan is fixed, so results match any job count)",
-    )
-    dirty.add_argument(
-        "--shard-cycles",
-        type=int,
-        default=DEFAULT_SHARD_FAULTS,
-        help="max dirty cycles per engine shard (determines available parallelism)",
-    )
-    dirty.add_argument(
-        "--progress", action="store_true", help="print engine shard telemetry to stderr"
-    )
-    _add_fault_tolerance_flags(dirty)
+    DIRTY_CYCLE.add_command(dirty)
 
     topology = sub.add_parser(
         "topology",
@@ -253,65 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
             "device-intact / topology-recovered / application-visible loss"
         ),
     )
-    topo_run.add_argument(
-        "--policy",
-        choices=["wb", "wt", "wa"],
-        default="wb",
-        help="cache policy: write-back, write-through, or write-around",
-    )
-    topo_run.add_argument(
-        "--mirror-cache",
-        action="store_true",
-        help="mirror the cache tier across two legs (RAID-1 MirrorPair)",
-    )
-    topo_run.add_argument(
-        "--shared-power",
-        action="store_true",
-        help=(
-            "one PDU for cache legs and backing store (default: independent "
-            "rails; faults rotate across cache legs, backing never faults)"
-        ),
-    )
-    topo_run.add_argument("--device", default="ssd-a", help="cache-leg device preset")
-    topo_run.add_argument("--faults", type=int, default=6, help="power-fault cycles")
-    topo_run.add_argument("--seed", type=int, default=1)
-    topo_run.add_argument("--wss-gib", type=int, default=1)
-    topo_run.add_argument("--size-min-kib", type=int, default=4)
-    topo_run.add_argument("--size-max-kib", type=int, default=64)
-    topo_run.add_argument(
-        "--outstanding", type=int, default=32, help="closed-loop host writes in flight"
-    )
-    topo_run.add_argument(
-        "--destage-batch",
-        type=int,
-        default=64,
-        metavar="PAGES",
-        help="WB destage batch size (FlushPolicy.batch_pages)",
-    )
-    topo_run.add_argument(
-        "--max-dirty",
-        type=int,
-        default=256,
-        metavar="PAGES",
-        help="WB admission throttle (FlushPolicy.max_dirty_pages)",
-    )
-    topo_run.add_argument("--per-cycle", action="store_true", help="print per-cycle rows")
-    topo_run.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes (shard plan is fixed, so results match any job count)",
-    )
-    topo_run.add_argument(
-        "--shard-cycles",
-        type=int,
-        default=DEFAULT_SHARD_FAULTS,
-        help="max fault cycles per engine shard (determines available parallelism)",
-    )
-    topo_run.add_argument(
-        "--progress", action="store_true", help="print engine shard telemetry to stderr"
-    )
-    _add_fault_tolerance_flags(topo_run)
+    TOPOLOGY.add_command(topo_run)
 
     apps = sub.add_parser(
         "apps",
@@ -328,70 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
             "recovery-failed by the app's own recovery path"
         ),
     )
-    apps_run.add_argument(
-        "--app",
-        choices=["wal", "kv", "hpc"],
-        default="wal",
-        help="which workload model to run (default wal)",
-    )
-    apps_run.add_argument("--device", default="ssd-a", help="device preset name")
-    apps_run.add_argument("--faults", type=int, default=8, help="power-fault cycles")
-    apps_run.add_argument("--seed", type=int, default=1)
-    apps_run.add_argument(
-        "--journal-blocks",
-        type=int,
-        default=64,
-        help="filesystem journal size in blocks (small values wrap often)",
-    )
-    apps_run.add_argument(
-        "--no-fsync",
-        action="store_true",
-        help="ack before flush (the mis-configured-application contrast leg)",
-    )
-    apps_run.add_argument(
-        "--no-checksums",
-        action="store_true",
-        help="KV records unsealed: replay trusts storage (silent-corruption leg)",
-    )
-    apps_run.add_argument(
-        "--warmup-ms",
-        type=int,
-        default=40,
-        help="traffic before the fault window opens (default 40 ms)",
-    )
-    apps_run.add_argument(
-        "--fault-window-ms",
-        type=int,
-        default=150,
-        help="fault instant drawn uniformly from this window (default 150 ms)",
-    )
-    apps_run.add_argument(
-        "--explain",
-        type=int,
-        default=None,
-        metavar="CYCLE",
-        help=(
-            "replay one campaign cycle in isolation and print the mini-report "
-            "(promise log, per-LBA device verdicts, semantic verdict chain)"
-        ),
-    )
-    apps_run.add_argument("--per-cycle", action="store_true", help="print per-cycle rows")
-    apps_run.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes (shard plan is fixed, so results match any job count)",
-    )
-    apps_run.add_argument(
-        "--shard-cycles",
-        type=int,
-        default=DEFAULT_SHARD_FAULTS,
-        help="max fault cycles per engine shard (determines available parallelism)",
-    )
-    apps_run.add_argument(
-        "--progress", action="store_true", help="print engine shard telemetry to stderr"
-    )
-    _add_fault_tolerance_flags(apps_run)
+    APPS.add_command(apps_run)
 
     fleet = sub.add_parser(
         "fleet", help="run the Table I population (six units) and rank by loss"
@@ -405,10 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes; the fleet's per-device shards run concurrently",
     )
-    fleet.add_argument(
-        "--progress", action="store_true", help="print engine shard telemetry to stderr"
-    )
-    _add_fault_tolerance_flags(fleet)
+    _add_engine_flags(fleet)
+    fleet.set_defaults(handler=_cmd_fleet)
 
     worker = sub.add_parser(
         "worker",
@@ -420,13 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="HOST:PORT",
         help="coordinator address printed by `repro campaign/fleet --listen`",
     )
-    worker.add_argument(
-        "--connect-timeout",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="how long to keep retrying the initial connection (default 10)",
-    )
+    _add_connect_timeout(worker)
     worker.add_argument(
         "--persist",
         action="store_true",
@@ -436,6 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
             "once no coordinator answers within --connect-timeout"
         ),
     )
+    worker.set_defaults(handler=_cmd_worker)
 
     serve = sub.add_parser(
         "serve",
@@ -478,6 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="complete campaigns degraded instead of failing them",
     )
+    serve.set_defaults(handler=_cmd_serve)
 
     submit = sub.add_parser(
         "submit", help="submit a campaign to a `repro serve` daemon"
@@ -488,42 +659,15 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="HOST:PORT",
         help="campaign service address printed by `repro serve`",
     )
-    submit.add_argument(
-        "--connect-timeout",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="how long to keep retrying the initial connection (default 10)",
-    )
-    submit.add_argument("--device", default="ssd-a", help="device preset name")
-    submit.add_argument("--faults", type=int, default=10)
-    submit.add_argument("--seed", type=int, default=1)
-    submit.add_argument("--wss-gib", type=int, default=16)
-    submit.add_argument(
-        "--read-pct", type=int, default=0, choices=range(0, 101), metavar="0-100"
-    )
-    submit.add_argument("--size-min-kib", type=int, default=4)
-    submit.add_argument("--size-max-kib", type=int, default=1024)
-    submit.add_argument(
-        "--pattern", choices=["random", "sequential"], default="random"
-    )
-    submit.add_argument(
-        "--sequence", choices=["RAR", "RAW", "WAR", "WAW"], default=None
-    )
-    submit.add_argument(
-        "--iops", type=float, default=None, help="open-loop requested IOPS"
-    )
-    submit.add_argument(
-        "--shard-faults",
-        type=int,
-        default=DEFAULT_SHARD_FAULTS,
-        help="max faults per engine shard (determines available parallelism)",
-    )
+    _add_connect_timeout(submit)
+    CAMPAIGN.add_flags(submit)
+    CAMPAIGN.add_shard_flag(submit)
     submit.add_argument(
         "--progress",
         action="store_true",
         help="print the streamed engine events to stderr",
     )
+    submit.set_defaults(handler=_cmd_submit)
 
     follow = sub.add_parser(
         "follow",
@@ -540,13 +684,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="campaign to follow (default: the most recently accepted one)",
     )
-    follow.add_argument(
-        "--connect-timeout",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="how long to keep retrying the initial connection (default 10)",
-    )
+    _add_connect_timeout(follow)
+    follow.set_defaults(handler=_cmd_follow)
 
     trace = sub.add_parser(
         "trace", help="inspect engine telemetry traces (written with --trace)"
@@ -578,6 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="snapshot cadence with --follow (default 2)",
     )
+    trace_report.set_defaults(handler=_cmd_trace_report)
 
     checkpoint = sub.add_parser(
         "checkpoint", help="manage write-ahead shard checkpoint journals"
@@ -588,6 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rewrite a journal to one latest record per shard (atomic replace)",
     )
     compact.add_argument("path", help="journal file written by --checkpoint")
+    compact.set_defaults(handler=_cmd_checkpoint_compact)
 
     replay = sub.add_parser(
         "replay", help="replay a captured trace against a device, optionally with a fault"
@@ -602,11 +743,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="inject a power fault this many ms into the replay",
     )
+    replay.set_defaults(handler=_cmd_replay)
 
     bench = sub.add_parser(
         "bench", help="run the reproduction benches and emit perf records"
     )
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
+    bench.set_defaults(handler=_cmd_bench)
     bench_run = bench_sub.add_parser(
         "run",
         help="run one bench family and print its BENCH_*.json perf record",
@@ -623,7 +766,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_list_devices() -> int:
+
+def _cmd_list_devices(args: argparse.Namespace) -> int:
     rows = []
     for name in models.preset_names():
         config = models.by_name(name)
@@ -646,25 +790,14 @@ def _cmd_list_devices() -> int:
     return 0
 
 
-def _spec_from_args(args: argparse.Namespace) -> WorkloadSpec:
-    return WorkloadSpec(
-        wss_bytes=args.wss_gib * GIB,
-        read_fraction=args.read_pct / 100.0,
-        size_min_bytes=args.size_min_kib * KIB,
-        size_max_bytes=args.size_max_kib * KIB,
-        pattern=AccessPattern(args.pattern),
-        requested_iops=args.iops,
-        sequence=args.sequence,
-    )
-
-
 def _engine_kwargs(args: argparse.Namespace) -> dict:
-    """Supervisor options shared by ``campaign`` and ``fleet``.
+    """Engine options shared by the run commands and ``fleet``.
 
     The supervisor always quarantines (the campaign must complete and
     report); ``--quarantine`` only decides the process exit code.
     """
     return {
+        "jobs": args.jobs,
         "checkpoint": args.checkpoint,
         "resume": args.resume,
         "max_retries": args.max_retries,
@@ -690,45 +823,57 @@ def _report_execution(result) -> None:
     print(line, file=sys.stderr)
 
 
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    plan = CampaignPlan(
-        spec=_spec_from_args(args),
-        faults=args.faults,
-        device=models.by_name(args.device),
-        base_seed=args.seed,
-        shard_faults=args.shard_faults,
-    )
-    print(
-        f"running {args.faults} faults against {plan.display_label()} "
-        f"({plan.shard_count()} shards, jobs={args.jobs}) ..."
-    )
+@contextmanager
+def _engine_progress(args: argparse.Namespace):
+    """The engine progress hook for ``--progress`` and ``--trace``, either or both."""
     tracer = TraceWriter(args.trace) if args.trace else None
-    progress = fanout_hooks(ConsoleProgress() if args.progress else None, tracer)
     try:
-        result = run_plan(
-            plan, jobs=args.jobs, progress=progress, **_engine_kwargs(args)
-        )
+        yield fanout_hooks(ConsoleProgress() if args.progress else None, tracer)
     finally:
         if tracer is not None:
             tracer.close()
+
+
+def _summary_table(kind: RunKind, result) -> str:
+    summary = dict(result.summary())
+    for column, attribute in kind.extra_totals.items():
+        summary[column] = getattr(result, attribute)
+    return ascii_table(list(summary.keys()), [list(summary.values())], title=kind.title)
+
+
+def _usage_error(exc: ReproError) -> int:
+    """Report a bad domain input (unknown preset, empty budget) as a usage error."""
+    print(f"repro: error: {exc}", file=sys.stderr)
+    return 2
+
+
+def _cmd_run(kind: RunKind, args: argparse.Namespace) -> int:
+    """Run one plan kind: build its plan, execute it, print its tables."""
+    try:
+        plan = kind.build_plan(args)
+    except ReproError as exc:
+        return _usage_error(exc)
+    if kind.explain is not None and args.explain is not None:
+        print(kind.explain(plan, args.explain))
+        return 0
+    print(
+        f"running {plan.faults} {kind.noun} against {plan.display_label()} "
+        f"({plan.shard_count()} shards, jobs={args.jobs}) ..."
+    )
+    with _engine_progress(args) as progress:
+        result = run_plan(plan, progress=progress, **_engine_kwargs(args))
     if args.per_cycle:
         print(
             ascii_table(
-                ["cycle", "completed", "data failures", "FWA", "IO errors"],
+                ["cycle", *kind.cycle_columns],
                 [
-                    [c.cycle_index, c.requests_completed, c.data_failures, c.fwa_failures, c.io_errors]
-                    for c in result.cycles
+                    [cycle.cycle_index]
+                    + [getattr(cycle, attribute) for attribute in kind.cycle_columns.values()]
+                    for cycle in result.cycles
                 ],
             )
         )
-    summary = result.summary()
-    print(
-        ascii_table(
-            list(summary.keys()),
-            [list(summary.values())],
-            title="campaign summary",
-        )
-    )
+    print(_summary_table(kind, result))
     _report_execution(result)
     if result.execution.shards_quarantined and not args.quarantine:
         return 1
@@ -783,241 +928,9 @@ def _cmd_smart(args: argparse.Namespace) -> int:
     Campaign(platform, CampaignConfig(faults=args.faults)).run()
     log = platform.ssd.smart_log()
     if args.json:
-        import json as json_mod
-
-        print(json_mod.dumps(log.as_dict(), indent=2, sort_keys=True))
+        print(json.dumps(log.as_dict(), indent=2, sort_keys=True))
     else:
         print(log.render())
-    return 0
-
-
-def _cmd_stress_dirty_cycle(args: argparse.Namespace) -> int:
-    from repro.stress import DirtyCyclePlan
-    from repro.units import KIB as _KIB
-
-    spec = WorkloadSpec(
-        wss_bytes=args.wss_gib * GIB,
-        read_fraction=args.read_pct / 100.0,
-        size_min_bytes=args.size_min_kib * _KIB,
-        size_max_bytes=args.size_max_kib * _KIB,
-        pattern=AccessPattern(args.pattern),
-        requested_iops=args.iops,
-    )
-    plan = DirtyCyclePlan(
-        spec=spec,
-        faults=args.repeat,
-        device=models.by_name(args.device),
-        base_seed=args.seed,
-        shard_faults=args.shard_cycles,
-        qdepth=args.qdepth,
-        flush_every=args.flush_every,
-        write_zeroes_frac=args.write_zeroes_pct / 100.0,
-        recovery_fault_every=args.recovery_fault_every,
-        cmdlog_dir=args.cmdlog,
-    )
-    print(
-        f"running {args.repeat} dirty power cycles against {plan.display_label()} "
-        f"({plan.shard_count()} shards, jobs={args.jobs}) ..."
-    )
-    tracer = TraceWriter(args.trace) if args.trace else None
-    progress = fanout_hooks(ConsoleProgress() if args.progress else None, tracer)
-    try:
-        result = run_plan(
-            plan, jobs=args.jobs, progress=progress, **_engine_kwargs(args)
-        )
-    finally:
-        if tracer is not None:
-            tracer.close()
-    if args.per_cycle:
-        print(
-            ascii_table(
-                ["cycle", "acked", "intact", "FWA", "data loss", "IO err", "unsafe"],
-                [
-                    [
-                        c.cycle_index,
-                        c.writes_completed,
-                        c.intact_writes,
-                        c.fwa_failures,
-                        c.data_failures,
-                        c.io_errors,
-                        c.unsafe_shutdowns,
-                    ]
-                    for c in result.cycles
-                ],
-            )
-        )
-    summary = dict(result.summary())
-    summary["unsafe_shutdowns"] = result.unsafe_shutdowns
-    summary["intact_writes"] = result.intact_writes
-    print(
-        ascii_table(
-            list(summary.keys()),
-            [list(summary.values())],
-            title="dirty-cycle summary",
-        )
-    )
-    _report_execution(result)
-    if result.execution.shards_quarantined and not args.quarantine:
-        return 1
-    return 0
-
-
-def _cmd_topology_run(args: argparse.Namespace) -> int:
-    from repro.cache.flush import FlushPolicy
-    from repro.topology import TopologyPlan
-    from repro.units import KIB as _KIB
-
-    spec = WorkloadSpec(
-        wss_bytes=args.wss_gib * GIB,
-        read_fraction=0.0,
-        size_min_bytes=args.size_min_kib * _KIB,
-        size_max_bytes=args.size_max_kib * _KIB,
-        outstanding=args.outstanding,
-    )
-    plan = TopologyPlan(
-        spec=spec,
-        faults=args.faults,
-        device=models.by_name(args.device),
-        base_seed=args.seed,
-        shard_faults=args.shard_cycles,
-        policy=args.policy,
-        mirror_cache=args.mirror_cache,
-        shared_power=args.shared_power,
-        destage=FlushPolicy(
-            batch_pages=args.destage_batch, max_dirty_pages=args.max_dirty
-        ),
-    )
-    print(
-        f"running {args.faults} topology faults against {plan.display_label()} "
-        f"({plan.shard_count()} shards, jobs={args.jobs}) ..."
-    )
-    tracer = TraceWriter(args.trace) if args.trace else None
-    progress = fanout_hooks(ConsoleProgress() if args.progress else None, tracer)
-    try:
-        result = run_plan(
-            plan, jobs=args.jobs, progress=progress, **_engine_kwargs(args)
-        )
-    finally:
-        if tracer is not None:
-            tracer.close()
-    if args.per_cycle:
-        print(
-            ascii_table(
-                ["cycle", "acked", "intact", "recovered", "app loss", "IO err", "unsafe"],
-                [
-                    [
-                        c.cycle_index,
-                        c.writes_completed,
-                        c.intact_writes,
-                        c.topology_recovered,
-                        c.fwa_failures,
-                        c.io_errors,
-                        c.unsafe_shutdowns,
-                    ]
-                    for c in result.cycles
-                ],
-            )
-        )
-    summary = dict(result.summary())
-    summary["intact_writes"] = result.intact_writes
-    summary["topology_recovered"] = result.topology_recovered
-    summary["app_visible_loss"] = result.fwa_failures
-    summary["unsafe_shutdowns"] = result.unsafe_shutdowns
-    print(
-        ascii_table(
-            list(summary.keys()),
-            [list(summary.values())],
-            title="topology summary",
-        )
-    )
-    _report_execution(result)
-    if result.execution.shards_quarantined and not args.quarantine:
-        return 1
-    return 0
-
-
-def _app_plan_from_args(args: argparse.Namespace):
-    from repro.apps import AppPlan
-    from repro.units import MSEC
-
-    return AppPlan(
-        spec=WorkloadSpec(),
-        faults=args.faults,
-        device=models.by_name(args.device),
-        base_seed=args.seed,
-        shard_faults=args.shard_cycles,
-        warmup_us=args.warmup_ms * MSEC,
-        app=args.app,
-        fault_window_us=args.fault_window_ms * MSEC,
-        journal_blocks=args.journal_blocks,
-        app_fsync=not args.no_fsync,
-        app_checksums=not args.no_checksums,
-    )
-
-
-def _cmd_apps_run(args: argparse.Namespace) -> int:
-    plan = _app_plan_from_args(args)
-    if args.explain is not None:
-        from repro.apps.explain import explain_cycle
-
-        print(explain_cycle(plan, args.explain))
-        return 0
-    print(
-        f"running {args.faults} app fault cycles against {plan.display_label()} "
-        f"({plan.shard_count()} shards, jobs={args.jobs}) ..."
-    )
-    tracer = TraceWriter(args.trace) if args.trace else None
-    progress = fanout_hooks(ConsoleProgress() if args.progress else None, tracer)
-    try:
-        result = run_plan(
-            plan, jobs=args.jobs, progress=progress, **_engine_kwargs(args)
-        )
-    finally:
-        if tracer is not None:
-            tracer.close()
-    if args.per_cycle:
-        print(
-            ascii_table(
-                [
-                    "cycle",
-                    "promises",
-                    "intact",
-                    "torn-rec",
-                    "loss",
-                    "silent",
-                    "rec-fail",
-                ],
-                [
-                    [
-                        c.cycle_index,
-                        c.app_promises,
-                        c.app_intact,
-                        c.app_torn_recovered,
-                        c.app_committed_loss,
-                        c.app_silent_corruption,
-                        c.app_recovery_failed,
-                    ]
-                    for c in result.cycles
-                ],
-            )
-        )
-    summary = dict(result.summary())
-    summary["app_promises"] = result.app_promises
-    summary["app_intact"] = result.app_intact
-    summary["app_torn_recovered"] = result.app_torn_recovered
-    summary["app_committed_loss"] = result.app_committed_loss
-    summary["app_silent_corruption"] = result.app_silent_corruption
-    summary["app_recovery_failed"] = result.app_recovery_failed
-    print(
-        ascii_table(
-            list(summary.keys()),
-            [list(summary.values())],
-            title="apps summary",
-        )
-    )
-    _report_execution(result)
-    if result.execution.shards_quarantined and not args.quarantine:
-        return 1
     return 0
 
 
@@ -1027,28 +940,20 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     spec = WorkloadSpec(
         wss_bytes=args.wss_gib * GIB, read_fraction=0.0, outstanding=16
     )
-    tracer = TraceWriter(args.trace) if args.trace else None
-    # Same composition as `campaign`: --progress renders to stderr, --trace
-    # persists, either alone or both (the flag used to be dropped here).
-    engine_progress = fanout_hooks(
-        ConsoleProgress() if args.progress else None, tracer
-    )
-    try:
+    # Same composition as the run commands: --progress renders to stderr,
+    # --trace persists, either alone or both (the flag used to be dropped here).
+    with _engine_progress(args) as engine_progress:
         results = run_fleet(
             models.table_one_units(),
             spec,
             faults=args.faults,
             base_seed=args.seed,
-            jobs=args.jobs,
             progress=lambda name, result: print(
                 f"  {name}: {result.total_data_loss} data loss over {result.faults} faults"
             ),
             engine_progress=engine_progress,
             **_engine_kwargs(args),
         )
-    finally:
-        if tracer is not None:
-            tracer.close()
     merged = merge_by_model(results)
     print()
     print(
@@ -1124,15 +1029,12 @@ def _render_streamed_record(record) -> None:
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.engine.serve import submit_campaign
 
-    plan = CampaignPlan(
-        spec=_spec_from_args(args),
-        faults=args.faults,
-        device=models.by_name(args.device),
-        base_seed=args.seed,
-        shard_faults=args.shard_faults,
-    )
+    try:
+        plan = CAMPAIGN.build_plan(args)
+    except ReproError as exc:
+        return _usage_error(exc)
     print(
-        f"submitting {args.faults} faults against {plan.display_label()} "
+        f"submitting {plan.faults} {CAMPAIGN.noun} against {plan.display_label()} "
         f"({plan.shard_count()} shards) to {args.connect} ..."
     )
     try:
@@ -1146,14 +1048,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         print(f"[serve] {exc}", file=sys.stderr)
         return 1
     result = outcome.results[0]
-    summary = result.summary()
-    print(
-        ascii_table(
-            list(summary.keys()),
-            [list(summary.values())],
-            title="campaign summary",
-        )
-    )
+    print(_summary_table(CAMPAIGN, result))
     print(
         f"[serve] campaign {outcome.fingerprint}: {outcome.executed} shard(s) "
         f"executed, {outcome.cas_hits} from cache"
@@ -1200,8 +1095,6 @@ def _report_one_trace(path, top: int) -> int:
 
 
 def _cmd_trace_report(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     if args.interval is not None and not args.follow:
         print("--interval requires --follow", file=sys.stderr)
         return 2
@@ -1232,8 +1125,6 @@ def _cmd_trace_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_checkpoint_compact(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.engine import compact_journal
 
     if not Path(args.path).exists():
@@ -1256,8 +1147,6 @@ def _cmd_checkpoint_compact(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.core.analyzer import Analyzer, FailureKind
     from repro.host.system import HostSystem
     from repro.workload.replay import TraceReplayer, WorkloadTrace, parse_blkparse
@@ -1311,8 +1200,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    import json as json_mod
-
     from repro import bench as bench_mod
 
     if args.bench_command == "list":
@@ -1320,7 +1207,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(family)
         return 0
     record = bench_mod.run_family(args.family, json_path=args.json)
-    print(json_mod.dumps(record, sort_keys=True))
+    print(json.dumps(record, sort_keys=True))
     return 0
 
 
@@ -1341,48 +1228,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("--lease-timeout requires --listen HOST:PORT", file=sys.stderr)
         return 2
     try:
-        return _dispatch(args)
+        return args.handler(args)
     except CampaignInterrupted as exc:
         print(f"[engine] {exc}", file=sys.stderr)
         return 130
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "list-devices":
-        return _cmd_list_devices()
-    if args.command == "campaign":
-        return _cmd_campaign(args)
-    if args.command == "discharge":
-        return _cmd_discharge(args)
-    if args.command == "post-ack":
-        return _cmd_post_ack(args)
-    if args.command == "smart":
-        return _cmd_smart(args)
-    if args.command == "stress":
-        return _cmd_stress_dirty_cycle(args)
-    if args.command == "topology":
-        return _cmd_topology_run(args)
-    if args.command == "apps":
-        return _cmd_apps_run(args)
-    if args.command == "fleet":
-        return _cmd_fleet(args)
-    if args.command == "worker":
-        return _cmd_worker(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "submit":
-        return _cmd_submit(args)
-    if args.command == "follow":
-        return _cmd_follow(args)
-    if args.command == "trace":
-        return _cmd_trace_report(args)
-    if args.command == "checkpoint":
-        return _cmd_checkpoint_compact(args)
-    if args.command == "replay":
-        return _cmd_replay(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
 
 
 if __name__ == "__main__":  # pragma: no cover

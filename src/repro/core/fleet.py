@@ -78,7 +78,6 @@ def run_fleet(
     progress: Optional[Callable[[str, CampaignResult], None]] = None,
     jobs: Optional[int] = None,
     shard_faults: Optional[int] = None,
-    executor=None,
     checkpoint=None,
     resume: bool = False,
     max_retries: Optional[int] = None,
@@ -97,7 +96,7 @@ def run_fleet(
     ``TraceWriter``), distinct from the per-device ``progress`` callback.
     ``jobs > 1`` executes the fleet's shards on a process pool; results
     are identical to ``jobs=1`` because the plans (and their shard seeds)
-    don't depend on the executor.
+    don't depend on the worker count.
 
     Fault tolerance: ``checkpoint``/``resume`` journal the whole fleet in
     one write-ahead file (records are keyed per plan, so a resumed fleet
@@ -132,7 +131,6 @@ def run_fleet(
 
     run_plans(
         plans,
-        executor=executor,
         jobs=jobs,
         progress=engine_progress,
         on_plan_done=_plan_done,

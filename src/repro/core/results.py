@@ -52,8 +52,7 @@ class ShardTiming:
     ``pickup_latency_s`` is submit-to-pickup (how long the shard queued
     behind other work); ``duration_s`` is pickup-to-completion of the
     *successful* attempt.  Both are ``None`` when the execution path could
-    not observe them (resumed shards never ran; plain executors don't
-    instrument).  Timing never feeds result numbers — it exists so
+    not observe them (resumed shards never ran).  Timing never feeds result numbers — it exists so
     paper-scale sweeps can be profiled for stragglers.
     """
 

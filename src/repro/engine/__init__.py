@@ -17,8 +17,8 @@ this layer:
    :class:`~repro.core.results.ExecutionStats`.
 
 Because the shard decomposition and per-shard seeds depend only on the
-plan, the merged result is identical for any executor, worker count,
-retry pattern, or checkpoint/resume split — ``run_plan(plan, jobs=1)``
+plan, the merged result is identical for any worker count, retry
+pattern, or checkpoint/resume split — ``run_plan(plan, jobs=1)``
 and a killed-and-resumed ``run_plan(plan, jobs=16)`` agree exactly.
 
 Example
@@ -46,12 +46,7 @@ from repro.engine.checkpoint import (
     result_schema_version,
     ResumeState,
 )
-from repro.engine.executors import (
-    make_executor,
-    ParallelExecutor,
-    SerialExecutor,
-    ShardTask,
-)
+from repro.engine.executors import ShardTask
 from repro.engine.plan import (
     CampaignPlan,
     DEFAULT_SHARD_FAULTS,
@@ -108,7 +103,6 @@ _merge_plan_runs = merge_plan_runs
 
 def run_plans(
     plans: Sequence[CampaignPlan],
-    executor=None,
     jobs: Optional[int] = None,
     progress: Optional[ProgressHook] = None,
     on_plan_done: Optional[PlanDoneHook] = None,
@@ -121,23 +115,22 @@ def run_plans(
     listen: Optional[str] = None,
     lease_timeout_s: Optional[float] = None,
 ) -> List[CampaignResult]:
-    """Execute several plans through one supervised executor, merging per plan.
+    """Execute several plans as one supervised shard queue, merging per plan.
 
     Shards of all plans form a single work queue, so a parallel run
     overlaps shards *across* plans (a fleet of six one-shard devices keeps
     six workers busy).  Results come back in plan order; ``on_plan_done``
     fires as soon as each plan's last shard has merged.
 
-    Fault tolerance (default path, ``executor=None``): shards are executed
-    by a :class:`ShardSupervisor` with ``max_retries`` bounded retries and
-    exponential backoff, per-shard ``shard_timeout_s`` enforcement (pool
-    kill-and-rebuild), and — with ``quarantine=True`` — poison-shard
-    quarantine instead of :class:`~repro.errors.ShardFailureError`.
+    Fault tolerance: shards are executed by a :class:`ShardSupervisor`
+    with ``max_retries`` bounded retries and exponential backoff,
+    per-shard ``shard_timeout_s`` enforcement (pool kill-and-rebuild),
+    and — with ``quarantine=True`` — poison-shard quarantine instead of
+    :class:`~repro.errors.ShardFailureError`.
     ``checkpoint`` names a write-ahead journal file; with ``resume=True``
     shards already journaled for this exact plan batch are loaded instead
     of re-executed, which yields a merged result identical to an
-    uninterrupted run.  Passing an explicit ``executor`` bypasses all
-    supervision options (combining them is an error).
+    uninterrupted run.
 
     Distributed execution: ``listen="HOST:PORT"`` serves the shard queue
     over TCP via :class:`~repro.engine.remote.RemoteExecutor` (an
@@ -149,60 +142,45 @@ def run_plans(
     resume semantics are identical to local execution; ``jobs`` is
     ignored (the worker fleet is the parallelism).
     """
-    supervision_requested = (
-        checkpoint is not None
-        or resume
-        or max_retries is not None
-        or shard_timeout_s is not None
-        or quarantine
-        or retry_policy is not None
-        or listen is not None
-        or lease_timeout_s is not None
-    )
     if lease_timeout_s is not None and listen is None:
         raise CampaignError("lease_timeout_s requires listen=HOST:PORT")
-    if executor is not None and supervision_requested:
-        raise CampaignError(
-            "pass either an explicit executor or supervision options, not both"
+    if resume and checkpoint is None:
+        raise CampaignError("resume requires a checkpoint path")
+    policy = retry_policy
+    if policy is None:
+        policy = (
+            RetryPolicy(max_retries=max_retries)
+            if max_retries is not None
+            else RetryPolicy()
         )
     journal: Optional[CheckpointJournal] = None
-    if executor is None:
-        if resume and checkpoint is None:
-            raise CampaignError("resume requires a checkpoint path")
-        policy = retry_policy
-        if policy is None:
-            policy = (
-                RetryPolicy(max_retries=max_retries)
-                if max_retries is not None
-                else RetryPolicy()
-            )
-        resume_state: Optional[ResumeState] = None
-        if checkpoint is not None:
-            fingerprint = plans_fingerprint(plans)
-            if resume:
-                resume_state = load_resume_state(checkpoint, fingerprint)
-            journal = CheckpointJournal(checkpoint, fingerprint)
-        if listen is not None:
-            executor = RemoteExecutor(
-                listen=listen,
-                policy=policy,
-                journal=journal,
-                resume=resume_state,
-                quarantine_enabled=quarantine,
-                shard_timeout_s=shard_timeout_s,
-                lease_timeout_s=(
-                    lease_timeout_s if lease_timeout_s is not None else 15.0
-                ),
-            )
-        else:
-            executor = ShardSupervisor(
-                jobs=jobs if jobs is not None else 1,
-                shard_timeout_s=shard_timeout_s,
-                policy=policy,
-                journal=journal,
-                resume=resume_state,
-                quarantine_enabled=quarantine,
-            )
+    resume_state: Optional[ResumeState] = None
+    if checkpoint is not None:
+        fingerprint = plans_fingerprint(plans)
+        if resume:
+            resume_state = load_resume_state(checkpoint, fingerprint)
+        journal = CheckpointJournal(checkpoint, fingerprint)
+    if listen is not None:
+        executor = RemoteExecutor(
+            listen=listen,
+            policy=policy,
+            journal=journal,
+            resume=resume_state,
+            quarantine_enabled=quarantine,
+            shard_timeout_s=shard_timeout_s,
+            lease_timeout_s=(
+                lease_timeout_s if lease_timeout_s is not None else 15.0
+            ),
+        )
+    else:
+        executor = ShardSupervisor(
+            jobs=jobs if jobs is not None else 1,
+            shard_timeout_s=shard_timeout_s,
+            policy=policy,
+            journal=journal,
+            resume=resume_state,
+            quarantine_enabled=quarantine,
+        )
     tasks: List[ShardTask] = [
         (plan_index, plan, shard)
         for plan_index, plan in enumerate(plans)
@@ -216,12 +194,7 @@ def run_plans(
     shard_runs: List[dict] = [{} for _ in plans]
     merged: List[Optional[CampaignResult]] = [None for _ in plans]
     try:
-        for (plan_index, shard_index), value in executor.execute(tasks, telemetry):
-            run = (
-                value
-                if isinstance(value, ShardRun)
-                else ShardRun(result=value, attempts=1, status="completed")
-            )
+        for (plan_index, shard_index), run in executor.execute(tasks, telemetry):
             plan = plans[plan_index]
             shard_runs[plan_index][shard_index] = run
             if len(shard_runs[plan_index]) == plan.shard_count():
@@ -243,7 +216,6 @@ def run_plans(
 
 def run_plan(
     plan: CampaignPlan,
-    executor=None,
     jobs: Optional[int] = None,
     progress: Optional[ProgressHook] = None,
     checkpoint: Optional[Union[str, Path]] = None,
@@ -258,7 +230,6 @@ def run_plan(
     """Execute one plan and return its merged campaign result."""
     return run_plans(
         [plan],
-        executor=executor,
         jobs=jobs,
         progress=progress,
         checkpoint=checkpoint,
@@ -284,14 +255,12 @@ __all__ = [
     "FollowSession",
     "LiveRenderer",
     "PLAN_EVENT_INDEX",
-    "ParallelExecutor",
     "ProgressEvent",
     "ProgressHook",
     "RemoteExecutor",
     "ResultCAS",
     "ResumeState",
     "RetryPolicy",
-    "SerialExecutor",
     "ShardRun",
     "ShardSpec",
     "ShardSupervisor",
@@ -312,7 +281,6 @@ __all__ = [
     "format_eta",
     "load_resume_state",
     "load_trace_report",
-    "make_executor",
     "merge_plan_runs",
     "merge_shard_results",
     "parse_address",

@@ -1,36 +1,28 @@
-"""Shard executors: serial and multiprocess campaign execution.
+"""Shard-execution plumbing shared by the supervisor and the remote workers.
 
-Both executors consume the same ordered list of ``(plan ordinal, plan,
-shard)`` tasks and yield ``((plan ordinal, shard index), CampaignResult)``
-pairs **in task order**, so everything downstream (merge, progress, fleet
-callbacks) is executor-agnostic and deterministic.
+Every execution path — :class:`~repro.engine.supervisor.ShardSupervisor`
+in-process or on its process pool, and ``repro worker`` processes serving
+a :class:`~repro.engine.serve.CampaignService` — consumes the same ordered
+``(plan ordinal, plan, shard)`` tasks and runs each one through
+:func:`_run_shard_task`.  Workers receive the pickled
+:class:`~repro.engine.plan.CampaignPlan` and hydrate their own platform
+(simulation state never crosses process boundaries — only plans go in and
+:class:`~repro.core.results.CampaignResult` records come back), so a
+shard's result depends on its spec alone, never on where it ran.
 
-:class:`ParallelExecutor` fans shards out over a
-``concurrent.futures.ProcessPoolExecutor``.  Workers receive the pickled
-:class:`~repro.engine.plan.CampaignPlan` and hydrate their own
-``TestPlatform`` (simulation state never crosses process boundaries — only
-plans go in and :class:`~repro.core.results.CampaignResult` records come
-back).  A per-shard timeout plus a retry-once fallback keeps one wedged or
-crashed worker from killing the whole campaign: the affected shard is
-re-run in-process, which yields the identical result because shard seeds
-are deterministic.
-
-For production fault tolerance — bounded retries with backoff, pool
-rebuild, quarantine, checkpointing — use
-:class:`repro.engine.supervisor.ShardSupervisor`, which replaces these
-executors on the default ``run_plans`` path.
+The module also holds the capped-exponential :class:`BackoffPoller` used by
+every head-of-line wait, and the injectable ``REPRO_ENGINE_TEST_FAULT``
+fixture the engine's failure-path tests drive.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Tuple
 
 from repro.core.results import CampaignResult
 from repro.engine.plan import CampaignPlan, ShardSpec
-from repro.engine.progress import EngineTelemetry
 from repro.errors import CampaignError
 
 ShardTask = Tuple[int, CampaignPlan, ShardSpec]
@@ -138,139 +130,3 @@ def _run_shard_task(
     """
     _maybe_inject_test_fault(shard, attempt)
     return plan.run_shard(shard)
-
-
-class SerialExecutor:
-    """Runs shards one after another in the calling process."""
-
-    jobs = 1
-
-    def execute(
-        self, tasks: Sequence[ShardTask], telemetry: EngineTelemetry
-    ) -> Iterator[Tuple[ShardKey, CampaignResult]]:
-        """Yield ``(key, result)`` for each task, in order."""
-        for plan_index, plan, shard in tasks:
-            label = plan.display_label()
-            telemetry.shard_started(
-                label, shard.index, shard.count, attempt=1, worker_pid=os.getpid()
-            )
-            result = _run_shard_task(plan, shard)
-            telemetry.shard_finished(
-                label,
-                shard.index,
-                shard.count,
-                shard.faults,
-                attempt=1,
-                worker_pid=os.getpid(),
-            )
-            yield (plan_index, shard.index), result
-
-
-class ParallelExecutor:
-    """Process-pool execution with per-shard timeout and retry-once.
-
-    ``jobs`` defaults to the machine's CPU count.  ``shard_timeout_s``
-    bounds how long the engine waits on any single shard once it becomes
-    the head of the merge order; on timeout the wedged future is cancelled
-    and the shard is retried exactly once, in-process (likewise for a
-    worker exception or broken pool), before the campaign is allowed to
-    fail.  ``shard-started`` telemetry fires when a worker actually picks
-    a shard up (observed by polling), not at submit time.
-    """
-
-    def __init__(
-        self, jobs: Optional[int] = None, shard_timeout_s: Optional[float] = None
-    ) -> None:
-        self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
-        self.shard_timeout_s = shard_timeout_s
-
-    def execute(
-        self, tasks: Sequence[ShardTask], telemetry: EngineTelemetry
-    ) -> Iterator[Tuple[ShardKey, CampaignResult]]:
-        """Yield ``(key, result)`` in task order, fanning work out first."""
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=min(self.jobs, max(1, len(tasks))))
-        futures: List = []
-        started: Set[ShardKey] = set()
-
-        def emit_new_starts() -> None:
-            """Report shards actually picked up by a worker since last poll."""
-            for (plan_index, plan, shard), future in zip(tasks, futures):
-                key = (plan_index, shard.index)
-                if key not in started and (future.running() or future.done()):
-                    started.add(key)
-                    telemetry.shard_started(
-                        plan.display_label(), shard.index, shard.count
-                    )
-
-        try:
-            for plan_index, plan, shard in tasks:
-                futures.append(pool.submit(_run_shard_task, plan, shard))
-            for (plan_index, plan, shard), future in zip(tasks, futures):
-                key = (plan_index, shard.index)
-                label = plan.display_label()
-                attempt = 1
-                try:
-                    result = self._await(future, emit_new_starts)
-                except Exception as exc:  # timeout, worker crash, broken pool
-                    future.cancel()
-                    if key not in started:
-                        # The in-process retry is this shard's real start.
-                        started.add(key)
-                        telemetry.shard_started(label, shard.index, shard.count)
-                    telemetry.shard_retried(
-                        label, shard.index, shard.count, reason=repr(exc), attempt=1
-                    )
-                    attempt = 2
-                    result = _run_shard_task(plan, shard, attempt=2)
-                emit_new_starts()
-                telemetry.shard_finished(
-                    label, shard.index, shard.count, shard.faults, attempt=attempt
-                )
-                yield key, result
-        finally:
-            # Don't block on workers that may be wedged; abandoned shards
-            # were already re-run in-process above.
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def _await(self, future, emit_new_starts):
-        """Head-of-line wait: poll so pickups are observed, honour timeout.
-
-        The poll interval follows a capped exponential schedule (see
-        :class:`BackoffPoller`): short shards resolve within milliseconds,
-        long shards cost at most ~4 idle wakeups per second instead of the
-        20/s a fixed interval burned.
-        """
-        deadline = (
-            None
-            if self.shard_timeout_s is None
-            else time.monotonic() + self.shard_timeout_s
-        )
-        poller = BackoffPoller()
-        while True:
-            emit_new_starts()
-            wait_s = poller.next_delay()
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise FutureTimeoutError(
-                        f"shard exceeded timeout of {self.shard_timeout_s}s"
-                    )
-                wait_s = min(wait_s, remaining)
-            try:
-                return future.result(timeout=wait_s)
-            except FutureTimeoutError:
-                continue
-
-
-def make_executor(jobs: Optional[int] = None, shard_timeout_s: Optional[float] = None):
-    """Executor for a requested worker count (``None``/``0``/``1`` = serial).
-
-    ``shard_timeout_s`` bounds each shard's head-of-line wait on the
-    parallel path; it is ignored for serial execution (an in-process shard
-    cannot be preempted).
-    """
-    if jobs is None or jobs <= 1:
-        return SerialExecutor()
-    return ParallelExecutor(jobs=jobs, shard_timeout_s=shard_timeout_s)

@@ -2,16 +2,16 @@
 
 A :class:`CampaignPlan` captures *what* to run — workload spec, device
 config, fault budget, seed policy, timing — without committing to *how* it
-runs.  Executors (see :mod:`repro.engine.executors`) turn a plan into one
-:class:`~repro.core.results.CampaignResult`, either serially or across a
-process pool.
+runs.  The shard supervisor (see :mod:`repro.engine.supervisor`) turns a
+plan into one :class:`~repro.core.results.CampaignResult`, either serially
+or across a process pool.
 
 Fault-injection cycles are embarrassingly parallel: each cycle boots from a
 seeded platform, and campaign results merge associatively through
 :meth:`CampaignResult.merged_with`.  A plan therefore splits its fault
 budget into independent **shards**, each a miniature campaign with its own
 deterministic seed.  The shard decomposition depends only on the plan —
-never on the executor or worker count — which is what makes engine runs
+never on the worker count — which is what makes engine runs
 reproducible: the same plan yields the same merged result whether it runs
 on one process or sixteen.
 
@@ -85,7 +85,7 @@ class CampaignPlan:
     whole budget in a single shard, which reproduces the legacy serial
     ``Campaign.run()`` exactly.  The shard split is balanced (sizes differ
     by at most one) and depends only on plan fields, so serial and parallel
-    executors agree on it.
+    runs agree on it.
 
     Example
     -------
@@ -202,7 +202,7 @@ class CampaignPlan:
         """Hydrate a platform and run one shard to completion.
 
         This is the function parallel workers execute after unpickling the
-        plan; it is also the serial executor's inner loop, so both paths
+        plan; it is also the serial supervisor's inner loop, so both paths
         share one code path by construction.
         """
         label = self.shard_label(shard)

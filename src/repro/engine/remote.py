@@ -364,7 +364,7 @@ def run_worker(
     """Connect to a coordinator and execute leased shards until shutdown.
 
     This is the body of ``repro worker --connect HOST:PORT``.  Shards run
-    through the exact worker entry point the process-pool executor uses
+    through the exact worker entry point the supervisor's process pool uses
     (:func:`~repro.engine.executors._run_shard_task`), so the injectable
     fault fixture and the bit-determinism guarantee carry over unchanged.
 

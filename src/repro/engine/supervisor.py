@@ -1,10 +1,8 @@
 """Fault-tolerant shard supervision: retries, backoff, quarantine, resume.
 
 :class:`ShardSupervisor` is the production execution path of the engine
-(the default behind :func:`repro.engine.run_plans`).  Where the plain
-executors treat a failure as "retry once, in-process, and hope", the
-supervisor treats the campaign harness itself as a reliability-critical
-system — the same stance the paper takes toward SSD firmware:
+(behind :func:`repro.engine.run_plans` for every local run).  It treats
+the campaign harness itself as a reliability-critical system — the same stance the paper takes toward SSD firmware:
 
 - **bounded retries with exponential backoff** — each failed shard is
   retried up to :attr:`RetryPolicy.max_retries` times with exponentially
@@ -212,9 +210,9 @@ def merge_plan_runs(plan, ordered_runs: Sequence[ShardRun]) -> CampaignResult:
 class ShardSupervisor:
     """Executes shard tasks with retries, quarantine, checkpoint, resume.
 
-    Drop-in for the executor protocol except that it yields
-    ``(key, ShardRun)`` pairs (:func:`repro.engine.run_plans` accepts
-    both).  ``jobs <= 1`` runs shards in-process (retry/quarantine/journal
+    Implements the executor protocol: ``execute(tasks, telemetry)``
+    yields ``(key, ShardRun)`` pairs in task order.  ``jobs <= 1`` runs
+    shards in-process (retry/quarantine/journal
     still apply; timeouts need worker processes and are ignored);
     ``jobs > 1`` manages its own ``ProcessPoolExecutor``, killing and
     rebuilding it when workers wedge or die.

@@ -3,7 +3,8 @@
 Everything the engine's failure tests keep rebuilding lives here once:
 the zero-backoff retry policy, the small deterministic campaign plan and
 its cached unfaulted baseline, the event-collecting progress hook, CLI
-subprocess helpers, and the distributed-execution harness (free ports,
+subprocess helpers (including the SIGTERM-after-first-commit leg of the
+kill-and-resume tests), and the distributed-execution harness (free ports,
 ``repro worker`` subprocesses, a one-call ``run_distributed`` and its
 twin ``run_served``).  Both distributed harnesses drive the same
 coordinator, :class:`~repro.engine.serve.CampaignService`:
@@ -21,9 +22,11 @@ run's.
 """
 
 import os
+import signal
 import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from repro.engine import CampaignPlan, RetryPolicy, run_plan
@@ -154,6 +157,38 @@ def summary_table(stdout):
     ]
     assert lines, "CLI produced no summary table"
     return lines
+
+
+def interrupt_after_first_commit(argv, checkpoint, env, fault="slow:*:*:0.8", timeout=120):
+    """SIGTERM a checkpointed ``python -m repro`` run once a shard committed.
+
+    ``fault`` slows every shard so the signal lands mid-run.  Returns
+    ``(exit code, stderr)``: 130 when the run was interrupted, 0 when it
+    finished before the signal landed (a very fast machine).
+    """
+    slow_env = dict(env)
+    slow_env[TEST_FAULT_ENV] = fault
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=slow_env,
+    )
+    try:
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline and proc.poll() is None:
+            if checkpoint.exists() and checkpoint.stat().st_size > 0:
+                break
+            time.sleep(0.1)
+        if proc.poll() is None:
+            proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=timeout)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    return proc.returncode, err
 
 
 # -- distributed-execution harness ---------------------------------------------------

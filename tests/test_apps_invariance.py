@@ -16,18 +16,13 @@ The tentpole proof burdens, stated as tests:
    a checkpoint per step, KV swaps manifests): hostile-device campaigns
    complete with every promise intact and no atomicity assertion firing.
 3. **Execution shape is invisible**: ``jobs=1`` and ``jobs=4`` produce
-   identical per-cycle records, checkpoints resume without re-execution,
-   and a SIGTERM'd CLI run resumed with ``--resume`` matches an
-   uninterrupted run byte for byte.
+   identical per-cycle records, and checkpoints resume without
+   re-execution (the SIGTERM'd CLI run resumed with ``--resume`` is
+   ``tests/test_cli.py::TestKillAndResumeCli``).
 4. **The fsync contrast leg is real**: without fsync the same fault
    schedule produces committed loss, and (for the checksummed apps) all
    of it is detected — never silent.
 """
-
-import signal
-import subprocess
-import sys
-import time
 
 import pytest
 
@@ -38,14 +33,7 @@ from repro.ftl import FtlConfig
 from repro.ssd.device import SsdConfig
 from repro.units import GIB, MSEC
 from repro.workload.spec import WorkloadSpec
-from tests.engine_faults import (
-    app_summary,
-    cli_env,
-    FAST,
-    run_cli,
-    run_distributed,
-    summary_table,
-)
+from tests.engine_faults import app_summary, FAST, run_distributed
 
 MODES = ["crash", "exit", "hang", "slow"]
 LANES = ["serial", "pool", "remote"]
@@ -202,65 +190,3 @@ class TestFsyncContrast:
         result = run_plan(app_plan(app="hpc", fsync=False, faults=6), jobs=2)
         assert result.app_committed_loss > 0
         assert result.app_silent_corruption == 0
-
-
-class TestSigtermResumeCli:
-    """SIGTERM mid-campaign, then ``--resume``: summaries byte-identical."""
-
-    ARGS = [
-        "apps", "run",
-        "--app", "wal",
-        "--no-fsync",
-        "--faults", "4",
-        "--shard-cycles", "1",
-        "--seed", "11",
-        "--warmup-ms", "30",
-        "--fault-window-ms", "120",
-    ]
-
-    def test_sigterm_then_resume_matches_uninterrupted(self, tmp_path):
-        env = cli_env()
-        checkpoint = tmp_path / "ck.jsonl"
-
-        slow_env = dict(env)
-        slow_env[TEST_FAULT_ENV] = "slow:*:*:0.8"
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", *self.ARGS,
-             "--jobs", "2", "--checkpoint", str(checkpoint)],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=slow_env,
-        )
-        try:
-            deadline = time.monotonic() + 120
-            while time.monotonic() < deadline and proc.poll() is None:
-                if checkpoint.exists() and checkpoint.stat().st_size > 0:
-                    break
-                time.sleep(0.1)
-            if proc.poll() is None:
-                proc.send_signal(signal.SIGTERM)
-            _, err = proc.communicate(timeout=120)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.communicate()
-
-        interrupted = proc.returncode == 130
-        if interrupted:
-            assert "interrupted by SIGTERM" in err
-            assert checkpoint.stat().st_size > 0
-        else:
-            # Very fast machine: the run completed before the signal landed.
-            assert proc.returncode == 0
-
-        resumed = run_cli(
-            self.ARGS + ["--jobs", "2", "--checkpoint", str(checkpoint), "--resume"],
-            env,
-        )
-        assert resumed.returncode == 0, resumed.stderr
-        baseline = run_cli(self.ARGS + ["--jobs", "1"], env)
-        assert baseline.returncode == 0, baseline.stderr
-        assert summary_table(resumed.stdout) == summary_table(baseline.stdout)
-        if interrupted:
-            assert "resumed from checkpoint" in resumed.stderr

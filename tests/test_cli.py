@@ -450,3 +450,399 @@ class TestCommands:
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         assert main(["replay", str(path)]) == 2
+
+
+# -- the run-command contract --------------------------------------------------------
+
+ENGINE_DEFAULTS = {
+    "per_cycle": False,
+    "jobs": 1,
+    "progress": False,
+    "checkpoint": None,
+    "resume": False,
+    "max_retries": 2,
+    "quarantine": False,
+    "shard_timeout": None,
+    "trace": None,
+    "listen": None,
+    "lease_timeout": None,
+}
+
+CAMPAIGN_FLAG_DEFAULTS = {
+    "device": "ssd-a",
+    "faults": 10,
+    "seed": 1,
+    "wss_gib": 16,
+    "read_pct": 0,
+    "size_min_kib": 4,
+    "size_max_kib": 1024,
+    "pattern": "random",
+    "sequence": None,
+    "iops": None,
+    "shard_faults": 2,
+}
+
+
+def _campaign_plan():
+    from repro.engine import CampaignPlan
+    from repro.ssd import models
+    from repro.units import GIB
+    from repro.workload.spec import WorkloadSpec
+
+    return CampaignPlan(
+        spec=WorkloadSpec(wss_bytes=2 * GIB),
+        faults=2,
+        device=models.by_name("ssd-a"),
+        base_seed=1,
+        shard_faults=1,
+    )
+
+
+def _dirty_cycle_plan():
+    from repro.ssd import models
+    from repro.stress import DirtyCyclePlan
+    from repro.units import GIB, KIB
+    from repro.workload.spec import WorkloadSpec
+
+    return DirtyCyclePlan(
+        spec=WorkloadSpec(wss_bytes=1 * GIB, size_max_bytes=64 * KIB),
+        faults=2,
+        device=models.by_name("ssd-a"),
+        base_seed=7,
+        shard_faults=2,
+        qdepth=8,
+    )
+
+
+def _topology_plan():
+    from repro.cache.flush import FlushPolicy
+    from repro.ssd import models
+    from repro.topology import TopologyPlan
+    from repro.units import GIB, KIB
+    from repro.workload.spec import WorkloadSpec
+
+    return TopologyPlan(
+        spec=WorkloadSpec(wss_bytes=1 * GIB, size_max_bytes=64 * KIB),
+        faults=2,
+        device=models.by_name("ssd-c"),
+        base_seed=7,
+        shard_faults=2,
+        destage=FlushPolicy(batch_pages=64, max_dirty_pages=256),
+    )
+
+
+def _app_plan():
+    from repro.apps import AppPlan
+    from repro.ssd import models
+    from repro.units import MSEC
+    from repro.workload.spec import WorkloadSpec
+
+    return AppPlan(
+        spec=WorkloadSpec(),
+        faults=2,
+        device=models.by_name("ssd-c"),
+        base_seed=7,
+        shard_faults=1,
+        warmup_us=30 * MSEC,
+        fault_window_us=120 * MSEC,
+        app_fsync=False,
+    )
+
+
+RUN_CONTRACTS = {
+    "campaign": dict(
+        command=["campaign"],
+        defaults=dict(CAMPAIGN_FLAG_DEFAULTS, command="campaign"),
+        argv=["--faults", "2", "--shard-faults", "1", "--wss-gib", "2"],
+        banner="running 2 faults against ",
+        cycle_columns=["cycle", "completed", "data failures", "FWA", "IO errors"],
+        title="campaign summary",
+        extra_totals={},
+        plan=_campaign_plan,
+    ),
+    "dirty-cycle": dict(
+        command=["stress", "dirty-cycle"],
+        defaults={
+            "command": "stress",
+            "stress_command": "dirty-cycle",
+            "device": "ssd-a",
+            "repeat": 10,
+            "seed": 1,
+            "wss_gib": 4,
+            "read_pct": 0,
+            "size_min_kib": 4,
+            "size_max_kib": 64,
+            "pattern": "random",
+            "iops": None,
+            "qdepth": 64,
+            "flush_every": 0,
+            "write_zeroes_pct": 0,
+            "recovery_fault_every": 0,
+            "cmdlog": None,
+            "shard_cycles": 2,
+        },
+        argv=["--repeat", "2", "--seed", "7", "--wss-gib", "1", "--qdepth", "8"],
+        banner="running 2 dirty power cycles against ",
+        cycle_columns=[
+            "cycle", "acked", "intact", "FWA", "data loss", "IO err", "unsafe",
+        ],
+        title="dirty-cycle summary",
+        extra_totals={
+            "unsafe_shutdowns": "unsafe_shutdowns",
+            "intact_writes": "intact_writes",
+        },
+        plan=_dirty_cycle_plan,
+    ),
+    "topology": dict(
+        command=["topology", "run"],
+        defaults={
+            "command": "topology",
+            "topology_command": "run",
+            "policy": "wb",
+            "mirror_cache": False,
+            "shared_power": False,
+            "device": "ssd-a",
+            "faults": 6,
+            "seed": 1,
+            "wss_gib": 1,
+            "size_min_kib": 4,
+            "size_max_kib": 64,
+            "outstanding": 32,
+            "destage_batch": 64,
+            "max_dirty": 256,
+            "shard_cycles": 2,
+        },
+        argv=["--device", "ssd-c", "--faults", "2", "--seed", "7"],
+        banner="running 2 topology faults against ",
+        cycle_columns=[
+            "cycle", "acked", "intact", "recovered", "app loss", "IO err", "unsafe",
+        ],
+        title="topology summary",
+        extra_totals={
+            "intact_writes": "intact_writes",
+            "topology_recovered": "topology_recovered",
+            "app_visible_loss": "fwa_failures",
+            "unsafe_shutdowns": "unsafe_shutdowns",
+        },
+        plan=_topology_plan,
+    ),
+    "apps": dict(
+        command=["apps", "run"],
+        defaults={
+            "command": "apps",
+            "apps_command": "run",
+            "app": "wal",
+            "device": "ssd-a",
+            "faults": 8,
+            "seed": 1,
+            "journal_blocks": 64,
+            "no_fsync": False,
+            "no_checksums": False,
+            "warmup_ms": 40,
+            "fault_window_ms": 150,
+            "explain": None,
+            "shard_cycles": 2,
+        },
+        argv=[
+            "--no-fsync", "--device", "ssd-c", "--faults", "2", "--shard-cycles", "1",
+            "--seed", "7", "--warmup-ms", "30", "--fault-window-ms", "120",
+        ],
+        banner="running 2 app fault cycles against ",
+        cycle_columns=[
+            "cycle", "promises", "intact", "torn-rec", "loss", "silent", "rec-fail",
+        ],
+        title="apps summary",
+        extra_totals={
+            "app_promises": "app_promises",
+            "app_intact": "app_intact",
+            "app_torn_recovered": "app_torn_recovered",
+            "app_committed_loss": "app_committed_loss",
+            "app_silent_corruption": "app_silent_corruption",
+            "app_recovery_failed": "app_recovery_failed",
+        },
+        plan=_app_plan,
+    ),
+}
+
+
+def _parsed_defaults(argv):
+    parsed = vars(build_parser().parse_args(argv))
+    parsed.pop("handler", None)
+    return parsed
+
+
+def _cells(line):
+    return [cell.strip() for cell in line.split(" | ")]
+
+
+def _expected_summary(result, extra_totals):
+    expected = dict(result.summary())
+    for column, attribute in extra_totals.items():
+        expected[column] = getattr(result, attribute)
+    return expected
+
+
+def _assert_summary_table(lines, title, expected):
+    at = lines.index(title)
+    assert _cells(lines[at + 1]) == list(expected)
+    assert set(lines[at + 2]) <= {"-", "+"}
+    assert _cells(lines[at + 3]) == [str(value) for value in expected.values()]
+
+
+class TestRunContract:
+    """What each run command prints, pinned without calibrated numbers."""
+
+    @pytest.mark.parametrize("kind", list(RUN_CONTRACTS))
+    def test_defaults_banner_tables_and_summary(self, kind, capsys):
+        from repro.engine import run_plan
+
+        contract = RUN_CONTRACTS[kind]
+        assert _parsed_defaults(contract["command"]) == dict(
+            contract["defaults"], **ENGINE_DEFAULTS
+        )
+        assert main(contract["command"] + contract["argv"] + ["--per-cycle"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(contract["banner"])
+        assert lines[0].endswith(" shards, jobs=1) ...")
+        assert _cells(lines[1]) == contract["cycle_columns"]
+        result = run_plan(contract["plan"]())
+        assert len(lines) == 1 + 2 + len(result.cycles) + 4
+        _assert_summary_table(
+            lines,
+            contract["title"],
+            _expected_summary(result, contract["extra_totals"]),
+        )
+
+    def test_submit(self, capsys, tmp_path):
+        from repro.engine import run_plan
+        from repro.engine.serve import CampaignService
+        from tests.engine_faults import drain_workers, FAST, spawn_worker
+
+        parsed = _parsed_defaults(["submit", "--connect", "127.0.0.1:1"])
+        assert parsed == dict(
+            CAMPAIGN_FLAG_DEFAULTS,
+            command="submit",
+            connect="127.0.0.1:1",
+            connect_timeout=10.0,
+            progress=False,
+        )
+        service = CampaignService(
+            cas_root=tmp_path / "cas", policy=FAST, lease_timeout_s=15.0, announce=None
+        )
+        service.start()
+        workers = [spawn_worker(service.port, persist=True, connect_timeout_s=3.0)]
+        try:
+            code = main(
+                ["submit", "--connect", f"127.0.0.1:{service.port}"]
+                + RUN_CONTRACTS["campaign"]["argv"]
+            )
+        finally:
+            service.stop()
+            drain_workers(workers)
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("submitting 2 faults against ")
+        assert lines[0].endswith(f"(2 shards) to 127.0.0.1:{service.port} ...")
+        assert len(lines) == 5
+        _assert_summary_table(
+            lines, "campaign summary", run_plan(_campaign_plan()).summary()
+        )
+
+
+class TestDomainErrors:
+    """A bad preset or budget is a usage error (exit 2), not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["campaign", "--device", "nope"], "unknown device preset 'nope'"),
+            (["stress", "dirty-cycle", "--repeat", "0"], "positive fault budget"),
+            (["topology", "run", "--faults", "0"], "positive fault budget"),
+            (["apps", "run", "--shard-cycles", "0"], "shard_faults must be positive"),
+            (
+                ["submit", "--connect", "127.0.0.1:1", "--device", "nope"],
+                "unknown device preset 'nope'",
+            ),
+        ],
+        ids=["campaign", "dirty-cycle", "topology", "apps", "submit"],
+    )
+    def test_bad_domain_input_exits_2(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("repro: error: ")
+        assert message in line
+
+
+# -- kill and resume -----------------------------------------------------------------
+
+RESUME_ARGV = {
+    "campaign": ["campaign", "--faults", "6", "--shard-faults", "1", "--wss-gib", "4"],
+    "dirty-cycle": [
+        "stress", "dirty-cycle",
+        "--repeat", "4",
+        "--shard-cycles", "1",
+        "--seed", "7",
+        "--wss-gib", "1",
+        "--qdepth", "16",
+        "--recovery-fault-every", "2",
+    ],
+    "topology": [
+        "topology", "run",
+        "--policy", "wb",
+        "--mirror-cache",
+        "--faults", "4",
+        "--shard-cycles", "1",
+        "--seed", "11",
+        "--outstanding", "8",
+    ],
+    "apps": [
+        "apps", "run",
+        "--app", "wal",
+        "--no-fsync",
+        "--faults", "4",
+        "--shard-cycles", "1",
+        "--seed", "11",
+        "--warmup-ms", "30",
+        "--fault-window-ms", "120",
+    ],
+}
+
+
+class TestKillAndResumeCli:
+    """The headline acceptance test, for every plan kind: SIGTERM mid-run,
+    then ``--resume`` produces a merged result identical to an
+    uninterrupted run."""
+
+    @pytest.mark.parametrize("args", list(RESUME_ARGV.values()), ids=list(RESUME_ARGV))
+    def test_sigterm_then_resume_matches_uninterrupted(self, args, tmp_path):
+        from tests.engine_faults import (
+            cli_env,
+            interrupt_after_first_commit,
+            run_cli,
+            summary_table,
+        )
+
+        env = cli_env()
+        checkpoint = tmp_path / "ck.jsonl"
+        code, err = interrupt_after_first_commit(
+            args + ["--jobs", "2", "--checkpoint", str(checkpoint)], checkpoint, env
+        )
+        interrupted = code == 130
+        if interrupted:
+            assert "interrupted by SIGTERM" in err
+            assert checkpoint.stat().st_size > 0
+        else:
+            # Very fast machine: the run completed before the signal landed.
+            assert code == 0
+
+        resumed = run_cli(
+            args + ["--jobs", "2", "--checkpoint", str(checkpoint), "--resume"], env
+        )
+        assert resumed.returncode == 0, resumed.stderr
+        baseline = run_cli(args + ["--jobs", "1"], env)
+        assert baseline.returncode == 0, baseline.stderr
+        assert summary_table(resumed.stdout) == summary_table(baseline.stdout)
+        if interrupted:
+            assert "resumed from checkpoint" in resumed.stderr

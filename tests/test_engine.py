@@ -1,12 +1,13 @@
 """Tests for the sharded campaign execution engine.
 
-Covers the determinism guarantee (serial and parallel executors produce
+Covers the determinism guarantee (serial and process-pool runs produce
 identical merged results for the same plan), shard-seed disjointness,
-legacy parity of single-shard plans, per-shard retry handling, and the
-progress telemetry hook.
+legacy parity of single-shard plans, the head-of-line poll schedule, and
+the progress telemetry hook.
 """
 
 import pickle
+import time
 
 import pytest
 
@@ -16,8 +17,6 @@ from repro.core.results import CampaignResult, FaultCycleResult
 from repro.engine import (
     CampaignPlan,
     EngineTelemetry,
-    ParallelExecutor,
-    SerialExecutor,
     derive_shard_seed,
     merge_shard_results,
     run_plan,
@@ -111,8 +110,8 @@ class TestSeedPolicy:
 class TestDeterminism:
     def test_serial_and_parallel_agree(self):
         plan = small_plan(faults=4, shard_faults=1)
-        serial = run_plan(plan, executor=SerialExecutor())
-        parallel = run_plan(plan, executor=ParallelExecutor(jobs=4))
+        serial = run_plan(plan, jobs=1)
+        parallel = run_plan(plan, jobs=4)
         assert serial.summary() == parallel.summary()
         assert [c.fault_time_us for c in serial.cycles] == [
             c.fault_time_us for c in parallel.cycles
@@ -132,50 +131,8 @@ class TestDeterminism:
         assert result.label == "engine-test"
 
 
-class TestRetryHandling:
-    def test_timeout_retries_in_process(self):
-        # A zero-ish timeout forces every shard down the retry path; the
-        # in-process retry must still produce the deterministic result.
-        plan = small_plan(faults=2, shard_faults=1)
-        events = []
-        executor = ParallelExecutor(jobs=2, shard_timeout_s=0.001)
-        result = run_plan(plan, executor=executor, progress=events.append)
-        assert result.summary() == run_plan(plan, executor=SerialExecutor()).summary()
-        retried = [e for e in events if e.kind == "shard-retried"]
-        assert retried, "expected at least one retry event"
-
-
-class _FakeClock:
-    """Stand-in for the ``time`` module inside the executor's wait loop."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    def monotonic(self):
-        return self.now
-
-
-class _StubFuture:
-    """Future whose ``result`` records every poll timeout and eats the time."""
-
-    def __init__(self, clock, resolve_after=None, value="shard-result"):
-        self.clock = clock
-        self.resolve_after = resolve_after
-        self.value = value
-        self.timeouts = []
-
-    def result(self, timeout=None):
-        from concurrent.futures import TimeoutError as FutureTimeoutError
-
-        self.timeouts.append(timeout)
-        self.clock.now += timeout
-        if self.resolve_after is not None and len(self.timeouts) >= self.resolve_after:
-            return self.value
-        raise FutureTimeoutError()
-
-
 class TestBackoffPolling:
-    """The head-of-line wait's poll schedule, pinned against a fake clock."""
+    """The head-of-line wait's poll schedule."""
 
     def test_poller_schedule_is_capped_exponential(self):
         from repro.engine.executors import BackoffPoller, POLL_BASE_S, POLL_CAP_S
@@ -190,34 +147,34 @@ class TestBackoffPolling:
         assert BackoffPoller(base_s=0.1, cap_s=0.01).next_delay() == 0.1
 
     def test_await_polls_on_the_poller_schedule(self, monkeypatch):
-        # No shard timeout: the future's recorded poll timeouts must be
-        # exactly the poller's capped exponential schedule, and the
-        # pickup-observation callback must run once per poll.
-        clock = _FakeClock()
-        monkeypatch.setattr("repro.engine.executors.time", clock)
-        future = _StubFuture(clock, resolve_after=8)
-        polls = []
-        executor = ParallelExecutor(jobs=2)
-        value = executor._await(future, lambda: polls.append(clock.now))
-        assert value == "shard-result"
-        assert future.timeouts == [0.005, 0.01, 0.02, 0.04, 0.08, 0.16, 0.25, 0.25]
-        assert len(polls) == 8
+        # The supervisor's head-of-line wait sleeps on the poller's capped
+        # exponential schedule and restarts it whenever the pool shows
+        # progress (a pickup or a finished result), so every sleep either
+        # doubles the previous one (up to the cap) or drops to the base.
+        from repro.engine.executors import POLL_BASE_S, POLL_CAP_S, TEST_FAULT_ENV
 
-    def test_await_clamps_final_poll_to_the_deadline(self, monkeypatch):
-        # With a 0.3s shard timeout the schedule runs 0.005 + 0.01 + 0.02
-        # + 0.04 + 0.08 = 0.155s, then the 0.16 step is clamped to the
-        # 0.145s remaining, and the next iteration times out — the wait
-        # must never overshoot the deadline by a poll interval.
-        from concurrent.futures import TimeoutError as FutureTimeoutError
+        sleeps = []
 
-        clock = _FakeClock()
-        monkeypatch.setattr("repro.engine.executors.time", clock)
-        future = _StubFuture(clock, resolve_after=None)  # never resolves
-        executor = ParallelExecutor(jobs=2, shard_timeout_s=0.3)
-        with pytest.raises(FutureTimeoutError, match="exceeded timeout"):
-            executor._await(future, lambda: None)
-        assert future.timeouts == [0.005, 0.01, 0.02, 0.04, 0.08, pytest.approx(0.145)]
-        assert clock.now == pytest.approx(0.3)
+        class _RecordingTime:
+            monotonic = staticmethod(time.monotonic)
+
+            @staticmethod
+            def sleep(seconds):
+                sleeps.append(seconds)
+                time.sleep(seconds)
+
+        monkeypatch.setattr("repro.engine.supervisor.time", _RecordingTime)
+        monkeypatch.setenv(TEST_FAULT_ENV, "slow:*:*:1.5")
+        result = run_plan(small_plan(faults=2, shard_faults=1), jobs=2)
+        assert result.faults == 2
+        for previous, delay in zip(sleeps, sleeps[1:]):
+            assert delay in (POLL_BASE_S, min(previous * 2, POLL_CAP_S))
+        # Both shards are picked up at once and then run for 1.5 s, so one
+        # uninterrupted stretch of the schedule reaches the cap.
+        schedule = [0.005, 0.01, 0.02, 0.04, 0.08, 0.16, 0.25, 0.25]
+        assert any(
+            sleeps[i : i + len(schedule)] == schedule for i in range(len(sleeps))
+        )
 
 
 class TestRunPlans:

@@ -10,7 +10,7 @@ ones, and a supercap drive under paced load loses nothing it acked.
 
 import pytest
 
-from repro.engine import ParallelExecutor, SerialExecutor, run_plan
+from repro.engine import run_plan
 from repro.errors import CampaignError, StressAuditError
 from repro.ssd import models
 from repro.ssd.device import SsdConfig
@@ -107,8 +107,8 @@ class TestClassification:
 class TestDeterminism:
     def test_jobs_invariant(self):
         plan = small_plan(faults=4, shard_faults=2)
-        serial = run_plan(plan, executor=SerialExecutor())
-        parallel = run_plan(plan, executor=ParallelExecutor(jobs=2))
+        serial = run_plan(plan, jobs=1)
+        parallel = run_plan(plan, jobs=2)
         assert serial.summary() == parallel.summary()
         assert serial.cycles == parallel.cycles
 
@@ -118,7 +118,7 @@ class TestDeterminism:
         whole = run_plan(small_plan(faults=4, recovery_fault_every=2))
         sharded = run_plan(
             small_plan(faults=4, recovery_fault_every=2, shard_faults=1),
-            executor=ParallelExecutor(jobs=2),
+            jobs=2,
         )
         assert [c.unsafe_shutdowns for c in whole.cycles] == [
             c.unsafe_shutdowns for c in sharded.cycles
@@ -146,7 +146,7 @@ class TestCommandLogFiles:
 
     def test_shard_logs_are_replayable(self, tmp_path):
         plan = small_plan(faults=4, shard_faults=2, cmdlog_dir=str(tmp_path))
-        run_plan(plan, executor=ParallelExecutor(jobs=2))
+        run_plan(plan, jobs=2)
         paths = sorted(tmp_path.glob("shard*.cmdlog.jsonl"))
         assert [p.name for p in paths] == [
             "shard0000.cmdlog.jsonl",
