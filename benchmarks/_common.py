@@ -41,9 +41,7 @@ new campaigns as they start).
 
 from __future__ import annotations
 
-import json
 import os
-import subprocess
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -212,69 +210,6 @@ def run_engine_plan(plan: CampaignPlan, jobs: Optional[int] = None) -> CampaignR
     finally:
         if tracer is not None:
             tracer.close()
-
-
-BENCH_JSON_SCHEMA = 1
-"""Version tag of the one-line ``BENCH_<name>.json`` record (see DESIGN.md,
-"Hot path & performance baselines").  Bump when fields change meaning."""
-
-
-def git_rev() -> str:
-    """Short git revision of the working tree, or ``"unknown"``."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=str(Path(__file__).parent),
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    return out.stdout.strip() if out.returncode == 0 else "unknown"
-
-
-def count_fault_cycles(results) -> int:
-    """Total injected fault cycles inside a bench's result structure.
-
-    Benches return dicts (possibly nested) whose leaves are
-    :class:`CampaignResult`; anything else contributes zero cycles.
-    """
-    if isinstance(results, CampaignResult):
-        return results.faults
-    if isinstance(results, dict):
-        return sum(count_fault_cycles(value) for value in results.values())
-    if isinstance(results, (list, tuple)):
-        return sum(count_fault_cycles(value) for value in results)
-    return 0
-
-
-def bench_json_record(name: str, cycles: int, wall_s: float) -> Dict[str, object]:
-    """The machine-readable perf record emitted as ``BENCH_<name>.json``.
-
-    One flat JSON object per bench family — cycles/sec is the number the
-    perf gate compares (see ``scripts/perf_smoke.py``); everything else is
-    provenance so a committed baseline says where it came from.
-    """
-    return {
-        "schema": BENCH_JSON_SCHEMA,
-        "bench": name,
-        "cycles": cycles,
-        "wall_s": round(wall_s, 3),
-        "cycles_per_sec": round(cycles / wall_s, 4) if wall_s > 0 else 0.0,
-        "scale": bench_scale(),
-        "jobs": bench_jobs(),
-        "git_rev": git_rev(),
-        "python": "%d.%d.%d" % sys.version_info[:3],
-    }
-
-
-def write_bench_json(record: Dict[str, object], path) -> None:
-    """Write one perf record as a single-line JSON file."""
-    target = Path(path)
-    if target.parent != Path(""):
-        target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(record, sort_keys=True) + "\n")
 
 
 def print_banner(title: str, anchor_keys: List[str]) -> None:

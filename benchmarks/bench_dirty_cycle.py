@@ -3,8 +3,8 @@
 Not a figure from the paper — this regenerates the NVMe-rig version of its
 experiment (repeated fault -> power-on -> recover -> verify with per-LBA
 classification via command-log replay, see ``repro.stress``) at bench
-scale, both as a perf record (``repro bench run dirty_cycle``) and as a
-shape test:
+scale as a shape test (its speed is the ``dirty_cycle`` workload of
+``benchmarks/e2e/``):
 
 - every acknowledged write is classified: intact + FWA + data-failure
   counts re-add to the acked-write count, cycle by cycle;

@@ -745,24 +745,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay.set_defaults(handler=_cmd_replay)
 
-    bench = sub.add_parser(
-        "bench", help="run the reproduction benches and emit perf records"
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    bench.set_defaults(handler=_cmd_bench)
-    bench_run = bench_sub.add_parser(
-        "run",
-        help="run one bench family and print its BENCH_*.json perf record",
-    )
-    bench_run.add_argument("family", help="bench family (see `repro bench list`)")
-    bench_run.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write the record as a one-line JSON file",
-    )
-    bench_sub.add_parser("list", help="list the runnable bench families")
-
     return parser
 
 
@@ -1196,18 +1178,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             + (" (fault injected)" if fault_injected else ""),
         )
     )
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro import bench as bench_mod
-
-    if args.bench_command == "list":
-        for family in sorted(bench_mod.BENCH_FAMILIES):
-            print(family)
-        return 0
-    record = bench_mod.run_family(args.family, json_path=args.json)
-    print(json.dumps(record, sort_keys=True))
     return 0
 
 

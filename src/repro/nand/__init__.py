@@ -25,7 +25,6 @@ from repro.nand.chip import FlashChip, PageRecord, PageState
 from repro.nand.corruption import CorruptionModel
 from repro.nand.ecc import EccScheme
 from repro.nand.geometry import NandGeometry, PhysicalPageAddress
-from repro.nand.rs_codec import PageCodec, RSCodec
 from repro.nand.threshold import CellLevelModel
 from repro.nand.timing import NandTiming
 
@@ -37,9 +36,7 @@ __all__ = [
     "FlashChip",
     "NandGeometry",
     "NandTiming",
-    "PageCodec",
     "PageRecord",
-    "RSCodec",
     "PageState",
     "PhysicalPageAddress",
 ]

@@ -400,10 +400,6 @@ class TestCommands:
         assert "unsafe_shutdowns" in out
         assert (tmp_path / "shard0000.cmdlog.jsonl").is_file()
 
-    def test_bench_list_includes_dirty_cycle(self, capsys):
-        assert main(["bench", "list"]) == 0
-        assert "dirty_cycle" in capsys.readouterr().out
-
     def test_fleet_command(self, capsys):
         assert main(["fleet", "--faults", "1", "--wss-gib", "2"]) == 0
         out = capsys.readouterr().out

@@ -59,7 +59,6 @@ DOCTEST_MODULES = [
     "repro.nand.geometry",
     "repro.nand.cell",
     "repro.nand.ecc",
-    "repro.nand.rs_codec",
     "repro.nand.threshold",
     "repro.engine.plan",
     "repro.engine.executors",
