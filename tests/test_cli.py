@@ -842,3 +842,23 @@ class TestKillAndResumeCli:
         assert summary_table(resumed.stdout) == summary_table(baseline.stdout)
         if interrupted:
             assert "resumed from checkpoint" in resumed.stderr
+
+
+class TestWedgedWorkerCli:
+    def test_wedged_shard_is_killed_and_the_run_exits(self):
+        # The wedged worker sleeps for 10 minutes; the 2 s shard timeout
+        # must kill it, retry the shard, and let the interpreter exit.
+        from repro.engine.executors import TEST_FAULT_ENV
+        from tests.engine_faults import cli_env, run_cli, summary_table
+
+        env = cli_env()
+        env.pop(TEST_FAULT_ENV, None)
+        args = ["campaign", "--faults", "4", "--shard-faults", "1", "--wss-gib", "1"]
+        wedged = dict(env, **{TEST_FAULT_ENV: "hang:1:1:600"})
+        run = run_cli(
+            args + ["--jobs", "2", "--shard-timeout", "2"], wedged, timeout=30
+        )
+        assert run.returncode == 0, run.stderr
+        baseline = run_cli(args + ["--jobs", "1"], env)
+        assert baseline.returncode == 0, baseline.stderr
+        assert summary_table(run.stdout) == summary_table(baseline.stdout)

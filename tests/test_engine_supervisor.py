@@ -7,7 +7,10 @@ a campaign's execution is perturbed — crashes, dead workers, timeouts,
 kills, resumes — the merged result equals a clean serial run.
 """
 
+import multiprocessing
+import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,27 @@ from repro.engine import RetryPolicy, run_plan
 from repro.engine.executors import TEST_FAULT_ENV
 from repro.errors import CampaignError, ShardFailureError
 from tests.engine_faults import clean_summary, Events, FAST, small_plan
+
+
+def child_pids():
+    """Pids of every process whose parent is this one, zombies included."""
+    me = os.getpid()
+    pids = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            text = stat.read_text()
+        except OSError:
+            continue  # exited between the listing and the read
+        # The ppid is the second field after the parenthesised command
+        # name, which may itself contain spaces and parentheses.
+        if int(text[text.rindex(")") + 2 :].split()[1]) == me:
+            pids.add(int(stat.parent.name))
+    return pids
+
+
+def assert_no_new_children(before):
+    assert multiprocessing.active_children() == []
+    assert child_pids() <= before
 
 
 class TestRetryPaths:
@@ -61,6 +85,65 @@ class TestRetryPaths:
         result = run_plan(small_plan(), jobs=2, retry_policy=FAST)
         assert result.summary() == baseline
         assert result.execution.attempts == [1, 1, 2, 1]
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+class TestNoLeftoverWorkers:
+    """However a shard failed, ``run_plan`` returns with no child alive.
+
+    A small shard takes about 0.5 s, so a 2 s shard timeout only ever
+    fires on an injected hang.
+    """
+
+    def test_timed_out_shard_leaves_no_child(self, monkeypatch):
+        baseline = clean_summary()
+        before = child_pids()
+        monkeypatch.setenv(TEST_FAULT_ENV, "hang:1:1:30")
+        result = run_plan(
+            small_plan(), jobs=2, shard_timeout_s=2.0, retry_policy=FAST
+        )
+        assert_no_new_children(before)
+        assert result.summary() == baseline
+        assert result.execution.attempts[1] == 2
+
+    def test_worker_death_leaves_no_child(self, monkeypatch):
+        baseline = clean_summary()
+        before = child_pids()
+        monkeypatch.setenv(TEST_FAULT_ENV, "exit:2:1")
+        result = run_plan(
+            small_plan(), jobs=2, shard_timeout_s=2.0, retry_policy=FAST
+        )
+        assert_no_new_children(before)
+        assert result.summary() == baseline
+        assert result.execution.attempts == [1, 1, 2, 1]
+
+    def test_persistent_death_quarantines_only_the_culprit(self, monkeypatch):
+        before = child_pids()
+        monkeypatch.setenv(TEST_FAULT_ENV, "exit:2:*")
+        result = run_plan(
+            small_plan(),
+            jobs=2,
+            shard_timeout_s=2.0,
+            retry_policy=FAST,
+            quarantine=True,
+        )
+        assert result.execution.quarantined == ["sup-test#s2"]
+        assert result.execution.attempts[2] == FAST.max_attempts
+        assert_no_new_children(before)
+
+    def test_every_first_attempt_hanging_finishes_promptly(self, monkeypatch):
+        # Each wedged worker must be killed at its timeout: requeueing the
+        # shard while the wedged worker keeps its slot would serialise the
+        # campaign behind 30 s sleeps.
+        baseline = clean_summary()
+        monkeypatch.setenv(TEST_FAULT_ENV, "hang:*:1:30")
+        started = time.monotonic()
+        result = run_plan(
+            small_plan(), jobs=2, shard_timeout_s=2.0, retry_policy=FAST
+        )
+        assert time.monotonic() - started < 20.0
+        assert result.summary() == baseline
+        assert all(attempts >= 2 for attempts in result.execution.attempts)
 
 
 class TestQuarantine:
@@ -163,13 +246,11 @@ class TestBackoffPolicy:
 class TestExecutorPlumbing:
     def test_parallel_executor_emits_starts_at_pickup(self, monkeypatch):
         # Regression: shard-started used to fire for every shard at submit
-        # time.  A future reads as running once it enters the pool's call
-        # queue (capacity workers + 1), so with two workers at most five
-        # shards look picked-up before the first two finish, and two more
-        # refill the pool before the head-of-line poll (at most 0.25s
-        # behind) reports the first finish: 7 of 10, where submit-time
-        # emission would give 10.  The last shard cannot possibly start
-        # until several have finished.
+        # time.  A shard starts when a worker receives it, and each of the
+        # two workers holds one shard at a time, so only two shards can
+        # start before the first finish, where submit-time emission would
+        # give 10.  The last shard cannot possibly start until several
+        # have finished.
         monkeypatch.setenv(TEST_FAULT_ENV, "slow:*:*:0.6")
         hook = Events()
         result = run_plan(
@@ -179,7 +260,7 @@ class TestExecutorPlumbing:
         starts_before_first_finish = kinds[: kinds.index("shard-finished")].count(
             "shard-started"
         )
-        assert starts_before_first_finish <= 7  # submit-time emission would be 10
+        assert starts_before_first_finish <= 2  # submit-time emission would be 10
         first_finish = kinds.index("shard-finished")
         last_start = max(
             i
