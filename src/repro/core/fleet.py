@@ -94,15 +94,15 @@ def run_fleet(
     ``engine_progress`` is the engine's per-shard telemetry hook
     (:data:`repro.engine.ProgressHook` — e.g. a ``ConsoleProgress`` or a
     ``TraceWriter``), distinct from the per-device ``progress`` callback.
-    ``jobs > 1`` executes the fleet's shards on a process pool; results
+    ``jobs > 1`` executes the fleet's shards on forked workers; results
     are identical to ``jobs=1`` because the plans (and their shard seeds)
     don't depend on the worker count.
 
     Fault tolerance: ``checkpoint``/``resume`` journal the whole fleet in
     one write-ahead file (records are keyed per plan, so a resumed fleet
     skips exactly the devices/shards that already committed);
-    ``max_retries``/``shard_timeout_s``/``quarantine`` configure the shard
-    supervisor — with quarantine on, a poisoned shard degrades one
+    ``max_retries``/``shard_timeout_s``/``quarantine`` configure the
+    engine's retries — with quarantine on, a poisoned shard degrades one
     device's result (see ``result.execution``) instead of killing the
     whole fleet.
 

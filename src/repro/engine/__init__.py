@@ -7,10 +7,11 @@ this layer:
    policy + label);
 2. the plan splits its fault budget into deterministic shards
    (:meth:`CampaignPlan.shards`);
-3. the fault-tolerant :class:`~repro.engine.supervisor.ShardSupervisor`
-   runs the shards (bounded retries with backoff, timeout-triggered pool
-   rebuild, poison-shard quarantine, optional write-ahead checkpoint
-   journal with resume, graceful SIGINT/SIGTERM);
+3. :func:`~repro.engine.supervisor.execute_local` runs the shards
+   in-process or on forked workers (bounded retries with backoff,
+   per-shard timeouts that kill the wedged worker, poison-shard
+   quarantine, optional write-ahead checkpoint journal with resume,
+   graceful SIGINT/SIGTERM);
 4. shard results merge in shard order via
    :meth:`~repro.core.results.CampaignResult.merged_with`, with execution
    accounting attached as
@@ -72,10 +73,10 @@ from repro.engine.serve import (
     submit_campaign,
 )
 from repro.engine.supervisor import (
+    execute_local,
     merge_plan_runs,
     RetryPolicy,
     ShardRun,
-    ShardSupervisor,
 )
 from repro.engine.trace import (
     build_trace_report,
@@ -122,11 +123,11 @@ def run_plans(
     six workers busy).  Results come back in plan order; ``on_plan_done``
     fires as soon as each plan's last shard has merged.
 
-    Fault tolerance: shards are executed by a :class:`ShardSupervisor`
-    with ``max_retries`` bounded retries and exponential backoff,
-    per-shard ``shard_timeout_s`` enforcement (pool kill-and-rebuild),
-    and — with ``quarantine=True`` — poison-shard quarantine instead of
-    :class:`~repro.errors.ShardFailureError`.
+    Fault tolerance: shards are executed by :func:`execute_local` with
+    ``max_retries`` bounded retries and exponential backoff, per-shard
+    ``shard_timeout_s`` enforcement (``jobs > 1`` only: the wedged worker
+    is killed), and — with ``quarantine=True`` — poison-shard quarantine
+    instead of :class:`~repro.errors.ShardFailureError`.
     ``checkpoint`` names a write-ahead journal file; with ``resume=True``
     shards already journaled for this exact plan batch are loaded instead
     of re-executed, which yields a merged result identical to an
@@ -160,27 +161,6 @@ def run_plans(
         if resume:
             resume_state = load_resume_state(checkpoint, fingerprint)
         journal = CheckpointJournal(checkpoint, fingerprint)
-    if listen is not None:
-        executor = RemoteExecutor(
-            listen=listen,
-            policy=policy,
-            journal=journal,
-            resume=resume_state,
-            quarantine_enabled=quarantine,
-            shard_timeout_s=shard_timeout_s,
-            lease_timeout_s=(
-                lease_timeout_s if lease_timeout_s is not None else 15.0
-            ),
-        )
-    else:
-        executor = ShardSupervisor(
-            jobs=jobs if jobs is not None else 1,
-            shard_timeout_s=shard_timeout_s,
-            policy=policy,
-            journal=journal,
-            resume=resume_state,
-            quarantine_enabled=quarantine,
-        )
     tasks: List[ShardTask] = [
         (plan_index, plan, shard)
         for plan_index, plan in enumerate(plans)
@@ -191,10 +171,33 @@ def run_plans(
         cycles_total=sum(shard.faults for _, _, shard in tasks),
         hook=progress,
     )
+    if listen is not None:
+        runs = RemoteExecutor(
+            listen=listen,
+            policy=policy,
+            journal=journal,
+            resume=resume_state,
+            quarantine_enabled=quarantine,
+            shard_timeout_s=shard_timeout_s,
+            lease_timeout_s=(
+                lease_timeout_s if lease_timeout_s is not None else 15.0
+            ),
+        ).execute(tasks, telemetry)
+    else:
+        runs = execute_local(
+            tasks,
+            telemetry,
+            jobs=jobs if jobs else 1,
+            policy=policy,
+            journal=journal,
+            resume=resume_state,
+            quarantine_enabled=quarantine,
+            shard_timeout_s=shard_timeout_s,
+        )
     shard_runs: List[dict] = [{} for _ in plans]
     merged: List[Optional[CampaignResult]] = [None for _ in plans]
     try:
-        for (plan_index, shard_index), run in executor.execute(tasks, telemetry):
+        for (plan_index, shard_index), run in runs:
             plan = plans[plan_index]
             shard_runs[plan_index][shard_index] = run
             if len(shard_runs[plan_index]) == plan.shard_count():
@@ -263,7 +266,6 @@ __all__ = [
     "RetryPolicy",
     "ShardRun",
     "ShardSpec",
-    "ShardSupervisor",
     "ShardTiming",
     "SubmissionOutcome",
     "TraceCursor",

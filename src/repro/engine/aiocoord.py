@@ -11,8 +11,10 @@ do not depend on the service's submission bookkeeping:
   :func:`~repro.engine.wire.recv_frame`, so a worker cannot tell which
   side of a socket pair it is talking to.
 - :class:`CoordinatorCore` — the lease/retry/checkpoint state machine for
-  one plan batch.  Single-threaded by construction: every method runs on
-  the owning event loop, so no lock/condition choreography is needed.
+  one plan batch, and the engine's only one: the service drives it from
+  its event loop, :func:`~repro.engine.supervisor.execute_local` from
+  every local run.  Single-threaded by construction: every method runs on
+  its owner's thread, so no lock/condition choreography is needed.
 
 The service owns one core per active submission and adds fair-share
 scheduling, a result CAS and trace followers on top.
@@ -25,6 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.core.results import CampaignResult
 from repro.engine.checkpoint import CheckpointJournal, result_from_record
 from repro.engine.executors import ShardKey, ShardTask
 from repro.engine.progress import EngineTelemetry
@@ -99,12 +102,13 @@ class CoordinatorCore:
     reported finished, preserving the write-ahead ordering ``--resume``
     depends on.
 
-    Not thread-safe on purpose — every call must come from the owning
-    event loop.  Completion fan-out happens through two callbacks:
+    Not thread-safe on purpose — every call must come from the owner's
+    thread.  Completion fan-out happens through two callbacks:
     ``on_done(key, run)`` fires for every shard that reaches a terminal
     state (completed or quarantined), ``on_fatal(exc)`` fires when a
     shard exhausts its budget with quarantine disabled.  After a fatal,
-    grants turn into ``shutdown`` frames so workers drain cleanly.
+    grants turn into ``shutdown`` frames so workers drain cleanly, and
+    further failures are not charged.
     """
 
     def __init__(
@@ -227,25 +231,34 @@ class CoordinatorCore:
 
     def outcome(self, frame: Dict, kind: str, worker: str, conn_id: int) -> None:
         """Apply a ``result`` or ``failure`` frame from a leased worker."""
+        result: Optional[CampaignResult] = None
+        if kind == "failure":
+            error = str(frame.get("error") or "worker reported failure")
+        else:
+            try:
+                result, error = result_from_record(frame.get("result")), ""
+            except Exception as exc:
+                error = f"undecodable result from {worker}: {exc!r}"
         key = (frame.get("plan"), frame.get("shard"))
-        attempt = frame.get("attempt")
+        self.settle(key, frame.get("attempt"), conn_id, result, error)
+
+    def settle(
+        self,
+        key: ShardKey,
+        attempt: int,
+        conn_id: int,
+        result: Optional[CampaignResult],
+        error: str = "",
+    ) -> None:
+        """Conclude a leased attempt: journal and report ``result``, or fail with ``error``."""
         lease = self.leases.get(key)
         if lease is None or lease.conn_id != conn_id or lease.attempt != attempt:
             return  # stale outcome: the lease moved on; determinism makes it safe to drop
         del self.leases[key]
-        if kind == "failure":
-            self.fail_attempt(
-                key, attempt, str(frame.get("error") or "worker reported failure")
-            )
+        if result is None:
+            self.fail_attempt(key, attempt, error)
             return
         arrived = self.clock()
-        try:
-            result = result_from_record(frame.get("result"))
-        except Exception as exc:
-            self.fail_attempt(
-                key, attempt, f"undecodable result from {worker}: {exc!r}"
-            )
-            return
         plan_index, plan, shard = self.by_key[key]
         label = plan.display_label()
         if self.journal is not None:
@@ -264,7 +277,7 @@ class CoordinatorCore:
             shard.count,
             shard.faults,
             attempt=attempt,
-            worker_pid=worker,
+            worker_pid=lease.worker,
         )
         pickup = lease.granted_mono - self.ready_since.get(key, lease.granted_mono)
         self._record_done(
@@ -315,6 +328,8 @@ class CoordinatorCore:
         """Charge one failed attempt: backoff-retry, quarantine, or fatal."""
         if key in self.done or self.attempts.get(key) != attempt:
             return  # stale: a newer attempt already superseded this one
+        if self.fatal is not None:
+            return  # the batch already failed: nothing more is charged
         plan_index, plan, shard = self.by_key[key]
         label = plan.display_label()
         if attempt >= self.policy.max_attempts:

@@ -1,18 +1,18 @@
-"""Shard-execution plumbing shared by the supervisor and the remote workers.
+"""Shard-execution plumbing shared by local runs and the remote workers.
 
-Every execution path — :class:`~repro.engine.supervisor.ShardSupervisor`
-in-process or on its process pool, and ``repro worker`` processes serving
-a :class:`~repro.engine.serve.CampaignService` — consumes the same ordered
-``(plan ordinal, plan, shard)`` tasks and runs each one through
-:func:`_run_shard_task`.  Workers receive the pickled
-:class:`~repro.engine.plan.CampaignPlan` and hydrate their own platform
-(simulation state never crosses process boundaries — only plans go in and
+Every execution path — :func:`~repro.engine.supervisor.execute_local`
+in-process or on its forked workers, and ``repro worker`` processes
+serving a :class:`~repro.engine.serve.CampaignService` — consumes the same
+ordered ``(plan ordinal, plan, shard)`` tasks and runs each one through
+:func:`_run_shard_task`.  Workers hydrate their own platform from the
+:class:`~repro.engine.plan.CampaignPlan` (simulation state never crosses
+process boundaries — only plans go in and
 :class:`~repro.core.results.CampaignResult` records come back), so a
 shard's result depends on its spec alone, never on where it ran.
 
-The module also holds the capped-exponential :class:`BackoffPoller` used by
-every head-of-line wait, and the injectable ``REPRO_ENGINE_TEST_FAULT``
-fixture the engine's failure-path tests drive.
+The module also holds the capped-exponential :class:`BackoffPoller` that
+``trace report --follow`` polls on, and the injectable
+``REPRO_ENGINE_TEST_FAULT`` fixture the engine's failure-path tests drive.
 """
 
 from __future__ import annotations
@@ -38,11 +38,10 @@ POLL_CAP_S = 0.25
 class BackoffPoller:
     """Capped exponential delay schedule for busy-wait loops.
 
-    Head-of-line waits used to poll at a fixed 0.05 s: responsive for
-    sub-second shards, but a long shard burned 20 wakeups/s of pure idle
-    churn per waiting loop.  The poller starts fast and doubles up to a
-    cap, so short waits still resolve in milliseconds while a multi-minute
-    shard costs 4 wakeups/s at most:
+    A fixed 0.05 s poll is responsive for short waits, but a long wait
+    burns 20 wakeups/s of pure idle churn.  The poller starts fast and
+    doubles up to a cap, so short waits still resolve in milliseconds
+    while a multi-minute wait costs 4 wakeups/s at most:
 
     >>> poller = BackoffPoller()
     >>> [poller.next_delay() for _ in range(8)]
@@ -78,12 +77,12 @@ TEST_FAULT_ENV = "REPRO_ENGINE_TEST_FAULT"
 """Injectable shard-failure fixture for the engine's own failure-path tests.
 
 Format: ``MODE:SHARD:ATTEMPTS[:SECONDS]`` where ``MODE`` is ``crash``
-(raise in the worker), ``exit`` (kill the worker process, breaking the
-pool), ``hang`` (sleep ``SECONDS`` — default 30 — then raise), or ``slow``
+(raise in the worker), ``exit`` (kill the worker process outright),
+``hang`` (sleep ``SECONDS`` — default 30 — then raise), or ``slow``
 (sleep ``SECONDS`` then run normally); ``SHARD`` is a shard index or ``*``;
 ``ATTEMPTS`` limits the fault to attempt numbers ``<= ATTEMPTS`` (``*`` =
 every attempt).  Workers inherit the environment, so the fixture reaches
-process-pool children without any plan plumbing.
+forked and remote workers without any plan plumbing.
 """
 
 

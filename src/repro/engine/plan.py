@@ -2,9 +2,9 @@
 
 A :class:`CampaignPlan` captures *what* to run — workload spec, device
 config, fault budget, seed policy, timing — without committing to *how* it
-runs.  The shard supervisor (see :mod:`repro.engine.supervisor`) turns a
-plan into one :class:`~repro.core.results.CampaignResult`, either serially
-or across a process pool.
+runs.  The engine (see :mod:`repro.engine.supervisor`) turns a plan into
+one :class:`~repro.core.results.CampaignResult`, either in-process or
+across forked worker processes.
 
 Fault-injection cycles are embarrassingly parallel: each cycle boots from a
 seeded platform, and campaign results merge associatively through
@@ -201,9 +201,9 @@ class CampaignPlan:
     def run_shard(self, shard: ShardSpec) -> CampaignResult:
         """Hydrate a platform and run one shard to completion.
 
-        This is the function parallel workers execute after unpickling the
-        plan; it is also the serial supervisor's inner loop, so both paths
-        share one code path by construction.
+        This is the function every executor runs — inline for ``jobs=1``,
+        in a forked worker, or in a ``repro worker`` after unpickling the
+        plan — so all paths share one code path by construction.
         """
         label = self.shard_label(shard)
         platform = self.build_platform(shard.seed)

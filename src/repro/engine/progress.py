@@ -44,9 +44,10 @@ class ProgressEvent:
 
     ``attempt`` is the attempt number the event describes (``None`` when
     not applicable); ``worker_pid`` identifies the executing worker when
-    the emitter knows it — a bare pid for in-process execution (pool
-    workers are anonymous), or a ``"host:pid"`` string for distributed
-    workers, so trace reports can attribute stragglers to machines;
+    the emitter knows it — a bare pid for local execution (this process
+    for ``jobs=1``, the forked worker otherwise), or a ``"host:pid"``
+    string for distributed workers, so trace reports can attribute
+    stragglers to machines;
     ``commit_lag_s`` (checkpoint-written only) is how long a finished
     shard result waited before being durably journaled.
     """

@@ -1,7 +1,7 @@
 """Distributed shard execution over TCP: ``campaign --listen`` and ``repro worker``.
 
 The paper's testbed runs thousands of power-cut experiments per drive;
-one host's process pool is the wrong ceiling for that.  This module takes
+one host's worker processes are the wrong ceiling for that.  This module takes
 the engine's executor protocol — ``execute(tasks, telemetry) -> (key,
 ShardRun)`` — across machine boundaries while changing nothing above it:
 merge order, checkpoint journal, resume, retry/quarantine policy and the
@@ -38,8 +38,8 @@ by one can resume the other).
 
 from __future__ import annotations
 
+import socket
 import sys
-import tempfile
 import threading
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -82,18 +82,19 @@ from repro.errors import (
 class RemoteExecutor:
     """Serves the shard task queue to ``repro worker`` processes over TCP.
 
-    Drop-in for the supervisor in the executor protocol: ``execute(tasks,
-    telemetry)`` yields ``(key, ShardRun)`` in task order.  Each call runs
-    an ephemeral :class:`~repro.engine.serve.CampaignService` on the
-    listen address, its CAS and trace directory in a throwaway temporary
-    directory, holding one in-process submission of the tasks' plans.
-    That submission reports through ``telemetry``, commits to the
-    checkpoint journal and prefills the resumed shards, so
+    The distributed twin of :func:`~repro.engine.supervisor.execute_local`:
+    ``execute(tasks, telemetry)`` yields ``(key, ShardRun)`` in task
+    order.  Each call runs an ephemeral
+    :class:`~repro.engine.serve.CampaignService` on the listen address,
+    holding one in-process submission of the tasks' plans.  That
+    submission reports through ``telemetry``, commits to the checkpoint
+    journal and prefills the resumed shards on the same
+    :class:`~repro.engine.aiocoord.CoordinatorCore` a local run drives, so
     retries/backoff (:class:`RetryPolicy`), poison quarantine, the
-    write-ahead journal and ``--resume`` behave as on
-    :class:`~repro.engine.supervisor.ShardSupervisor`; retried shards stay
-    bit-deterministic because only the plan's shard seeds feed the
-    simulation.  A coordinator object is single-use.
+    write-ahead journal and ``--resume`` behave exactly as they do
+    locally; retried shards stay bit-deterministic because only the
+    plan's shard seeds feed the simulation.  A coordinator object is
+    single-use.
     """
 
     def __init__(
@@ -136,34 +137,34 @@ class RemoteExecutor:
             )
             for key, result in self.resume.results.items()
         }
-        with tempfile.TemporaryDirectory(prefix="repro-listen-") as scratch:
-            service = CampaignService(
-                listen=self.listen,
-                cas_root=scratch,
-                policy=self.policy,
-                quarantine=self.quarantine_enabled,
-                shard_timeout_s=self.shard_timeout_s,
-                lease_timeout_s=self.lease_timeout_s,
-                announce=self.announce,
-            )
-            submission = service.submit_local(plans, telemetry, self.journal, resumed)
-            address = f"{service.host}:{service.port}"
-            print(
-                f"[engine] coordinator listening on {address} "
-                f"(fingerprint {submission.fingerprint}, "
-                f"{len(submission.core.ready)} shard(s) to lease) — start "
-                f"workers with: repro worker --connect {address}",
-                file=self.announce,
-                flush=True,
-            )
-            with interrupt_flag_guard() as flag:
-                service.start()
-                try:
-                    for plan_index, _plan, shard in tasks:
-                        key = (plan_index, shard.index)
-                        yield key, _await_run(submission, key, flag)
-                finally:
-                    service.stop()
+        # A local submission neither caches results nor writes a trace, so
+        # the service's CAS root is never created.
+        service = CampaignService(
+            listen=self.listen,
+            policy=self.policy,
+            quarantine=self.quarantine_enabled,
+            shard_timeout_s=self.shard_timeout_s,
+            lease_timeout_s=self.lease_timeout_s,
+            announce=self.announce,
+        )
+        submission = service.submit_local(plans, telemetry, self.journal, resumed)
+        address = f"{service.host}:{service.port}"
+        print(
+            f"[engine] coordinator listening on {address} "
+            f"(fingerprint {submission.fingerprint}, "
+            f"{len(submission.core.ready)} shard(s) to lease) — start "
+            f"workers with: repro worker --connect {address}",
+            file=self.announce,
+            flush=True,
+        )
+        with interrupt_flag_guard() as flag:
+            service.start()
+            try:
+                for plan_index, _plan, shard in tasks:
+                    key = (plan_index, shard.index)
+                    yield key, _await_run(submission, key, flag)
+            finally:
+                service.stop()
 
 
 def _await_run(submission, key: ShardKey, interrupt: InterruptFlag) -> ShardRun:
@@ -364,7 +365,7 @@ def run_worker(
     """Connect to a coordinator and execute leased shards until shutdown.
 
     This is the body of ``repro worker --connect HOST:PORT``.  Shards run
-    through the exact worker entry point the supervisor's process pool uses
+    through the exact entry point local runs use
     (:func:`~repro.engine.executors._run_shard_task`), so the injectable
     fault fixture and the bit-determinism guarantee carry over unchanged.
 

@@ -169,8 +169,9 @@ class _Submission:
     for free, and the on-disk trace is the exact stream every subscriber
     saw.  A local submission (:meth:`CampaignService.submit_local`)
     reports through its caller's telemetry and commits to its caller's
-    checkpoint journal instead; it has no trace and no subscribers, and
-    its caller reports each plan's ``plan-finished`` as it merges it.
+    checkpoint journal instead; it has no trace, no subscribers and no
+    result-cache entries, and its caller reports each plan's
+    ``plan-finished`` as it merges it.
     """
 
     def __init__(
@@ -286,7 +287,7 @@ class _Submission:
         }
 
     def _note_done(self, key: ShardKey, run: ShardRun) -> None:
-        if run.status == "completed" and run.result is not None:
+        if not self.local and run.status == "completed" and run.result is not None:
             _, _plan, shard = self.core.by_key[key]
             self.service.cas.put(
                 self.fingerprint, key[0], key[1], shard.seed, run.result

@@ -9,7 +9,7 @@ the drive's own SMART counters agree with the number of faults injected.
 
 :class:`DirtyCyclePlan` packages the loop as a
 :class:`~repro.engine.plan.CampaignPlan` subclass, so the entire engine
-surface — sharding, process pools, checkpoint/resume, retry, quarantine,
+surface — sharding, worker processes, checkpoint/resume, retry, quarantine,
 tracing — applies to stress runs unchanged, and ``jobs=1`` and ``jobs=N``
 produce bit-identical merged summaries by construction (executors only ever
 call :meth:`DirtyCyclePlan.run_shard`).

@@ -2,7 +2,7 @@
 
 :class:`TopologyPlan` packages repeated topology fault cycles as a
 :class:`~repro.engine.plan.CampaignPlan` subclass, so the entire engine
-surface — sharding, ``--jobs`` process pools, checkpoint/``--resume``,
+surface — sharding, ``--jobs`` worker processes, checkpoint/``--resume``,
 retry, quarantine, ``--trace`` — applies to topology campaigns unchanged,
 and ``jobs=1`` and ``jobs=N`` produce bit-identical merged summaries by
 construction (executors only ever call :meth:`TopologyPlan.run_shard`).

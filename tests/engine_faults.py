@@ -13,8 +13,8 @@ ephemeral service for one in-process submission, and ``run_served``
 through a standing service and the wire submission client.
 
 Fault injection rides on the ``REPRO_ENGINE_TEST_FAULT`` environment
-fixture (see :mod:`repro.engine.executors`): it reaches process-pool
-children through the inherited environment and distributed workers
+fixture (see :mod:`repro.engine.executors`): it reaches forked local
+workers through the inherited environment and distributed workers
 through the environment of their ``repro worker`` subprocess — no plan
 plumbing anywhere.  The invariant every consumer of this module asserts:
 however execution is perturbed, the merged summary equals a clean serial

@@ -4,7 +4,7 @@ The tentpole proof burdens, stated as tests:
 
 1. **WAL commits are never lost (with fsync).**  Under the full engine
    fault matrix (``crash`` / ``exit`` / ``hang`` / ``slow`` × serial /
-   process-pool / distributed workers) a WAL campaign on a *hostile* FTL
+   forked / distributed workers) a WAL campaign on a *hostile* FTL
    (zero recovery luck, journal commits only at FLUSH) reports zero
    committed loss, zero silent corruption, zero recovery failures — and
    its merged semantic summary equals the unfaulted serial baseline.

@@ -1,13 +1,12 @@
 """Tests for the sharded campaign execution engine.
 
-Covers the determinism guarantee (serial and process-pool runs produce
+Covers the determinism guarantee (serial and forked-worker runs produce
 identical merged results for the same plan), shard-seed disjointness,
-legacy parity of single-shard plans, the head-of-line poll schedule, and
+legacy parity of single-shard plans, the follow loop's poll schedule, and
 the progress telemetry hook.
 """
 
 import pickle
-import time
 
 import pytest
 
@@ -132,7 +131,7 @@ class TestDeterminism:
 
 
 class TestBackoffPolling:
-    """The head-of-line wait's poll schedule."""
+    """The capped exponential poll schedule of ``trace report --follow``."""
 
     def test_poller_schedule_is_capped_exponential(self):
         from repro.engine.executors import BackoffPoller, POLL_BASE_S, POLL_CAP_S
@@ -145,36 +144,6 @@ class TestBackoffPolling:
         assert poller.next_delay() == POLL_BASE_S
         # A cap below the base is lifted to the base, never inverted.
         assert BackoffPoller(base_s=0.1, cap_s=0.01).next_delay() == 0.1
-
-    def test_await_polls_on_the_poller_schedule(self, monkeypatch):
-        # The supervisor's head-of-line wait sleeps on the poller's capped
-        # exponential schedule and restarts it whenever the pool shows
-        # progress (a pickup or a finished result), so every sleep either
-        # doubles the previous one (up to the cap) or drops to the base.
-        from repro.engine.executors import POLL_BASE_S, POLL_CAP_S, TEST_FAULT_ENV
-
-        sleeps = []
-
-        class _RecordingTime:
-            monotonic = staticmethod(time.monotonic)
-
-            @staticmethod
-            def sleep(seconds):
-                sleeps.append(seconds)
-                time.sleep(seconds)
-
-        monkeypatch.setattr("repro.engine.supervisor.time", _RecordingTime)
-        monkeypatch.setenv(TEST_FAULT_ENV, "slow:*:*:1.5")
-        result = run_plan(small_plan(faults=2, shard_faults=1), jobs=2)
-        assert result.faults == 2
-        for previous, delay in zip(sleeps, sleeps[1:]):
-            assert delay in (POLL_BASE_S, min(previous * 2, POLL_CAP_S))
-        # Both shards are picked up at once and then run for 1.5 s, so one
-        # uninterrupted stretch of the schedule reaches the cap.
-        schedule = [0.005, 0.01, 0.02, 0.04, 0.08, 0.16, 0.25, 0.25]
-        assert any(
-            sleeps[i : i + len(schedule)] == schedule for i in range(len(sleeps))
-        )
 
 
 class TestRunPlans:

@@ -3,7 +3,7 @@
 One parametrized test proves the engine's core reliability claim in all
 directions at once: for each injected fault mode (``crash``, ``exit``,
 ``hang``, ``slow``) and each execution lane (serial in-process,
-multiprocess pool, distributed TCP workers), the perturbed campaign's
+forked local workers, distributed TCP workers), the perturbed campaign's
 merged ``summary()`` equals the unfaulted serial baseline.
 
 The ``remote`` and ``serve`` lanes drive one coordinator, the campaign
@@ -64,10 +64,11 @@ def fault_spec(mode: str, lane: str) -> str:
     if mode == "exit":
         return "exit:2:1"
     if mode == "hang":
-        # The pool lane proves true timeout enforcement: the worker wedges
-        # for 30s and must be killed at the 1s shard timeout.  Serial and
-        # remote lanes have no preemption, so the hang self-reports after
-        # a short sleep (raising, like a watchdog would).
+        # The pool lane (forked local workers) proves true timeout
+        # enforcement: the worker wedges for 30s and must be killed at the
+        # 1s shard timeout.  Serial and remote lanes have no preemption,
+        # so the hang self-reports after a short sleep (raising, like a
+        # watchdog would).
         return "hang:1:1:30" if lane == "pool" else "hang:1:1:0.4"
     if mode == "slow":
         return "slow:*:1:0.2"

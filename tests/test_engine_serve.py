@@ -26,8 +26,10 @@ from repro.engine.serve import (
 )
 from repro.errors import CampaignError
 from tests.engine_faults import (
+    clean_summary,
     drain_workers,
     FAST,
+    run_distributed,
     small_plan,
     spawn_worker,
 )
@@ -357,3 +359,16 @@ class TestLocalSubmission:
                 submit_campaign(service.address, [plan])
         finally:
             service.stop()
+
+    def test_listen_run_writes_no_result_cache(self, monkeypatch, tmp_path):
+        # The ephemeral service of `campaign --listen` discards its cache
+        # with itself, so a local submission must not write one at all.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a local submission wrote to the result CAS")
+
+        monkeypatch.setattr(ResultCAS, "put", refuse)
+        monkeypatch.chdir(tmp_path)
+        result, codes = run_distributed(small_plan(), workers=1)
+        assert result.summary() == clean_summary()
+        assert codes == [0]
+        assert list(tmp_path.iterdir()) == []

@@ -1,8 +1,8 @@
-"""Failure-path tests for the fault-tolerant shard supervisor.
+"""Failure-path tests for fault-tolerant local shard execution.
 
 Faults are injected through the ``REPRO_ENGINE_TEST_FAULT`` fixture (see
-``repro.engine.executors``), which reaches process-pool workers through
-the inherited environment.  The invariant under test everywhere: however
+``repro.engine.executors``), which reaches forked workers through the
+inherited environment.  The invariant under test everywhere: however
 a campaign's execution is perturbed — crashes, dead workers, timeouts,
 kills, resumes — the merged result equals a clean serial run.
 """
@@ -21,7 +21,10 @@ from tests.engine_faults import clean_summary, Events, FAST, small_plan
 
 
 def child_pids():
-    """Pids of every process whose parent is this one, zombies included."""
+    """Pids of every process whose parent is this one, zombies included.
+
+    Empty where there is no ``/proc``; ``active_children`` still checks.
+    """
     me = os.getpid()
     pids = set()
     for stat in Path("/proc").glob("[0-9]*/stat"):
@@ -64,8 +67,8 @@ class TestRetryPaths:
         assert result.execution.attempts == [2, 1, 1, 1]
 
     def test_timeout_kills_pool_and_retries(self, monkeypatch):
-        # Attempt 1 of shard 1 wedges for 30s; the supervisor must cancel
-        # it, rebuild the pool, and get the identical result on retry.
+        # Attempt 1 of shard 1 wedges for 30s; the driver must kill its
+        # worker at the timeout and get the identical result on retry.
         baseline = clean_summary()
         monkeypatch.setenv(TEST_FAULT_ENV, "hang:1:1:30")
         started = time.monotonic()
@@ -77,9 +80,8 @@ class TestRetryPaths:
         assert time.monotonic() - started < 25.0  # nowhere near the 30s hang
 
     def test_worker_death_charges_only_the_culprit(self, monkeypatch):
-        # Shard 2's worker dies outright (os._exit), breaking the shared
-        # pool and losing innocent pending futures.  Isolation probing must
-        # charge the retry budget only to the shard that fails alone.
+        # Shard 2's worker dies outright (os._exit).  Each worker has its
+        # own pipe, so only the shard the dead worker held is charged.
         baseline = clean_summary()
         monkeypatch.setenv(TEST_FAULT_ENV, "exit:2:1")
         result = run_plan(small_plan(), jobs=2, retry_policy=FAST)
@@ -87,7 +89,6 @@ class TestRetryPaths:
         assert result.execution.attempts == [1, 1, 2, 1]
 
 
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
 class TestNoLeftoverWorkers:
     """However a shard failed, ``run_plan`` returns with no child alive.
 

@@ -4,7 +4,7 @@ Three claims, each an acceptance criterion of the topology subsystem:
 
 1. **Write-through durability is execution-independent.**  Under the full
    engine fault matrix (``crash`` / ``exit`` / ``hang`` / ``slow`` ×
-   serial / process-pool / distributed workers), a WT campaign's merged
+   serial / forked / distributed workers), a WT campaign's merged
    summary equals the unfaulted serial baseline — and that baseline
    reports **zero application-visible loss** (``fwa_failures == 0``).
 2. **Mirrored WB legs on independent rails recover every device FWA**:
