@@ -250,7 +250,7 @@ class CoordinatorCore:
         result: Optional[CampaignResult],
         error: str = "",
     ) -> None:
-        """Conclude a leased attempt: journal and report ``result``, or fail with ``error``."""
+        """Conclude a leased attempt with its ``result``, or fail it with ``error``."""
         lease = self.leases.get(key)
         if lease is None or lease.conn_id != conn_id or lease.attempt != attempt:
             return  # stale outcome: the lease moved on; determinism makes it safe to drop

@@ -29,7 +29,7 @@ ShardTask = Tuple[int, CampaignPlan, ShardSpec]
 ShardKey = Tuple[int, int]
 
 POLL_BASE_S = 0.005
-"""First delay of a head-of-line poll loop (seconds)."""
+"""First delay of a :class:`BackoffPoller` schedule (seconds)."""
 
 POLL_CAP_S = 0.25
 """Ceiling of the exponential poll schedule (seconds)."""

@@ -274,7 +274,7 @@ def execute_local(
     def step_forked() -> None:
         fork = multiprocessing.get_context("fork")
         while len(workers) < min(jobs, len(core.order) - len(core.done)):
-            sys.stdout.flush()  # or the worker inherits and may repeat them
+            sys.stdout.flush()  # so no unwritten output is copied into the worker
             sys.stderr.flush()
             conn, child_end = fork.Pipe()
             process = fork.Process(

@@ -2,10 +2,14 @@
 
 import doctest
 import importlib
+import inspect
+import pkgutil
+import typing
 
 import pytest
 
 import repro
+import repro.engine
 
 
 class TestTopLevelExports:
@@ -50,6 +54,17 @@ class TestSubpackageExports:
         assert module.__doc__, f"{name} needs a package docstring"
         for symbol in getattr(module, "__all__", []):
             assert hasattr(module, symbol), f"{name}.{symbol}"
+
+
+class TestEngineAnnotations:
+    def test_every_engine_function_annotation_resolves(self):
+        # typing.get_type_hints raises NameError on an annotation that
+        # names a module the engine never imported.
+        for info in pkgutil.iter_modules(repro.engine.__path__, "repro.engine."):
+            module = importlib.import_module(info.name)
+            for value in vars(module).values():
+                if inspect.isfunction(value) and value.__module__ == info.name:
+                    typing.get_type_hints(value)
 
 
 DOCTEST_MODULES = [
