@@ -10,12 +10,13 @@ way the checkpoint tests attack the journal: corruption, schema drift,
 key mismatches.
 """
 
+import logging
 import threading
 import time
 
 import pytest
 
-from repro.engine import run_plan
+from repro.engine import read_trace, run_plan
 from repro.engine.cas import QUARANTINE_SUFFIX, ResultCAS
 from repro.engine.checkpoint import plans_fingerprint
 from repro.engine.progress import EngineTelemetry
@@ -59,6 +60,30 @@ class _Fleet:
     def teardown(self):
         self.service.stop()
         return drain_workers(self.procs)
+
+
+def _submit_across_restart(cas_root, plan):
+    """Submit ``plan`` to a service with one worker, then to its successor.
+
+    The second service starts over the first one's CAS and trace
+    directory, with no workers: every shard comes from the cache.
+    """
+    service = _start_service(cas_root)
+    fleet = _Fleet(service, count=1)
+    try:
+        first = submit_campaign(service.address, [plan])
+    finally:
+        fleet.teardown()
+    reborn = _start_service(cas_root)
+    try:
+        second = submit_campaign(reborn.address, [plan])
+    finally:
+        reborn.stop()
+    return first, second
+
+
+def _trace_files(cas_root, fingerprint):
+    return sorted((cas_root / "traces").glob(f"{fingerprint}-*.trace.jsonl"))
 
 
 class TestResultCAS:
@@ -143,21 +168,40 @@ class TestServeCAS:
     def test_cache_survives_service_restart(self, tmp_path):
         plan = small_plan()
         baseline = run_plan(plan, jobs=1).summary()
+        first, cached = _submit_across_restart(tmp_path / "cas", plan)
+        assert first.executed == 4
+        assert cached.executed == 0 and cached.cas_hits == 4
+        assert cached.results[0].summary() == baseline
+
+    def test_restarted_service_streams_only_its_own_records(self, tmp_path):
+        _first, second = _submit_across_restart(tmp_path / "cas", small_plan())
+        kinds = [record.kind for record in second.records]
+        assert kinds == ["shard-skipped"] * 4 + ["plan-finished"]
+
+    def test_restarted_service_never_appends_to_an_earlier_trace(self, tmp_path):
+        first, second = _submit_across_restart(tmp_path / "cas", small_plan())
+        traces = _trace_files(tmp_path / "cas", second.fingerprint)
+        assert len(traces) == 2, traces
+        assert read_trace(traces[0]) == first.records
+        assert read_trace(traces[1]) == second.records
+        assert len(second.records) == 5
+
+    def test_resubmissions_do_not_poll(self, tmp_path):
+        # A cache-hit submission concludes in the loop step that accepts
+        # it, so its stream has nothing to wait for.
+        plan = small_plan()
         service = _start_service(tmp_path / "cas")
         fleet = _Fleet(service, count=1)
         try:
-            first = submit_campaign(service.address, [plan])
-            assert first.executed == 4
+            assert submit_campaign(service.address, [plan]).executed == 4
+            started = time.perf_counter()
+            for _ in range(20):
+                assert submit_campaign(service.address, [plan]).executed == 0
+            elapsed = time.perf_counter() - started
         finally:
-            fleet.teardown()
-        # A brand-new daemon over the same store: no workers at all.
-        reborn = _start_service(tmp_path / "cas")
-        try:
-            cached = submit_campaign(reborn.address, [plan])
-            assert cached.executed == 0 and cached.cas_hits == 4
-            assert cached.results[0].summary() == baseline
-        finally:
-            reborn.stop()
+            codes = fleet.teardown()
+        assert codes == [0]
+        assert elapsed < 0.6, f"20 cache-hit resubmissions took {elapsed:.2f} s"
 
     def test_corrupt_cache_entry_reexecuted_not_trusted(self, tmp_path):
         plan = small_plan()
@@ -311,6 +355,13 @@ class TestFollowers:
         submit_kinds = [record.kind for record in submit_records]
         assert submit_kinds.count("shard-finished") == 4
         assert submit_kinds[-1] == "plan-finished"
+        (trace,) = _trace_files(tmp_path / "cas", outcome.fingerprint)
+        records = read_trace(trace)
+        assert outcome.records == submit_records == records
+        # A follower that attached mid-run got the history before the
+        # live records: the whole trace, each record once.
+        assert follow_records["f1"] == records
+        assert follow_records["f2"] == records
 
     def test_follow_with_no_campaign_errors(self, tmp_path):
         service = _start_service(tmp_path / "cas")
@@ -338,6 +389,43 @@ class TestServeHandshake:
         finally:
             codes = fleet.teardown()
         assert codes == [0]
+
+
+class TestServeStop:
+    def test_worker_held_at_handshake_exits_cleanly_on_stop(self, tmp_path):
+        service = _start_service(tmp_path / "cas")
+        fleet = _Fleet(service, count=1)
+        deadline = time.monotonic() + 30.0
+        # Wait for the hello: from then on the worker is held at handshake.
+        while not service._worker_conns and time.monotonic() < deadline:
+            time.sleep(0.01)
+        codes = fleet.teardown()
+        # Exit 0 needs a clean shutdown frame; a worker whose connection
+        # was dropped, or that never connected, exits 3.
+        assert codes == [0]
+
+    def test_stop_mid_stream_tells_the_submitter(self, tmp_path, caplog):
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        service = _start_service(tmp_path / "cas")
+        errors = []
+
+        def submit():
+            try:
+                submit_campaign(service.address, [small_plan()])
+            except CampaignError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=submit)
+        thread.start()
+        time.sleep(0.5)  # accepted and streaming; no worker serves it
+        deadline = time.monotonic() + 10.0
+        service.stop()
+        thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not thread.is_alive(), "submitter still waiting 10 s after stop"
+        assert len(errors) == 1
+        assert "stopped before completion" in str(errors[0])
+        asyncio_errors = [r for r in caplog.records if r.name == "asyncio"]
+        assert not asyncio_errors, [r.getMessage() for r in asyncio_errors]
 
 
 class TestLocalSubmission:
