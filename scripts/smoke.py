@@ -21,8 +21,10 @@
 - ``serve`` — a ``repro serve`` daemon with two persistent workers:
   ``submit`` must match a serial run while ``follow`` streams it; an
   identical resubmission executes zero shards; a daemon SIGTERMed mid-run
-  and restarted over the same CAS serves the shards cached before the
-  kill; the final SIGTERM ends daemon and workers with exit 0.
+  tells its submitter it stopped, and restarted over the same CAS serves
+  the shards cached before the kill; the final SIGTERM ends daemon and
+  workers with exit 0.  Neither daemon logs a traceback, and each
+  accepted submission leaves a trace of its own run only.
 - ``dirty-cycle`` — the supercap preset loses no acked write over 3 dirty
   cycles while the unprotected one shows flying-write-ACKs; the
   acceptance run (``--repeat 25 --seed 7``) survives SIGTERM + ``--resume``
@@ -180,6 +182,7 @@ def check_trace_schema(path, expect_skips=False):
 
     A missing or empty file is an error: every traced phase runs with
     ``--trace``, so a silent no-trace run means the flag quietly broke.
+    Returns the decoded records.
     """
     if str(SRC) not in sys.path:  # tolerate being run without PYTHONPATH=src
         sys.path.insert(0, str(SRC))
@@ -225,6 +228,7 @@ def check_trace_schema(path, expect_skips=False):
                 f"({bogus[0]['cycles_per_sec']:.2f} cycles/s with nothing executed)"
             )
     print(f"trace ok: {path.name} ({len(records)} records)")
+    return records
 
 
 def check_cmdlogs(directory):
@@ -424,6 +428,13 @@ SERVE_SPEC = [
 # A second, distinct campaign (different seed -> different fingerprint)
 # for the kill-mid-run phase, so its cache starts cold.
 SERVE_SPEC2 = SERVE_SPEC[:-1] + ["10"]
+# What a daemon that stops with tasks still running prints on stderr.
+DAEMON_NOISE = ("Traceback", "Exception in callback", "Task was destroyed")
+
+
+def _check_quiet(daemon_err, what):
+    noise = [marker for marker in DAEMON_NOISE if marker in daemon_err]
+    check(not noise, f"{what} logged {noise}\n{daemon_err}")
 
 
 def _follow_until_done(port, submitter, timeout=240):
@@ -500,13 +511,16 @@ def smoke_serve(artifacts):
                 break
             time.sleep(0.02)
         daemon.send_signal(signal.SIGTERM)
-        code = drain(third, timeout=120)[0]
+        code, _, err3 = drain(third, timeout=120)
         daemon_code, _, daemon_err = drain(daemon)
         check(daemon_code == 0, f"killed daemon exited {daemon_code}\n{daemon_err}")
+        _check_quiet(daemon_err, "killed daemon")
         if code == 0:
             print("note: campaign finished before the signal; resubmit will be a pure CAS hit")
         else:
-            print(f"interrupted mid-run (submit exit {code})")
+            check("stopped before completion" in err3,
+                  f"interrupted submitter was not told the service stopped\n{err3}")
+            print(f"interrupted mid-run (submit exit {code}): service stopped before completion")
         daemon = spawn(serve)  # workers reconnect alone
         out4, err4 = _submitted(spawn(submit + SERVE_SPEC2), "post-restart resubmit")
         check(summary_table(out4) == baseline2,
@@ -526,15 +540,21 @@ def smoke_serve(artifacts):
         worker_codes = [drain(worker)[0] for worker in workers]
     check(daemon_code == 0, f"daemon exited {daemon_code}\n{daemon_err}")
     check("[serve] stopped" in daemon_err, f"daemon never reported a clean stop\n{daemon_err}")
+    _check_quiet(daemon_err, "restarted daemon")
     check(worker_codes == [0, 0],
           f"persistent workers exited {worker_codes}, expected 0")
     entries = sorted(cas_root.glob("*/*.json"))
     check(len(entries) == 8,  # two campaigns x four shards
           f"expected 8 CAS entries, found {len(entries)}")
     traces = sorted((cas_root / "traces").glob("*.trace.jsonl"))
-    check(traces, "the service left no campaign trace behind")
+    check(len(traces) == 4,  # one per accepted submission
+          f"expected 4 campaign traces, found {[trace.name for trace in traces]}")
     for trace in traces:
-        check_trace_schema(trace)
+        finished = [record for record in check_trace_schema(trace)
+                    if record["kind"] == "plan-finished"]
+        check(len(finished) <= 1,
+              f"{trace.name} holds {len(finished)} plan-finished records: "
+              "a trace must hold one run")
     return "campaign service executed, streamed, cached, and stopped cleanly"
 
 

@@ -94,7 +94,7 @@ from repro.engine.live import (
     LiveRenderer,
     TraceSource,
 )
-from repro.engine.wire import parse_address, worker_identity
+from repro.engine.wire import DEFAULT_LEASE_TIMEOUT_S, parse_address, worker_identity
 from repro.errors import CampaignError
 
 PlanDoneHook = Callable[[int, CampaignResult], None]
@@ -180,7 +180,7 @@ def run_plans(
             quarantine_enabled=quarantine,
             shard_timeout_s=shard_timeout_s,
             lease_timeout_s=(
-                lease_timeout_s if lease_timeout_s is not None else 15.0
+                DEFAULT_LEASE_TIMEOUT_S if lease_timeout_s is None else lease_timeout_s
             ),
         ).execute(tasks, telemetry)
     else:

@@ -35,6 +35,7 @@ from repro.engine.supervisor import RetryPolicy, ShardRun
 from repro.engine.wire import (
     _HEADER,
     decode_frame_body,
+    DEFAULT_LEASE_TIMEOUT_S,
     encode_frame,
     MAX_FRAME_BYTES,
 )
@@ -119,7 +120,7 @@ class CoordinatorCore:
         journal: Optional[CheckpointJournal] = None,
         quarantine_enabled: bool = False,
         shard_timeout_s: Optional[float] = None,
-        lease_timeout_s: float = 15.0,
+        lease_timeout_s: float = DEFAULT_LEASE_TIMEOUT_S,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.policy = policy

@@ -35,8 +35,8 @@ first frame (the framing itself is :mod:`repro.engine.wire`'s):
 ``follow``
     A read-only observer (:func:`follow_campaign`): the event stream and
     summary of an active campaign, without submitting work.  Any number
-    may attach mid-run; each replays the campaign's trace from the start
-    (via :class:`~repro.engine.trace.TraceCursor`) and then tails live.
+    may attach mid-run; each is sent every record the campaign has
+    written so far, then each new one as it is written.
 
 Result CAS
 ----------
@@ -61,6 +61,7 @@ of new frame kinds.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import socket
 import sys
 import threading
@@ -86,20 +87,14 @@ from repro.engine.checkpoint import (
 )
 from repro.engine.executors import ShardKey, ShardTask
 from repro.engine.plan import ShardSpec
-from repro.engine.progress import EngineTelemetry
+from repro.engine.progress import EngineTelemetry, ProgressEvent
 from repro.engine.supervisor import (
     interrupt_flag_guard,
     merge_plan_runs,
     RetryPolicy,
     ShardRun,
 )
-from repro.engine.trace import (
-    record_from_dict,
-    TRACE_VERSION,
-    TraceCursor,
-    TraceRecord,
-    TraceWriter,
-)
+from repro.engine.trace import record_from_dict, TraceRecord, TraceWriter
 from repro.engine.wire import (
     connect_with_retry,
     DEFAULT_LEASE_TIMEOUT_S,
@@ -113,65 +108,30 @@ from repro.engine.wire import (
 )
 from repro.errors import CampaignError, RemoteProtocolError
 
-SUBSCRIBER_POLL_S = 0.05
-"""How often a submitter/follower stream polls the campaign trace."""
-
-BIND_POLL_S = 0.1
-"""How often a worker held at handshake re-checks for a campaign."""
-
 STOP_DRAIN_S = 2.0
-"""Grace for connected workers to hang up after a stop-time shutdown frame."""
-
-
-def trace_record_to_wire(record: TraceRecord) -> Dict:
-    """A :class:`TraceRecord` back in its on-disk/wire dict shape.
-
-    The key set matches :meth:`TraceWriter.write_event` exactly, so a
-    streamed event frame parses with the same
-    :func:`~repro.engine.trace.record_from_dict` used for trace files.
-    """
-    return {
-        "v": TRACE_VERSION,
-        "kind": record.kind,
-        "plan": record.plan_label,
-        "shard": record.shard_index,
-        "shard_count": record.shard_count,
-        "wall_time_s": record.wall_time_s,
-        "mono_time_s": record.mono_time_s,
-        "shards_done": record.shards_done,
-        "shards_total": record.shards_total,
-        "cycles_done": record.cycles_done,
-        "cycles_total": record.cycles_total,
-        "cycles_skipped": record.cycles_skipped,
-        "elapsed_s": record.elapsed_s,
-        "cycles_per_sec": record.cycles_per_sec,
-        "eta_s": record.eta_s,
-        "attempt": record.attempt,
-        "worker_pid": record.worker_pid,
-        "commit_lag_s": record.commit_lag_s,
-        "detail": record.detail,
-    }
+"""Grace for every connection to end after stop: workers hang up on a
+pushed ``shutdown`` frame, subscribers once they have sent the stop error."""
 
 
 # -- one accepted plan batch --------------------------------------------------------
 
 
 class _Submission:
-    """One active plan batch: its coordinator core, telemetry and trace.
+    """One active plan batch: its coordinator core, telemetry and records.
 
     Lives on the service's event loop; every method runs there, except
     that a local submission is built and prefilled before the loop
     starts, and its caller waits on :attr:`settled`.  A wire
-    submission (``repro submit``) owns its telemetry, whose hook is a
-    :class:`TraceWriter` flushing every record.  The trace file doubles as
-    the fan-out medium: each subscriber stream tails it with its own
-    :class:`TraceCursor` — a follower attaching mid-run replays history
-    for free, and the on-disk trace is the exact stream every subscriber
-    saw.  A local submission (:meth:`CampaignService.submit_local`)
-    reports through its caller's telemetry and commits to its caller's
-    checkpoint journal instead; it has no trace, no subscribers and no
-    result-cache entries, and its caller reports each plan's
-    ``plan-finished`` as it merges it.
+    submission (``repro submit``) owns its telemetry, whose hook writes
+    each record to the submission's trace file (fsync'd, the durable
+    history ``repro trace report`` reads), keeps the written record in
+    :attr:`records` and notifies the service.  Every subscriber streams
+    from that list, so each one, a follower attaching mid-run included,
+    is sent exactly the trace file's lines.  A local submission
+    (:meth:`CampaignService.submit_local`) reports through its caller's
+    telemetry and commits to its caller's checkpoint journal instead; it
+    has no trace, no subscribers and no result-cache entries, and its
+    caller reports each plan's ``plan-finished`` as it merges it.
     """
 
     def __init__(
@@ -195,18 +155,24 @@ class _Submission:
         ]
         self.local = telemetry is not None
         self.trace: Optional[TraceWriter] = None
-        self.trace_path: Optional[Path] = None
+        self.records: List[Dict] = []
+        """Every record the trace writer has written, in order."""
         if telemetry is None:
-            # Serial-suffixed path: a resubmission after completion gets a
-            # fresh trace instead of appending onto (and replaying) the old.
-            self.trace_path = service.trace_dir / (
-                f"{fingerprint}-{serial:04d}.trace.jsonl"
+            # The first suffix with no file: every run gets its own trace,
+            # across service restarts too.  An earlier submission of this
+            # fingerprint has concluded, so its trace exists.
+            trace_paths = (
+                service.trace_dir / f"{fingerprint}-{n:04d}.trace.jsonl"
+                for n in itertools.count(1)
             )
-            self.trace = TraceWriter(self.trace_path, flush_every=1)
+            self.trace = TraceWriter(
+                next(path for path in trace_paths if not path.exists()),
+                flush_every=1,
+            )
             telemetry = EngineTelemetry(
                 shards_total=len(self.tasks),
                 cycles_total=sum(shard.faults for _, _, shard in self.tasks),
-                hook=self.trace,
+                hook=self._record,
             )
         self.telemetry = telemetry
         self.core = CoordinatorCore(
@@ -286,6 +252,10 @@ class _Submission:
             "results": results,
         }
 
+    def _record(self, event: ProgressEvent) -> None:
+        self.records.append(self.trace.write_event(event))
+        self.service._notify()
+
     def _note_done(self, key: ShardKey, run: ShardRun) -> None:
         if not self.local and run.status == "completed" and run.result is not None:
             _, _plan, shard = self.core.by_key[key]
@@ -331,6 +301,11 @@ class CampaignService:
     even for an ephemeral ``:0`` port); :meth:`serve_forever` runs the
     event loop on the calling thread, while :meth:`start`/:meth:`stop`
     run it on a background thread for embedding in tests and tools.
+
+    The loop waits on events, not timers (the lease sweeper apart): one
+    notifier, :meth:`_notify`, wakes every waiting task when a wire
+    submission writes a record, when a submission is accepted or
+    concludes, and when the service stops.
     """
 
     def __init__(
@@ -361,10 +336,12 @@ class CampaignService:
         self._active: Dict[str, _Submission] = {}
         self._local: Optional[_Submission] = None
         self._worker_conns: set = set()
+        self._connections: set = set()
         self._serial = 0
         self._tick = 0
         self._stopping = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._wake: Optional[asyncio.Event] = None
         self._stop_event: Optional[asyncio.Event] = None
         self._thread: Optional[threading.Thread] = None
         self.workers_seen: List[str] = []
@@ -435,6 +412,7 @@ class CampaignService:
             def _stop() -> None:
                 self._stopping = True
                 self._stop_event.set()
+                self._notify()
 
             try:
                 loop.call_soon_threadsafe(_stop)
@@ -444,9 +422,23 @@ class CampaignService:
             self._thread.join(timeout=10.0)
             self._thread = None
 
+    def _notify(self) -> None:
+        """Wake every task waiting on the service (on the loop thread).
+
+        A broadcast: the event is set and replaced, so a waiter that takes
+        :attr:`_wake` before checking its state misses nothing.  Not an
+        ``asyncio.Condition``, whose ``notify_all`` needs a lock that the
+        synchronous telemetry hook cannot acquire.
+        """
+        wake, self._wake = self._wake, asyncio.Event()
+        wake.set()
+
     async def _serve_async(self) -> None:
-        self._loop = asyncio.get_running_loop()
+        # Both events exist before _loop is published: start() returns
+        # once it is, and stop() may notify straight after.
+        self._wake = asyncio.Event()
         self._stop_event = asyncio.Event()
+        self._loop = asyncio.get_running_loop()
         server = await asyncio.start_server(self._dispatch, sock=self._server)
         sweeper = asyncio.create_task(self._sweep_loop())
         try:
@@ -456,28 +448,21 @@ class CampaignService:
             # No wait_closed(): from Python 3.12 it waits for every open
             # connection, a wedged worker's too; loop teardown closes those.
             server.close()
-            await self._drain_worker_conns()
+            # Cancelling a worker pump mid-read slams its socket, and the
+            # worker exits 3 (connection lost) instead of ending its persist
+            # loop cleanly: push a shutdown frame, which its next read
+            # consumes.  stop() woke held workers and subscribers, so each
+            # connection ends on its own; teardown cancels any still open.
+            for writer in list(self._worker_conns):
+                try:
+                    await write_frame(writer, {"kind": "shutdown"})
+                except Exception:
+                    pass
+            if self._connections:
+                await asyncio.wait(list(self._connections), timeout=STOP_DRAIN_S)
             for submission in list(self._active.values()):
                 if submission.trace is not None:
                     submission.trace.close()
-
-    async def _drain_worker_conns(self) -> None:
-        """Push a clean ``shutdown`` to every connected worker, then wait.
-
-        Cancelling a worker pump mid-read slams its socket shut, and the
-        worker reports a lost connection (exit code 3) instead of ending
-        its persist loop cleanly.  An unsolicited shutdown frame is safe —
-        the worker's next read consumes it — and lets every worker hang up
-        itself; stragglers are abandoned after :data:`STOP_DRAIN_S`.
-        """
-        for writer in list(self._worker_conns):
-            try:
-                await write_frame(writer, {"kind": "shutdown"})
-            except Exception:
-                pass
-        deadline = time.monotonic() + STOP_DRAIN_S
-        while self._worker_conns and time.monotonic() < deadline:
-            await asyncio.sleep(0.02)
 
     async def _sweep_loop(self) -> None:
         interval = sweep_interval_s(self.lease_timeout_s)
@@ -495,6 +480,8 @@ class CampaignService:
     async def _dispatch(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
             first = await asyncio.wait_for(
                 read_frame(reader), timeout=max(30.0, self.lease_timeout_s * 4)
@@ -536,6 +523,7 @@ class CampaignService:
                 await writer.wait_closed()
             except Exception:
                 pass
+            self._connections.discard(task)
 
     # -- workers ----------------------------------------------------------------------
 
@@ -554,13 +542,14 @@ class CampaignService:
             # a persistent fleet may well connect before the first
             # submission.
             while True:
+                wake = self._wake
                 if self._stopping:
                     await write_frame(writer, {"kind": "shutdown"})
                     return
                 submission = self._bind_choice(held)
                 if submission is not None:
                     break
-                await asyncio.sleep(BIND_POLL_S)
+                await wake.wait()
             rejection = validate_hello(hello, submission.fingerprint)
             if rejection is not None:
                 await write_frame(writer, {"kind": "reject", "reason": rejection})
@@ -693,6 +682,7 @@ class CampaignService:
             self._serial += 1
             submission = _Submission(self, self._serial, fingerprint, plans)
             self._active[fingerprint] = submission
+            self._notify()  # wakes workers held at handshake
             submission.prefill(
                 lambda plan_index, shard: self._cached_run(
                     fingerprint, plan_index, shard
@@ -770,17 +760,19 @@ class CampaignService:
     async def _stream_to(
         self, submission: _Submission, writer: asyncio.StreamWriter
     ) -> None:
-        """Stream trace events (full history, then live) and the summary."""
-        cursor = TraceCursor(submission.trace_path, live=True)
+        """Send the submission's records, history then live, and its outcome.
+
+        ``done`` is set in the loop step that writes the last record, so
+        no record follows it.
+        """
+        sent = 0
         while True:
-            settled = submission.done  # read BEFORE polling: no lost tail
-            records = cursor.poll()
-            for record in records:
-                await write_frame(
-                    writer,
-                    {"kind": "event", "record": trace_record_to_wire(record)},
-                )
-            if settled and not records:
+            wake = self._wake
+            while sent < len(submission.records):
+                record = submission.records[sent]
+                sent += 1
+                await write_frame(writer, {"kind": "event", "record": record})
+            if submission.done:
                 break
             if self._stopping:
                 await write_frame(
@@ -791,7 +783,7 @@ class CampaignService:
                     },
                 )
                 return
-            await asyncio.sleep(SUBSCRIBER_POLL_S)
+            await wake.wait()
         if submission.error is not None:
             await write_frame(
                 writer, {"kind": "error", "reason": submission.error}
@@ -807,6 +799,7 @@ class CampaignService:
             del self._active[submission.fingerprint]
         if submission.local:
             return  # its caller reports the outcome
+        self._notify()
         outcome = (
             f"failed ({submission.error})"
             if submission.error is not None

@@ -143,8 +143,8 @@ class TraceWriter:
     def __call__(self, event: ProgressEvent) -> None:
         self.write_event(event)
 
-    def write_event(self, event: ProgressEvent) -> None:
-        """Append one event; fsync per the batching policy."""
+    def write_event(self, event: ProgressEvent) -> Dict:
+        """Append one event, fsync per the batching policy; return the record."""
         record = {
             "v": TRACE_VERSION,
             "kind": event.kind,
@@ -174,6 +174,7 @@ class TraceWriter:
         self._unsynced += 1
         if self._unsynced >= self.flush_every or event.kind in _FSYNC_NOW_KINDS:
             self.flush()
+        return record
 
     # -- durability ---------------------------------------------------------------
 
