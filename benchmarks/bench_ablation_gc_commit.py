@@ -48,7 +48,7 @@ def _zero_luck_ftl(commit_on_relocate):
         blocks_per_plane=16,
         pages_per_block=8,
     )
-    chip = FlashChip(kernel, geometry, rng=random.Random(0))
+    chip = FlashChip(geometry, rng=random.Random(0))
     config = FtlConfig(
         mapping_policy="page",
         journal_commit_interval_us=100 * SEC,

@@ -48,7 +48,7 @@ def run_drive(config, seed):
     immediate = analyzer.verify_cycle(0, writes, list(failed) + inflight)
 
     weak_pages = sum(
-        1 for rec in host.ssd.chip.pages.values() if rec.quality < 1.0
+        1 for *_, quality in host.ssd.chip.store.iter_entries() if quality < 1.0
     )
     # Months on the shelf.
     newly_bad = host.ssd.chip.age_retention(hours=2000.0)

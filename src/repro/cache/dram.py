@@ -153,7 +153,3 @@ class WriteCache:
             return None
         first_key = next(iter(self._entries))
         return now - self._entries[first_key].inserted_at
-
-    def dirty_lpns(self) -> List[int]:
-        """LPNs currently dirty, oldest first."""
-        return list(self._entries.keys())

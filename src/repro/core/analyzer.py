@@ -216,10 +216,3 @@ class Analyzer:
             packets_checked=len(ordered) + len(failed_packets),
             pages_checked=pages_checked,
         )
-
-    # -- single-request verification (§IV-A experiment) ------------------------------------
-
-    def verify_single(self, packet: DataPacket, cycle_index: int = 0) -> Optional[FailureRecord]:
-        """Verify one ACKed write in isolation; returns its failure or None."""
-        outcome = self.verify_cycle(cycle_index, [packet], [])
-        return outcome.records[0] if outcome.records else None

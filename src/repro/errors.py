@@ -51,10 +51,6 @@ class AddressError(ProtocolError):
     """A logical block address is outside the device's addressable range."""
 
 
-class EccUncorrectableError(ReproError):
-    """Raw bit errors in a page exceeded the ECC correction budget."""
-
-
 class RecoveryError(ReproError):
     """Power-on recovery could not reconstruct FTL state.
 

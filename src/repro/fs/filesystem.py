@@ -35,6 +35,7 @@ from repro.fs.journal import Transaction, TxKind, TxRecord, decode_transactions,
 from repro.host.block_layer import BlockRequest
 from repro.host.system import HostSystem
 from repro.ssd.command import CommandStatus, IoCommand
+from repro.units import SEC
 
 
 class FsError(ReproError):
@@ -117,25 +118,20 @@ class FileSystem:
 
     # ------------------------------------------------------------- sync block IO --
 
-    def _pump_until(self, request: BlockRequest, timeout_us: int = 120_000_000) -> None:
-        deadline = self.host.kernel.now + timeout_us
-        while not request.done:
-            if self.host.kernel.now >= deadline:
-                raise FsError("filesystem IO timed out")
-            next_event = self.host.kernel.next_event_time()
-            if next_event is None:
-                raise FsError("simulation idle before IO completed")
-            self.host.kernel.run(until=min(next_event, deadline))
+    def _wait(self, request: BlockRequest) -> None:
+        self.host.kernel.pump_until(
+            lambda: request.done, 120 * SEC, "filesystem IO", FsError
+        )
 
     def _write_blocks(self, start_block: int, tokens: List[int]) -> None:
         request = self.host.write(start_block, tokens)
-        self._pump_until(request)
+        self._wait(request)
         if not request.ok:
             raise FsError(f"write to block {start_block} failed: {request.state.value}")
 
     def _read_block_token(self, block: int) -> Optional[int]:
         request = self.host.read(block, 1)
-        self._pump_until(request)
+        self._wait(request)
         if not request.ok:
             raise FsCorruption(f"read of block {block} failed")
         token = request.tokens[0]
@@ -147,14 +143,7 @@ class FileSystem:
     def _flush_barrier(self) -> None:
         done: List[IoCommand] = []
         self.host.ssd.submit(IoCommand.flush(on_complete=done.append))
-        deadline = self.host.kernel.now + 60_000_000
-        while not done:
-            if self.host.kernel.now >= deadline:
-                raise FsError("flush barrier timed out")
-            next_event = self.host.kernel.next_event_time()
-            if next_event is None:
-                raise FsError("simulation idle during flush")
-            self.host.kernel.run(until=min(next_event, deadline))
+        self.host.kernel.pump_until(lambda: done, 60 * SEC, "the flush barrier", FsError)
         if done[0].status is not CommandStatus.OK:
             # A failed FLUSH means nothing about durability — fsync and
             # synced renames must report it (the kernel returns EIO), not

@@ -117,7 +117,7 @@ class Ftl:
     >>> from repro.nand import FlashChip, NandGeometry
     >>> from random import Random
     >>> k = Kernel()
-    >>> chip = FlashChip(k, NandGeometry(blocks_per_plane=16), rng=Random(0))
+    >>> chip = FlashChip(NandGeometry(blocks_per_plane=16), rng=Random(0))
     >>> ftl = Ftl(k, chip, FtlConfig(), Random(1))
     >>> plan = ftl.prepare_write([7, 8], STREAM_RANDOM)
     >>> ftl.commit_write(plan, tokens=[101, 102])
@@ -239,7 +239,7 @@ class Ftl:
         """Program the chip and publish the new translations.
 
         ``volts`` optionally gives the rail voltage at each page's true
-        commit instant (see :meth:`FlashChip.commit_program_now`).
+        commit instant (see :meth:`FlashChip.program_pages`).
         """
         if len(tokens) != plan.page_count:
             raise AddressError("token count does not match plan")

@@ -49,11 +49,6 @@ class RecoveryReport:
     pass_index: int = 0
     resumed_after_interrupt: bool = False
 
-    @property
-    def lost_page_count(self) -> int:
-        """Logical pages whose latest translation was lost."""
-        return len(self.lost_lpns)
-
 
 class RecoveryEngine:
     """Replays the journal and arbitrates stranded updates.

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.errors import SimulationError
 from repro.host.block_layer import BlockLayer, BlockRequest
 from repro.power.controller import PowerController
 from repro.power.psu import AtxPsu
@@ -62,14 +61,7 @@ class HostSystem:
     def boot(self, timeout_us: int = 5 * SEC) -> None:
         """Power the PSU on and wait for the device to reach READY."""
         self.power.power_on()
-        deadline = self.kernel.now + timeout_us
-        while not self.ssd.is_ready:
-            if self.kernel.now >= deadline:
-                raise SimulationError("device failed to become ready")
-            next_time = self.kernel.next_event_time()
-            if next_time is None:
-                raise SimulationError("simulation went idle before device ready")
-            self.kernel.run(until=min(next_time, deadline))
+        self.kernel.pump_until(lambda: self.ssd.is_ready, timeout_us, "device ready")
 
     def run_for(self, duration_us: int) -> None:
         """Advance simulated time."""
@@ -125,22 +117,10 @@ class HostSystem:
         """Run until the device browns out (after :meth:`cut_power`)."""
         from repro.ssd.power_state import DevicePowerState
 
-        deadline = self.kernel.now + timeout_us
-        while self.ssd.state is not DevicePowerState.DEAD:
-            if self.kernel.now >= deadline:
-                raise SimulationError("device never browned out")
-            next_time = self.kernel.next_event_time()
-            if next_time is None:
-                raise SimulationError("simulation idle before brownout")
-            self.kernel.run(until=min(next_time, deadline))
+        self.kernel.pump_until(
+            lambda: self.ssd.state is DevicePowerState.DEAD, timeout_us, "brownout"
+        )
 
     def wait_until_ready(self, timeout_us: int = 5 * SEC) -> None:
         """Run until the device is READY (after :meth:`restore_power`)."""
-        deadline = self.kernel.now + timeout_us
-        while not self.ssd.is_ready:
-            if self.kernel.now >= deadline:
-                raise SimulationError("device never became ready")
-            next_time = self.kernel.next_event_time()
-            if next_time is None:
-                raise SimulationError("simulation idle before ready")
-            self.kernel.run(until=min(next_time, deadline))
+        self.kernel.pump_until(lambda: self.ssd.is_ready, timeout_us, "device ready")

@@ -21,7 +21,7 @@ Public surface: :class:`~repro.nand.geometry.NandGeometry`,
 """
 
 from repro.nand.cell import CellKind
-from repro.nand.chip import FlashChip, PageRecord, PageState
+from repro.nand.chip import FlashChip, PageState
 from repro.nand.corruption import CorruptionModel
 from repro.nand.ecc import EccScheme
 from repro.nand.geometry import NandGeometry, PhysicalPageAddress
@@ -36,7 +36,6 @@ __all__ = [
     "FlashChip",
     "NandGeometry",
     "NandTiming",
-    "PageRecord",
     "PageState",
     "PhysicalPageAddress",
 ]

@@ -1,21 +1,22 @@
-"""Flash array state machine with interruptible operations.
+"""Flash array state machine.
 
-The chip tracks per-page state in a :mod:`~repro.nand.pagestore` — flat
-per-block columns — and exposes two API layers:
+The chip keeps per-page state in a :mod:`~repro.nand.pagestore` — flat
+per-block columns — and exposes one API layer, the one the FTL and the
+device's flush batch call:
 
-**Event API** (``begin_program`` / ``begin_erase``): each operation occupies
-its die for the device-accurate latency and fires a completion callback.
-Used by unit tests, examples, and the FTL's journal/GC machinery.
+- :meth:`FlashChip.program_pages` commits a run of page programs, each at
+  the rail voltage of its own commit instant;
+- :meth:`FlashChip.apply_interruption_batch` resolves the programs a power
+  fault caught mid-ISPP, and the paired-page collateral they cause;
+- :meth:`FlashChip.erase_block_now` and :meth:`FlashChip.read_page` act at
+  the current instant (latency is the caller's concern);
+- :meth:`FlashChip.age_retention` applies charge leakage.
 
-**Immediate API** (``commit_program_now`` / ``program_pages`` /
-``apply_interruption``): the write-cache flusher batches page programs for
-speed and calls these primitives itself, telling the chip which pages
-committed before a power fault and which were caught mid-ISPP.  Both layers
-share the same corruption physics.
-
-Every random draw lives here, in fixed per-page order, regardless of which
-store backs the page state — that is what keeps campaign results
-bit-identical across storage representations.
+Every random draw lives here, in fixed per-page order: one call over N
+pages draws exactly what N one-page calls would, for both
+``program_pages`` and ``apply_interruption_batch``.  The store draws
+nothing, which is what keeps campaign results bit-identical across storage
+representations.
 
 Supply awareness: the chip reads its rail through ``voltage_source`` (wired
 to the PSU by the SSD device).  Programs that commit on a sagging rail store
@@ -28,22 +29,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import AddressError, DeviceUnavailableError, ProtocolError
 from repro.nand.cell import CellKind
 from repro.nand.corruption import CorruptionModel
 from repro.nand.ecc import EccScheme
 from repro.nand.geometry import NandGeometry
-from repro.nand.pagestore import (
-    ArrayPageStore,
-    STATE_CORRUPT,
-    STATE_ERASED,
-    STATE_VALID,
-)
+from repro.nand.pagestore import ArrayPageStore, STATE_CORRUPT, STATE_VALID
 from repro.nand.timing import NandTiming
-from repro.sim.kernel import Event, Kernel
-from repro.sim.resources import Resource
 
 
 class PageState(enum.Enum):
@@ -52,159 +46,6 @@ class PageState(enum.Enum):
     ERASED = "erased"
     VALID = "valid"
     CORRUPT = "corrupt"
-
-
-_STATE_ENUM = {
-    STATE_ERASED: PageState.ERASED,
-    STATE_VALID: PageState.VALID,
-    STATE_CORRUPT: PageState.CORRUPT,
-}
-
-
-class PageRecord:
-    """Detached per-page snapshot (the seed's storage record, now a value).
-
-    Live page state is viewed through :class:`PageRecordView`; this class
-    remains as the snapshot type returned by ``chip.pages.pop``.
-    """
-
-    __slots__ = ("state", "token", "raw_error_bits", "quality")
-
-    def __init__(
-        self,
-        state: PageState,
-        token: Optional[int],
-        raw_error_bits: int = 0,
-        quality: float = 1.0,
-    ) -> None:
-        self.state = state
-        self.token = token
-        self.raw_error_bits = raw_error_bits
-        self.quality = quality
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<PageRecord {self.state.value} token={self.token}"
-            f" err={self.raw_error_bits} q={self.quality:.2f}>"
-        )
-
-
-class PageRecordView:
-    """Live view of one written page, backed by the store's columns.
-
-    Attribute reads and writes go straight through to the store, so tests
-    and forensics tooling can keep poking ``chip.pages[ppa].raw_error_bits``
-    exactly as they did when pages were dict-of-object.
-    """
-
-    __slots__ = ("_store", "_ppa")
-
-    def __init__(self, store: ArrayPageStore, ppa: int) -> None:
-        self._store = store
-        self._ppa = ppa
-
-    @property
-    def state(self) -> PageState:
-        return _STATE_ENUM[self._store.state_of(self._ppa)]
-
-    @property
-    def token(self) -> Optional[int]:
-        entry = self._store.entry(self._ppa)
-        if entry is None or entry[0] != STATE_VALID:
-            return None
-        return entry[1]
-
-    @property
-    def raw_error_bits(self) -> int:
-        entry = self._store.entry(self._ppa)
-        return 0 if entry is None else entry[2]
-
-    @raw_error_bits.setter
-    def raw_error_bits(self, value: int) -> None:
-        self._store.set_error_bits(self._ppa, value)
-
-    @property
-    def quality(self) -> float:
-        entry = self._store.entry(self._ppa)
-        return 1.0 if entry is None else entry[3]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<PageRecordView ppa={self._ppa} {self.state.value}"
-            f" token={self.token} err={self.raw_error_bits}>"
-        )
-
-
-class PageTable:
-    """Dict-like facade over the page store (``chip.pages``).
-
-    Mirrors the seed's ``Dict[int, PageRecord]`` surface — absent means
-    erased — for tests, examples, and forensics tooling.  Iteration order is
-    ascending PPA.  Not a hot-path interface: the chip itself talks to the
-    store's primitives directly.
-    """
-
-    __slots__ = ("_store",)
-
-    def __init__(self, store: ArrayPageStore) -> None:
-        self._store = store
-
-    def __len__(self) -> int:
-        return self._store.written_count()
-
-    def __contains__(self, ppa: int) -> bool:
-        return self._store.state_of(ppa) != STATE_ERASED
-
-    def __getitem__(self, ppa: int) -> PageRecordView:
-        if self._store.state_of(ppa) == STATE_ERASED:
-            raise KeyError(ppa)
-        return PageRecordView(self._store, ppa)
-
-    def get(self, ppa: int, default=None):
-        if self._store.state_of(ppa) == STATE_ERASED:
-            return default
-        return PageRecordView(self._store, ppa)
-
-    def __setitem__(self, ppa: int, record: PageRecord) -> None:
-        if record.state is PageState.VALID:
-            self._store.program(
-                ppa, record.token or 0, record.raw_error_bits, record.quality
-            )
-        elif record.state is PageState.CORRUPT:
-            self._store.corrupt(ppa)
-        else:
-            self._store.discard(ppa)
-
-    def pop(self, ppa: int, *default) -> Optional[PageRecord]:
-        entry = self._store.entry(ppa)
-        if entry is None:
-            if default:
-                return default[0]
-            raise KeyError(ppa)
-        self._store.discard(ppa)
-        state, token, err, quality = entry
-        return PageRecord(
-            _STATE_ENUM[state],
-            token if state == STATE_VALID else None,
-            err,
-            quality,
-        )
-
-    def __iter__(self) -> Iterator[int]:
-        for ppa, *_ in self._store.iter_entries():
-            yield ppa
-
-    keys = __iter__
-
-    def values(self) -> Iterator[PageRecordView]:
-        store = self._store
-        for ppa, *_ in store.iter_entries():
-            yield PageRecordView(store, ppa)
-
-    def items(self) -> Iterator[Tuple[int, PageRecordView]]:
-        store = self._store
-        for ppa, *_ in store.iter_entries():
-            yield ppa, PageRecordView(store, ppa)
 
 
 @dataclass
@@ -224,49 +65,11 @@ class ReadResult:
 
 
 @dataclass
-class ProgramOp:
-    """An in-flight page program (event API)."""
-
-    ppa: int
-    token: int
-    start_us: int
-    end_us: int
-    on_done: Optional[Callable[["ProgramOp"], None]] = None
-    event: Optional[Event] = None
-    committed: bool = False
-
-    def progress_at(self, now: int) -> float:
-        """ISPP progress fraction in [0, 1] at time ``now``."""
-        if self.end_us <= self.start_us:
-            return 1.0
-        return min(1.0, max(0.0, (now - self.start_us) / (self.end_us - self.start_us)))
-
-
-@dataclass
-class EraseOp:
-    """An in-flight block erase (event API)."""
-
-    block: int
-    start_us: int
-    end_us: int
-    on_done: Optional[Callable[["EraseOp"], None]] = None
-    event: Optional[Event] = None
-    committed: bool = False
-
-
-@dataclass
 class PowerLossReport:
-    """What a power-loss event did to the array."""
+    """Pages the programs torn by one power fault destroyed."""
 
-    interrupted_programs: List[int] = field(default_factory=list)
     corrupted_pages: List[int] = field(default_factory=list)
     collateral_pages: List[int] = field(default_factory=list)
-    interrupted_erase_blocks: List[int] = field(default_factory=list)
-
-    @property
-    def total_damage(self) -> int:
-        """Pages losing data (direct + collateral)."""
-        return len(self.corrupted_pages) + len(self.collateral_pages)
 
 
 class FlashChip:
@@ -274,18 +77,15 @@ class FlashChip:
 
     Example
     -------
-    >>> from repro.sim import Kernel
     >>> from random import Random
-    >>> k = Kernel()
-    >>> chip = FlashChip(k, NandGeometry(blocks_per_plane=8), rng=Random(1))
-    >>> chip.commit_program_now(ppa=0, token=101)
+    >>> chip = FlashChip(NandGeometry(blocks_per_plane=8), rng=Random(1))
+    >>> chip.program_pages([0], [101])
     >>> chip.read_page(0).token
     101
     """
 
     def __init__(
         self,
-        kernel: Kernel,
         geometry: NandGeometry,
         cell: CellKind = CellKind.MLC,
         timing: Optional[NandTiming] = None,
@@ -294,7 +94,6 @@ class FlashChip:
         rng: Optional[Random] = None,
         voltage_source: Optional[Callable[[], float]] = None,
     ) -> None:
-        self.kernel = kernel
         self.geometry = geometry
         self.cell = cell
         self.timing = timing if timing is not None else NandTiming()
@@ -304,10 +103,6 @@ class FlashChip:
         self.voltage_source = voltage_source if voltage_source is not None else (lambda: 5.0)
         self.powered = True
         self.store = ArrayPageStore(geometry)
-        self.pages = PageTable(self.store)
-        self.active_programs: List[ProgramOp] = []
-        self.active_erases: List[EraseOp] = []
-        self._die_resources: Dict[int, Resource] = {}
         self._block_reads: Dict[int, int] = {}
         # Statistics.
         self.programs_committed = 0
@@ -339,42 +134,7 @@ class FlashChip:
         if not self.powered:
             raise DeviceUnavailableError("flash array is unpowered")
 
-    def _die_resource(self, ppa: int) -> Resource:
-        die = self.geometry.die_of(ppa)
-        resource = self._die_resources.get(die)
-        if resource is None:
-            resource = Resource(self.kernel, capacity=1, name=f"die{die}")
-            self._die_resources[die] = resource
-        return resource
-
-    # -- immediate API (used by the batching flusher) -----------------------------------
-
-    def commit_program_now(self, ppa: int, token: int, volts: Optional[float] = None) -> None:
-        """Commit a page program.
-
-        ``volts`` is the rail voltage at the (possibly earlier) instant the
-        ISPP train actually finished — the batching flusher passes the value
-        the PSU waveform had at the page's planned commit time, so pages that
-        completed inside the discharge window store degraded quality even
-        though the bookkeeping runs at power-loss time.  ``None`` samples the
-        live rail.
-        """
-        self._check_powered()
-        self._check_ppa(ppa)
-        if self.store.state_of(ppa) == STATE_VALID:
-            raise ProtocolError(f"program of non-erased page {ppa} (no in-place update)")
-        if volts is None:
-            volts = self.voltage_source()
-        quality = self.corruption.program_quality(volts)
-        if quality >= 1.0:
-            # Nominal-rail fast path: the base error draw is cheap but this
-            # is the hottest call in campaigns, so short-circuit the gauss.
-            mean = self.corruption.base_error_bits * self.cell.raw_bit_error_scale
-            raw_bits = max(0, round(self.rng.gauss(mean, mean**0.5)))
-        else:
-            raw_bits = self.corruption.sample_error_bits(self.rng, self.cell, quality)
-        self.store.program(ppa, token, raw_bits, quality)
-        self.programs_committed += 1
+    # -- programs --------------------------------------------------------------------
 
     def program_pages(
         self,
@@ -382,12 +142,15 @@ class FlashChip:
         tokens: Sequence[int],
         volts: Union[None, float, Sequence[Optional[float]]] = None,
     ) -> None:
-        """Bulk page commit: same physics, checks, and RNG order as calling
-        :meth:`commit_program_now` once per page, with the per-page attribute
-        chases hoisted out of the loop.
+        """Commit page programs in order, one error draw per page.
 
-        ``volts`` is ``None`` (sample the live rail per page), one voltage
-        for the whole batch, or a per-page sequence (entries may be ``None``).
+        ``volts`` is the rail voltage at the (possibly earlier) instant each
+        page's ISPP train actually finished — the batching flusher passes the
+        value the PSU waveform had at the page's planned commit time, so pages
+        that completed inside the discharge window store degraded quality even
+        though the bookkeeping runs at power-loss time.  It is ``None``
+        (sample the live rail per page), one voltage for the whole batch, or a
+        per-page sequence (entries may be ``None``).
         """
         self._check_powered()
         store = self.store
@@ -416,6 +179,8 @@ class FlashChip:
                     page_volts = self.voltage_source()
                 quality = program_quality(page_volts)
                 if quality >= 1.0:
+                    # Nominal-rail fast path: the draw ``sample_error_bits``
+                    # makes at quality 1.0, inlined in the hottest loop.
                     raw_bits = round(gauss(mean, sigma))
                     program(ppa, token, raw_bits if raw_bits > 0 else 0, quality)
                 else:
@@ -425,125 +190,41 @@ class FlashChip:
         finally:
             self.programs_committed += committed
 
-    def apply_interruption(self, ppa: int, progress: float, token: int) -> PowerLossReport:
-        """Resolve a program caught mid-ISPP by a power collapse.
-
-        Returns a report naming the page (if destroyed) and any collateral
-        earlier-sibling pages on the same wordline.
-        """
-        self._check_ppa(ppa)
-        report = PowerLossReport(interrupted_programs=[ppa])
-        if self.corruption.interrupted_program_corrupts(self.rng, progress):
-            self.store.corrupt(ppa)
-            report.corrupted_pages.append(ppa)
-        elif progress >= self.corruption.program_survival_progress:
-            # The final verify pulses were confirmatory; page committed, but
-            # at whatever quality the sagging rail allowed.
-            quality = self.corruption.program_quality(self.voltage_source())
-            raw_bits = self.corruption.sample_error_bits(self.rng, self.cell, quality)
-            self.store.program(ppa, token, raw_bits, quality)
-            self.programs_committed += 1
-        # else: the page retains a mostly-erased level; treated as still erased.
-        page_in_block = self.geometry.page_in_block(ppa)
-        block_base = ppa - page_in_block
-        for sibling in self.corruption.collateral_pages(self.rng, self.cell, page_in_block):
-            sibling_ppa = block_base + sibling
-            if self.store.corrupt_if_valid(sibling_ppa):
-                report.collateral_pages.append(sibling_ppa)
-        return report
-
     def apply_interruption_batch(
         self, interruptions: Sequence[Tuple[int, float, int]]
     ) -> PowerLossReport:
-        """Resolve several torn programs, merging their damage reports.
+        """Resolve programs caught mid-ISPP by a power collapse.
 
-        ``interruptions`` is ``(ppa, progress, token)`` per page; pages are
-        resolved in input order (RNG draw order is per page, as the
-        single-page calls would be).
+        ``interruptions`` is ``(ppa, progress, token)`` per page.  Pages are
+        resolved in input order, each drawing in a fixed order: the tear, the
+        survivor's error bits (if it committed), then its collateral.  The
+        report names the pages destroyed outright and the earlier-sibling
+        pages on their wordlines that lost data as collateral.
         """
         report = PowerLossReport()
+        corruption = self.corruption
+        store = self.store
+        rng = self.rng
         for ppa, progress, token in interruptions:
-            sub = self.apply_interruption(ppa, progress, token)
-            report.interrupted_programs.extend(sub.interrupted_programs)
-            report.corrupted_pages.extend(sub.corrupted_pages)
-            report.collateral_pages.extend(sub.collateral_pages)
+            self._check_ppa(ppa)
+            if corruption.interrupted_program_corrupts(rng, progress):
+                store.corrupt(ppa)
+                report.corrupted_pages.append(ppa)
+            elif progress >= corruption.program_survival_progress:
+                # The final verify pulses were confirmatory; page committed,
+                # but at whatever quality the sagging rail allowed.
+                quality = corruption.program_quality(self.voltage_source())
+                raw_bits = corruption.sample_error_bits(rng, self.cell, quality)
+                store.program(ppa, token, raw_bits, quality)
+                self.programs_committed += 1
+            # else: the page retains a mostly-erased level; treated as erased.
+            page_in_block = self.geometry.page_in_block(ppa)
+            block_base = ppa - page_in_block
+            for sibling in corruption.collateral_pages(rng, self.cell, page_in_block):
+                sibling_ppa = block_base + sibling
+                if store.corrupt_if_valid(sibling_ppa):
+                    report.collateral_pages.append(sibling_ppa)
         return report
-
-    # -- event API -------------------------------------------------------------------
-
-    def begin_program(
-        self,
-        ppa: int,
-        token: int,
-        on_done: Optional[Callable[[ProgramOp], None]] = None,
-    ) -> ProgramOp:
-        """Start a full-latency page program occupying the owning die."""
-        self._check_powered()
-        self._check_ppa(ppa)
-        duration = self.timing.page_write_us(self.cell, self.geometry.page_size)
-        op = ProgramOp(
-            ppa=ppa,
-            token=token,
-            start_us=self.kernel.now,
-            end_us=self.kernel.now + duration,
-            on_done=on_done,
-        )
-        self.active_programs.append(op)
-        resource = self._die_resource(ppa)
-
-        def run() -> None:
-            # Die acquired; (re)base timing on the actual start instant.
-            op.start_us = self.kernel.now
-            op.end_us = self.kernel.now + duration
-            op.event = self.kernel.schedule(duration, finish)
-
-        def finish() -> None:
-            op.event = None
-            op.committed = True
-            self.active_programs.remove(op)
-            self.commit_program_now(op.ppa, op.token)
-            resource.release()
-            if op.on_done is not None:
-                op.on_done(op)
-
-        resource.acquire(run)
-        return op
-
-    def begin_erase(
-        self,
-        block: int,
-        on_done: Optional[Callable[[EraseOp], None]] = None,
-    ) -> EraseOp:
-        """Start a full-latency block erase occupying the owning die."""
-        self._check_powered()
-        if not 0 <= block < self.geometry.blocks:
-            raise AddressError(f"block {block} outside array")
-        duration = self.timing.erase_us
-        op = EraseOp(
-            block=block,
-            start_us=self.kernel.now,
-            end_us=self.kernel.now + duration,
-            on_done=on_done,
-        )
-        self.active_erases.append(op)
-        resource = self._die_resource(self.geometry.first_page_of_block(block))
-
-        def run() -> None:
-            op.start_us = self.kernel.now
-            op.end_us = self.kernel.now + duration
-            op.event = self.kernel.schedule(duration, finish)
-
-        def finish() -> None:
-            op.event = None
-            op.committed = True
-            self.active_erases.remove(op)
-            self.erase_block_now(block)
-            resource.release()
-            if op.on_done is not None:
-                op.on_done(op)
-
-        resource.acquire(run)
-        return op
 
     def erase_block_now(self, block: int) -> None:
         """Erase a block at the current instant."""
@@ -622,38 +303,15 @@ class FlashChip:
         """Lifetime reads of one block (read-disturb bookkeeping)."""
         return self._block_reads.get(block, 0)
 
-    def read_latency_us(self, npages: int = 1) -> int:
-        """Latency of reading ``npages`` sequentially from one die."""
-        return npages * self.timing.page_read_us(self.geometry.page_size)
-
     # -- power events ----------------------------------------------------------------
 
-    def power_loss(self) -> PowerLossReport:
-        """Rail collapsed below the logic floor: kill all in-flight work."""
-        report = PowerLossReport()
-        now = self.kernel.now
-        for op in list(self.active_programs):
-            if op.event is not None:
-                op.event.cancel()
-                op.event = None
-            sub = self.apply_interruption(op.ppa, op.progress_at(now), op.token)
-            report.interrupted_programs.extend(sub.interrupted_programs)
-            report.corrupted_pages.extend(sub.corrupted_pages)
-            report.collateral_pages.extend(sub.collateral_pages)
-        self.active_programs.clear()
-        for op in list(self.active_erases):
-            if op.event is not None:
-                op.event.cancel()
-                op.event = None
-            report.interrupted_erase_blocks.append(op.block)
-            # A half-erased block: every page that still held data is now
-            # electrically indeterminate.
-            report.corrupted_pages.extend(self.store.corrupt_valid_in_block(op.block))
-        self.active_erases.clear()
-        for resource in self._die_resources.values():
-            resource.reset()
+    def power_loss(self) -> None:
+        """Rail collapsed below the logic floor: the array stops answering.
+
+        Programs in flight are resolved by the device's flush batch (through
+        :meth:`apply_interruption_batch`) before it calls this.
+        """
         self.powered = False
-        return report
 
     def power_on(self) -> None:
         """Restore power.  Stored charge (page records) persists."""
@@ -672,8 +330,3 @@ class FlashChip:
     def corrupt_page_count(self) -> int:
         """Number of pages in CORRUPT state."""
         return self.store.corrupt_count()
-
-    def page_record(self, ppa: int) -> Optional[PageRecordView]:
-        """Raw record access for tests and forensics tooling."""
-        self._check_ppa(ppa)
-        return self.pages.get(ppa)

@@ -147,10 +147,6 @@ class NandGeometry:
             raise ConfigurationError(f"block {block} out of range")
         return block * self.pages_per_block
 
-    def channel_of(self, ppa: int) -> int:
-        """Channel index owning ``ppa``."""
-        return self.decode(ppa).channel
-
     def die_of(self, ppa: int) -> int:
         """Dense die index (across channels) owning ``ppa``."""
         addr = self.decode(ppa)

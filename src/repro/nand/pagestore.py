@@ -1,9 +1,9 @@
 """Columnar page-state storage for the NAND array.
 
 The campaign hot path reads and writes millions of per-page records; storing
-each as a Python object (the seed's ``Dict[int, PageRecord]``) makes every
-scan an attribute chase through the object graph.  :class:`ArrayPageStore`
-keeps page state in flat per-block *columns* instead:
+each as a Python object in a dict keyed by PPA makes every scan an attribute
+chase through the object graph.  :class:`ArrayPageStore` keeps page state in
+flat per-block *columns* instead:
 
 ======== ================= =====================================
 column   type              meaning
@@ -17,8 +17,8 @@ quality  ``array('d')``    program quality in (0, 1]
 Chunks are allocated lazily per erase block (the default geometry addresses
 33.5M pages — a dense array per column would cost ~800 MB per shard, while a
 campaign only ever touches its working set), and an erased block simply drops
-its chunk.  Block-wide operations (erase, corrupt-all-valid, scans) are C
-speed passes over the ``state`` bytearray rather than per-page dict probes.
+its chunk.  Block-wide operations (erase, retention aging) are C-speed
+passes over the ``state`` bytearray rather than per-page dict probes.
 
 The store draws no randomness and applies no policy — corruption physics and
 every RNG draw stay in :class:`~repro.nand.chip.FlashChip`, in per-page order,
@@ -177,39 +177,6 @@ class ArrayPageStore:
         valid = state.count(STATE_VALID)
         self._written -= valid + state.count(STATE_CORRUPT)
         self._valid -= valid
-
-    def corrupt_valid_in_block(self, block: int) -> List[int]:
-        """Corrupt every VALID page of a block; returns their PPAs ascending."""
-        chunk = self._chunks.get(block)
-        if chunk is None:
-            return []
-        state = chunk[0]
-        base = block * self._ppb
-        victims: List[int] = []
-        index = state.find(STATE_VALID)
-        while index != -1:
-            state[index] = STATE_CORRUPT
-            chunk[1][index] = _NO_TOKEN
-            chunk[2][index] = 0
-            chunk[3][index] = 1.0
-            victims.append(base + index)
-            index = state.find(STATE_VALID, index + 1)
-        self._valid -= len(victims)
-        return victims
-
-    def scan_valid(self, block: int) -> List[int]:
-        """PPAs of the block's VALID pages, ascending (C-speed scan)."""
-        chunk = self._chunks.get(block)
-        if chunk is None:
-            return []
-        state = chunk[0]
-        base = block * self._ppb
-        found: List[int] = []
-        index = state.find(STATE_VALID)
-        while index != -1:
-            found.append(base + index)
-            index = state.find(STATE_VALID, index + 1)
-        return found
 
     # -- whole-array ops ------------------------------------------------------
 

@@ -61,20 +61,6 @@ class AtxController:
         # Active low: logic low  -> enable outputs; logic high -> disable.
         self.psu.set_ps_on(active=not is_high)
 
-    def release_ps_on_pin(self) -> None:
-        """Let the pin float; the internal pull-up reads high (outputs off)."""
-        self.drive_ps_on_pin(5.0)
-
-    @property
-    def ps_on_pin_volts(self) -> float:
-        """Present voltage on pin 16."""
-        return self._pin_volts
-
-    @property
-    def outputs_enabled(self) -> bool:
-        """Whether the main rails are currently commanded on."""
-        return self.psu.output_enabled
-
     def standby_rail_volts(self) -> float:
         """The 5 VSB rail (pin 9): present whenever mains is applied."""
         from repro.power.psu import PsuState

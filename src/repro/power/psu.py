@@ -170,10 +170,6 @@ class AtxPsu:
         """Attach a device to the 5 V rail (affects the discharge waveform)."""
         self._loads.append(load)
 
-    def detach_load(self, load: Load) -> None:
-        """Remove a device from the rail."""
-        self._loads.remove(load)
-
     def total_load_amps(self) -> float:
         """Sum of instantaneous current draw over all attached loads."""
         return sum(load.current_draw_amps() for load in self._loads)

@@ -79,7 +79,3 @@ class RailProbe:
             if v < volts:
                 return t_ms
         return None
-
-    def discharge_time_ms(self, floor_volts: float = 0.1) -> Optional[float]:
-        """Duration until the rail settles below ``floor_volts``."""
-        return self.time_below(floor_volts)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.host.block_layer import BlockRequest
 from repro.host.system import HostSystem
 from repro.power.controller import PowerController
@@ -115,16 +115,6 @@ class MirrorPair:
 
     # -- lifecycle ---------------------------------------------------------------------
 
-    def _pump_until(self, predicate, timeout_us: int = 10 * SEC) -> None:
-        deadline = self.kernel.now + timeout_us
-        while not predicate():
-            if self.kernel.now >= deadline:
-                raise SimulationError("mirror operation timed out")
-            next_event = self.kernel.next_event_time()
-            if next_event is None:
-                raise SimulationError("simulation idle during mirror operation")
-            self.kernel.run(until=min(next_event, deadline))
-
     def boot(self) -> None:
         """Power everything on and wait for both drives."""
         seen = set()
@@ -132,7 +122,11 @@ class MirrorPair:
             if id(replica.power) not in seen:
                 replica.power.power_on()
                 seen.add(id(replica.power))
-        self._pump_until(lambda: all(r.ssd.is_ready for r in self.replicas))
+        self.kernel.pump_until(
+            lambda: all(r.ssd.is_ready for r in self.replicas),
+            10 * SEC,
+            "both mirror drives ready",
+        )
 
     def run_for_ms(self, milliseconds: float) -> None:
         """Advance simulated time."""
@@ -163,7 +157,9 @@ class MirrorPair:
             if replica.ssd.is_ready:
                 replica.ssd.submit(IoCommand.flush(on_complete=done.append))
         expected = sum(1 for r in self.replicas if r.ssd.is_ready)
-        self._pump_until(lambda: len(done) >= expected)
+        self.kernel.pump_until(
+            lambda: len(done) >= expected, 10 * SEC, "the mirror flush"
+        )
 
     def _peek_replica(self, replica: _Replica, lpn: int, count: int) -> Optional[List[int]]:
         if not replica.ssd.is_ready:
@@ -253,4 +249,8 @@ class MirrorPair:
             if id(replica.power) not in seen:
                 replica.power.power_on()
                 seen.add(id(replica.power))
-        self._pump_until(lambda: all(r.ssd.is_ready for r in self.replicas))
+        self.kernel.pump_until(
+            lambda: all(r.ssd.is_ready for r in self.replicas),
+            10 * SEC,
+            "both mirror drives ready",
+        )

@@ -1,19 +1,19 @@
 """Discrete-event simulation kernel.
 
-A minimal but complete event-driven core used by every substrate in the
-testbed.  Time is an integer number of microseconds (see :mod:`repro.units`).
+A minimal core used by every substrate in the testbed.  Time is an integer
+number of microseconds (see :mod:`repro.units`).
 
 Public surface:
 
-- :class:`~repro.sim.kernel.Kernel` — the event loop.
+- :class:`~repro.sim.kernel.Kernel` — the event loop, and
+  :meth:`~repro.sim.kernel.Kernel.pump_until`, the run-until-a-condition
+  loop every blocking host-side helper uses.
 - :class:`~repro.sim.kernel.Event` — cancellable scheduled callback.
 - :class:`~repro.sim.process.Process` — generator-based cooperative process.
 - :class:`~repro.sim.process.Signal` — broadcast wake-up primitive.
-- :class:`~repro.sim.resources.Resource` — FIFO counted resource (queues).
 """
 
 from repro.sim.kernel import Event, Kernel
-from repro.sim.process import Process, Signal, Timeout
-from repro.sim.resources import Resource
+from repro.sim.process import Process, Signal
 
-__all__ = ["Kernel", "Event", "Process", "Signal", "Timeout", "Resource"]
+__all__ = ["Kernel", "Event", "Process", "Signal"]

@@ -23,7 +23,7 @@ PSU does when clearing its pending list — remains a safe no-op.)
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Type
 
 from repro.errors import SimulationError
 
@@ -231,6 +231,28 @@ class Kernel:
     def stop(self) -> None:
         """Request the current :meth:`run` call to return after this event."""
         self._stopped = True
+
+    def pump_until(
+        self,
+        done: Callable[[], bool],
+        timeout_us: int,
+        what: str,
+        error: Type[Exception] = SimulationError,
+    ) -> None:
+        """Run events one instant at a time until ``done()`` holds.
+
+        Raises ``error`` when ``timeout_us`` of simulated time pass first, or
+        when the heap drains with ``done()`` still false; ``what`` names the
+        awaited condition in the message.
+        """
+        deadline = self._now + timeout_us
+        while not done():
+            if self._now >= deadline:
+                raise error(f"timed out waiting for {what}")
+            next_event = self.next_event_time()
+            if next_event is None:
+                raise error(f"simulation went idle waiting for {what}")
+            self.run(until=min(next_event, deadline))
 
     # -- introspection --------------------------------------------------------
 

@@ -1,36 +1,23 @@
 """Generator-based cooperative processes on top of the event kernel.
 
-Device models are much easier to read as sequential code ("program the page,
-wait 1.3 ms, verify, ...") than as chains of callbacks.  A :class:`Process`
-wraps a generator; the generator *yields* either
+Device models are much easier to read as sequential code ("take a batch,
+wait for the flash, commit, ...") than as chains of callbacks.  A
+:class:`Process` wraps a generator; the generator *yields* either
 
 - an ``int`` — sleep that many microseconds, or
-- a :class:`Signal` — park until the signal fires, or
-- a :class:`Timeout` — park until the signal fires or the deadline passes.
+- a :class:`Signal` — park until the signal fires.
 
-Processes can be interrupted (used to model power loss killing an in-flight
-NAND operation) via :meth:`Process.interrupt`, which raises
-:class:`Interrupted` inside the generator at its current yield point.
+A power loss ends a process with :meth:`Process.kill`, which closes the
+generator without running any more of its body; the device resolves the
+work the process had in flight itself.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable, List, Optional
+from typing import Any, Generator, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Event, Kernel
-
-
-class Interrupted(Exception):
-    """Raised inside a process generator when it is interrupted.
-
-    ``cause`` carries an arbitrary payload describing why (e.g. the supply
-    voltage at the moment power collapsed).
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(f"process interrupted: {cause!r}")
-        self.cause = cause
 
 
 class Signal:
@@ -39,33 +26,20 @@ class Signal:
     Processes yield the signal to park on it; :meth:`fire` wakes all of them
     at the current simulation time.  A payload passed to ``fire`` becomes the
     value of the ``yield`` expression in each waiter.
-
-    A *sticky* signal latches: once fired, any process that parks on it later
-    wakes immediately with the latched payload (like a completed future).
     """
 
-    def __init__(self, kernel: Kernel, name: str = "", sticky: bool = False) -> None:
-        self.kernel = kernel
+    def __init__(self, name: str = "") -> None:
         self.name = name
-        self.sticky = sticky
         self._waiters: List["Process"] = []
-        self._latched = False
-        self._latched_payload: Any = None
 
     def fire(self, payload: Any = None) -> int:
         """Wake every waiter now.  Returns the number of processes woken."""
-        if self.sticky:
-            self._latched = True
-            self._latched_payload = payload
         waiters, self._waiters = self._waiters, []
         for proc in waiters:
             proc._wake(payload)
         return len(waiters)
 
     def _park(self, proc: "Process") -> None:
-        if self._latched:
-            self.kernel.schedule(0, proc._wake, self._latched_payload)
-            return
         self._waiters.append(proc)
 
     def _unpark(self, proc: "Process") -> None:
@@ -80,24 +54,6 @@ class Signal:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Signal {self.name!r} waiters={len(self._waiters)}>"
-
-
-class Timeout:
-    """Yieldable: wait on ``signal`` but give up after ``delay`` µs.
-
-    The yield expression evaluates to the signal payload, or to
-    :data:`TIMED_OUT` when the deadline fired first.
-    """
-
-    def __init__(self, signal: Signal, delay: int) -> None:
-        if delay < 0:
-            raise SimulationError("timeout delay must be non-negative")
-        self.signal = signal
-        self.delay = delay
-
-
-TIMED_OUT = object()
-"""Sentinel produced by a :class:`Timeout` yield when the deadline won."""
 
 
 class Process:
@@ -127,7 +83,7 @@ class Process:
         self.exception: Optional[BaseException] = None
         self._pending_event: Optional[Event] = None
         self._parked_on: Optional[Signal] = None
-        self.done_signal = Signal(kernel, f"{self.name}.done")
+        self.done_signal = Signal(f"{self.name}.done")
         # Start on the next kernel dispatch at the current time so that a
         # process created inside an event handler begins deterministically.
         self._pending_event = kernel.schedule(0, self._advance, None)
@@ -142,23 +98,6 @@ class Process:
         except StopIteration as stop:
             self._finish(result=stop.value)
             return
-        except Interrupted:
-            self._finish(result=None)
-            return
-        self._arm(yielded)
-
-    def _throw_interrupt(self, cause: Any) -> None:
-        try:
-            yielded = self._gen.throw(Interrupted(cause))
-        except StopIteration as stop:
-            self._finish(result=stop.value)
-            return
-        except Interrupted:
-            self._finish(result=None)
-            return
-        self._arm(yielded)
-
-    def _arm(self, yielded: Any) -> None:
         if isinstance(yielded, int):
             if yielded < 0:
                 self._crash(SimulationError("process yielded a negative delay"))
@@ -167,31 +106,14 @@ class Process:
         elif isinstance(yielded, Signal):
             self._parked_on = yielded
             yielded._park(self)
-        elif isinstance(yielded, Timeout):
-            self._parked_on = yielded.signal
-            yielded.signal._park(self)
-            self._pending_event = self.kernel.schedule(
-                yielded.delay, self._timeout_fired
-            )
         else:
             self._crash(
                 SimulationError(f"process yielded unsupported value {yielded!r}")
             )
 
-    def _timeout_fired(self) -> None:
-        self._pending_event = None
-        if self._parked_on is not None:
-            self._parked_on._unpark(self)
-            self._parked_on = None
-        self._advance(TIMED_OUT)
-
     def _wake(self, payload: Any) -> None:
-        if not self.alive:
-            return
-        if self._pending_event is not None:  # cancel a racing Timeout deadline
-            self._pending_event.cancel()
-            self._pending_event = None
-        self._advance(payload)
+        if self.alive:
+            self._advance(payload)
 
     def _finish(self, result: Any) -> None:
         self.alive = False
@@ -205,25 +127,6 @@ class Process:
         raise exc
 
     # -- public control ----------------------------------------------------------
-
-    def interrupt(self, cause: Any = None) -> bool:
-        """Interrupt the process at its current wait point.
-
-        Returns True if the process was alive and has been interrupted.  The
-        generator sees :class:`Interrupted` raised at its ``yield``; it may
-        catch it to model partial work (e.g. a torn NAND program) or let it
-        propagate to terminate.
-        """
-        if not self.alive:
-            return False
-        if self._pending_event is not None:
-            self._pending_event.cancel()
-            self._pending_event = None
-        if self._parked_on is not None:
-            self._parked_on._unpark(self)
-            self._parked_on = None
-        self._throw_interrupt(cause)
-        return True
 
     def kill(self) -> None:
         """Terminate the process without running any more of its body."""
@@ -241,29 +144,3 @@ class Process:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self.alive else "done"
         return f"<Process {self.name!r} {state}>"
-
-
-def all_of(kernel: Kernel, processes: Iterable[Process]) -> Signal:
-    """Return a signal that fires once every given process has finished."""
-    procs = [p for p in processes]
-    gate = Signal(kernel, "all_of", sticky=True)
-    remaining = sum(1 for p in procs if p.alive)
-    if remaining == 0:
-        gate.fire(None)
-        return gate
-
-    state = {"remaining": remaining}
-
-    def make_waiter(proc: Process) -> Generator:
-        def waiter() -> Generator:
-            yield proc.done_signal
-            state["remaining"] -= 1
-            if state["remaining"] == 0:
-                gate.fire(None)
-
-        return waiter()
-
-    for proc in procs:
-        if proc.alive:
-            Process(kernel, make_waiter(proc), name=f"all_of[{proc.name}]")
-    return gate

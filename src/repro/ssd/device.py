@@ -175,7 +175,6 @@ class SsdDevice:
         geometry = NandGeometry.for_capacity(config.capacity_bytes)
         self._backup_power = False  # supercap holding the internals up
         self.chip = FlashChip(
-            kernel,
             geometry,
             cell=config.cell,
             timing=config.timing,
@@ -195,10 +194,10 @@ class SsdDevice:
         self._clean_shutdown_armed = False
         self._queue: Deque[IoCommand] = deque()
         self._current_cmd: Optional[IoCommand] = None
-        self._arrival = Signal(kernel, f"{self.name}.arrival")
-        self._dirty = Signal(kernel, f"{self.name}.dirty")
-        self._drain = Signal(kernel, f"{self.name}.drain")
-        self.ready_signal = Signal(kernel, f"{self.name}.ready")
+        self._arrival = Signal(f"{self.name}.arrival")
+        self._dirty = Signal(f"{self.name}.dirty")
+        self._drain = Signal(f"{self.name}.drain")
+        self.ready_signal = Signal(f"{self.name}.ready")
         self._dispatcher: Optional[Process] = None
         self._flusher: Optional[Process] = None
         self._active_batch: Optional[_FlushBatch] = None
@@ -271,11 +270,6 @@ class SsdDevice:
             )
         self._queue.append(command)
         self._arrival.fire()
-
-    @property
-    def queue_length(self) -> int:
-        """Commands waiting for the dispatcher (excludes the one in service)."""
-        return len(self._queue)
 
     def arm_clean_shutdown(self) -> None:
         """Record an NVMe-style shutdown notification (CC.SHN).

@@ -30,7 +30,7 @@ from typing import Optional
 from repro.core.analyzer import Analyzer
 from repro.core.results import CampaignResult, FaultCycleResult
 from repro.engine.plan import CampaignPlan, ShardSpec
-from repro.errors import CampaignError, SimulationError, StressAuditError
+from repro.errors import CampaignError, StressAuditError
 from repro.host.system import HostSystem
 from repro.nvme.command import NvmeCommand, NvmeOpcode
 from repro.nvme.controller import NvmeController
@@ -111,19 +111,16 @@ class DirtyCyclePlan(CampaignPlan):
 
 def _wait_for_recovering(host: HostSystem, timeout_us: int) -> None:
     """Run until the device enters its recovery window (after restore)."""
-    deadline = host.kernel.now + timeout_us
-    while host.ssd.state is not DevicePowerState.RECOVERING:
-        if host.ssd.state is DevicePowerState.READY:
-            raise StressAuditError(
-                "device reached READY without a recovery window; "
-                "recovery faults need recovery_time_us > 0"
-            )
-        if host.kernel.now >= deadline:
-            raise SimulationError("device never entered recovery")
-        next_time = host.kernel.next_event_time()
-        if next_time is None:
-            raise SimulationError("simulation idle before recovery")
-        host.kernel.run(until=min(next_time, deadline))
+    host.kernel.pump_until(
+        lambda: host.ssd.state in (DevicePowerState.RECOVERING, DevicePowerState.READY),
+        timeout_us,
+        "the recovery window",
+    )
+    if host.ssd.state is DevicePowerState.READY:
+        raise StressAuditError(
+            "device reached READY without a recovery window; "
+            "recovery faults need recovery_time_us > 0"
+        )
 
 
 class _IoWorker:

@@ -36,10 +36,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cache.flush import FlushPolicy
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.host.block_layer import BlockLayer, BlockRequest
 from repro.power.controller import PowerController
 from repro.raid.mirror import MirrorPair
@@ -150,22 +150,14 @@ class CacheTopology:
             seen.setdefault(id(controller), controller)
         return list(seen.values())
 
-    def _pump_until(self, predicate: Callable[[], bool], timeout_us: int) -> None:
-        deadline = self.kernel.now + timeout_us
-        while not predicate():
-            if self.kernel.now >= deadline:
-                raise SimulationError("topology operation timed out")
-            next_event = self.kernel.next_event_time()
-            if next_event is None:
-                raise SimulationError("simulation idle during topology operation")
-            self.kernel.run(until=min(next_event, deadline))
-
     def boot(self, timeout_us: int = 10 * SEC) -> None:
         """Power every domain on and wait for all cache legs."""
         for controller in self._controllers():
             controller.power_on()
-        self._pump_until(
-            lambda: all(leg.ssd.is_ready for leg in self.legs), timeout_us
+        self.kernel.pump_until(
+            lambda: all(leg.ssd.is_ready for leg in self.legs),
+            timeout_us,
+            "every cache leg ready",
         )
 
     def run_for(self, duration_us: int) -> None:
@@ -293,9 +285,10 @@ class CacheTopology:
 
     def wait_dead(self, legs: List[object], timeout_us: int = 3 * SEC) -> None:
         """Run until every faulted leg has browned out."""
-        self._pump_until(
+        self.kernel.pump_until(
             lambda: all(leg.ssd.state is DevicePowerState.DEAD for leg in legs),
             timeout_us,
+            "the faulted cache legs to brown out",
         )
 
     def drain_dead(self, legs: List[object]) -> None:
@@ -307,14 +300,18 @@ class CacheTopology:
         """Power every domain back on and wait for all legs to recover."""
         for controller in self._controllers():
             controller.power_on()
-        self._pump_until(
-            lambda: all(leg.ssd.is_ready for leg in self.legs), timeout_us
+        self.kernel.pump_until(
+            lambda: all(leg.ssd.is_ready for leg in self.legs),
+            timeout_us,
+            "every cache leg ready",
         )
 
     def quiesce(self, timeout_us: int = 10 * SEC) -> None:
         """Wait until every host write and destage batch has resolved."""
-        self._pump_until(
-            lambda: self.in_flight == 0 and self._destage_pending == 0, timeout_us
+        self.kernel.pump_until(
+            lambda: self.in_flight == 0 and self._destage_pending == 0,
+            timeout_us,
+            "host writes and destage batches to resolve",
         )
 
     def unsafe_shutdowns(self) -> int:
@@ -336,7 +333,8 @@ class CacheTopology:
         The reset models the operator's post-incident runbook: surviving
         live pages are reconciled into the backing store (the recovery
         daemon's destage), the dirty ledger is invalidated (caches restart
-        cold after an unclean shutdown), and per-cycle counters clear.
+        cold after an unclean shutdown), per-cycle counters clear, and each
+        leg's blktrace restarts, as the paper re-runs it per injection.
         """
         last_writer: Dict[int, Tuple[int, int]] = {}
         for order, lpn, tokens in self.acked:
@@ -396,6 +394,8 @@ class CacheTopology:
         self.dirty.clear()
         self.io_errors = 0
         self._ack_order = 0
+        for leg in self.legs:
+            leg.tracer.reset()
         return audit
 
 

@@ -114,14 +114,6 @@ class Btt:
         """Requests whose ``completed`` flag is set."""
         return [rid for rid, rec in self.per_io_dump().items() if rec.completed]
 
-    def incomplete_ids(self, now: int) -> List[int]:
-        """Requests that errored, vanished, or exceeded the 30 s rule."""
-        return [
-            rid
-            for rid, rec in self.per_io_dump().items()
-            if rec.errored or rec.delayed(now) or rec.incomplete_at(now)
-        ]
-
     def summary(self, now: int) -> Dict[str, int]:
         """Aggregate counts (btt's bottom table)."""
         records = self.per_io_dump()

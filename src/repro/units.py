@@ -18,11 +18,6 @@ SEC = 1_000 * MSEC
 MINUTE = 60 * SEC
 
 
-def usec(value: float) -> int:
-    """Convert a value expressed in microseconds to clock ticks."""
-    return round(value)
-
-
 def msec(value: float) -> int:
     """Convert a value expressed in milliseconds to clock ticks."""
     return round(value * MSEC)
@@ -66,16 +61,6 @@ def mib(value: float) -> int:
 def gib(value: float) -> int:
     """Convert a value expressed in GiB to bytes."""
     return round(value * GIB)
-
-
-def to_kib(nbytes: int) -> float:
-    """Convert bytes back to (float) KiB."""
-    return nbytes / KIB
-
-
-def to_mib(nbytes: int) -> float:
-    """Convert bytes back to (float) MiB."""
-    return nbytes / MIB
 
 
 def to_gib(nbytes: int) -> float:

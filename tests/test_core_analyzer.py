@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.analyzer import Analyzer, FailureKind
 from repro.host import HostSystem
+from repro.nand.pagestore import STATE_VALID
 from repro.ssd.device import SsdConfig
 from repro.units import GIB, MSEC
 from repro.workload.packet import DataPacket
@@ -32,6 +33,15 @@ def acked_write(host, analyzer, lpn, pages, packet_id):
     assert request.ok
     packet.complete_time = request.complete_time
     return packet
+
+
+def page_holding(host, token):
+    """The PPA of the valid flash page that stores ``token``."""
+    return next(
+        ppa
+        for ppa, state, stored, _, _ in host.ssd.chip.store.iter_entries()
+        if state == STATE_VALID and stored == token
+    )
 
 
 class TestHealthyPath:
@@ -65,13 +75,8 @@ class TestTaxonomy:
         analyzer.verify_cycle(0, [first], [])
         second = acked_write(host, analyzer, 10, 1, 2)
         # Force the rollback the recovery engine would perform on map loss:
-        ppa_first = None
-        # Find the first packet's page still on flash and re-point the map.
-        for ppa, record in host.ssd.chip.pages.items():
-            if record.token == first.token_for(10):
-                ppa_first = ppa
-        assert ppa_first is not None
-        host.ssd.ftl.page_map.bind(10, ppa_first)
+        # find the first packet's page still on flash and re-point the map.
+        host.ssd.ftl.page_map.bind(10, page_holding(host, first.token_for(10)))
         outcome = analyzer.verify_cycle(1, [second], [])
         assert outcome.count(FailureKind.FWA) == 1
         record = outcome.records[0]
@@ -82,7 +87,7 @@ class TestTaxonomy:
         host, analyzer = make_rig()
         packet = acked_write(host, analyzer, 10, 1, 1)
         ppa = host.ssd.ftl.lookup(10)
-        host.ssd.chip.pages[ppa].raw_error_bits = 100_000
+        host.ssd.chip.store.set_error_bits(ppa, 100_000)
         outcome = analyzer.verify_cycle(0, [packet], [])
         assert outcome.count(FailureKind.DATA_FAILURE) == 1
         assert packet.data_failure is True
@@ -119,7 +124,7 @@ class TestTaxonomy:
         packet = acked_write(host, analyzer, 10, 4, 1)
         for offset in range(4):
             ppa = host.ssd.ftl.lookup(10 + offset)
-            host.ssd.chip.pages[ppa].raw_error_bits = 100_000
+            host.ssd.chip.store.set_error_bits(ppa, 100_000)
         outcome = analyzer.verify_cycle(0, [packet], [])
         assert len(outcome.records) == 1  # four bad pages, one failed request
 
@@ -152,12 +157,7 @@ class TestSupersession:
         first = acked_write(host, analyzer, 10, 1, 1)
         second = acked_write(host, analyzer, 10, 1, 2)
         # Roll back to the first write's data (second's map update lost).
-        ppa_first = next(
-            ppa
-            for ppa, rec in host.ssd.chip.pages.items()
-            if rec.token == first.token_for(10)
-        )
-        host.ssd.ftl.page_map.bind(10, ppa_first)
+        host.ssd.ftl.page_map.bind(10, page_holding(host, first.token_for(10)))
         outcome = analyzer.verify_cycle(0, [first, second], [])
         assert len(outcome.records) == 1
         assert outcome.records[0].packet_id == 2

@@ -1,13 +1,16 @@
-"""The docs name only files and commands that exist.
+"""The docs name only files, commands and code that exist.
 
 README.md, DESIGN.md, docs/MODEL.md, EXPERIMENTS.md and the verify recipe
-point readers at repository paths and ``repro`` subcommands.  Every path
-they name under a source directory must exist, and every ``repro WORD``
-they show must be a subcommand of :func:`repro.cli.build_parser`.
+point readers at repository paths, ``repro`` subcommands and package
+names.  Every path they name under a source directory must exist, every
+``repro WORD`` they show must be a subcommand of
+:func:`repro.cli.build_parser`, and every backticked dotted ``repro.…``
+name must import (a module) or resolve by attribute lookup below one.
 CHANGES.md and ROADMAP.md are history, so they are not checked.
 """
 
 import argparse
+import importlib
 import pathlib
 import re
 
@@ -29,6 +32,8 @@ PATH = re.compile(
 COMMAND = re.compile(
     r"(?:`|python3? -m |^\s*(?:[A-Z_]+=\S*\s+)*)repro +([a-z][\w-]*)", re.M
 )
+# `repro.nand.chip.FlashChip`: a module, or a name inside one.
+DOTTED = re.compile(r"`(repro(?:\.\w+)+)`")
 
 
 def path_exists(mention: str) -> bool:
@@ -43,6 +48,22 @@ def path_exists(mention: str) -> bool:
     return source.is_file() and bool(
         re.search(rf"^(?:def|class) {name}\b", source.read_text(), re.M)
     )
+
+
+def name_resolves(dotted: str) -> bool:
+    """Import the longest module prefix of ``dotted``, then getattr the rest."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(target, name):
+                return False
+            target = getattr(target, name)
+        return True
+    return False
 
 
 def subcommands() -> set:
@@ -63,5 +84,9 @@ def test_docs_name_existing_paths_and_subcommands():
         broken += [
             f"{doc}: repro {word}" for word in COMMAND.findall(text)
             if word not in commands
+        ]
+        broken += [
+            f"{doc}: {name}" for name in DOTTED.findall(text)
+            if not name_resolves(name)
         ]
     assert not broken, "\n".join(broken)

@@ -12,6 +12,7 @@ from repro.fs import (
 )
 from repro.ftl import FtlConfig
 from repro.host import HostSystem
+from repro.nand.pagestore import STATE_VALID
 from repro.ssd.command import CommandOp, CommandStatus
 from repro.ssd.device import SsdConfig
 from repro.units import GIB, MSEC
@@ -236,14 +237,14 @@ class TestJournalDamageIntegration:
             ppa = host.ssd.ftl.lookup(block)
             if ppa is None:
                 continue
-            record = host.ssd.chip.pages.get(ppa)
-            if record is None or record.token is None:
+            entry = host.ssd.chip.store.entry(ppa)
+            if entry is None or entry[0] != STATE_VALID:
                 continue
-            payload = fs.cas.bytes_for(record.token)
+            payload = fs.cas.bytes_for(entry[1])
             if payload and b'"victim.txt"' in payload:
                 target_ppa = ppa
         assert target_ppa is not None
-        host.ssd.chip.pages[target_ppa].raw_error_bits = 100_000
+        host.ssd.chip.store.set_error_bits(target_ppa, 100_000)
 
         host.cut_power()
         host.run_for_ms(1500)

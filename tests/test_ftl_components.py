@@ -220,7 +220,7 @@ def tiny_ftl(seed=0, **config_kwargs):
         blocks_per_plane=16,
         pages_per_block=8,
     )
-    chip = FlashChip(k, geometry, rng=random.Random(seed))
+    chip = FlashChip(geometry, rng=random.Random(seed))
     config = FtlConfig(
         gc_low_watermark=3, gc_high_watermark=6, **config_kwargs
     )

@@ -23,7 +23,7 @@ def make_ftl(seed=0, policy="auto", journal_ms=700, blocks=64, pages_per_block=3
         blocks_per_plane=blocks,
         pages_per_block=pages_per_block,
     )
-    chip = FlashChip(k, geometry, rng=random.Random(seed))
+    chip = FlashChip(geometry, rng=random.Random(seed))
     config = FtlConfig(
         mapping_policy=policy,
         journal_commit_interval_us=journal_ms * MSEC,

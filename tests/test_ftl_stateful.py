@@ -33,7 +33,7 @@ class FtlMachine(RuleBasedStateMachine):
             blocks_per_plane=24,
             pages_per_block=8,
         )
-        chip = FlashChip(self.kernel, geometry, rng=random.Random(0))
+        chip = FlashChip(geometry, rng=random.Random(0))
         self.ftl = Ftl(
             self.kernel,
             chip,

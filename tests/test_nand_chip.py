@@ -1,17 +1,17 @@
-"""Tests for the FlashChip state machine, both API layers, and power loss."""
+"""Tests for the FlashChip state machine: programs, programs torn by a power
+fault, paired-page collateral, ECC, and the chip's per-page RNG order."""
 
 import random
 
 import pytest
 
 from repro.errors import AddressError, DeviceUnavailableError, ProtocolError
-from repro.nand import CellKind, CorruptionModel, EccScheme, FlashChip, NandGeometry
+from repro.nand import CorruptionModel, EccScheme, FlashChip, NandGeometry
 from repro.nand.chip import PageState
-from repro.sim import Kernel
+from repro.nand.pagestore import STATE_CORRUPT, STATE_VALID
 
 
-def make_chip(kernel=None, seed=1, **kwargs):
-    kernel = kernel or Kernel()
+def make_chip(seed=1, **kwargs):
     geometry = kwargs.pop(
         "geometry",
         NandGeometry(
@@ -22,182 +22,197 @@ def make_chip(kernel=None, seed=1, **kwargs):
             pages_per_block=16,
         ),
     )
-    chip = FlashChip(kernel, geometry, rng=random.Random(seed), **kwargs)
-    return kernel, chip
+    return FlashChip(geometry, rng=random.Random(seed), **kwargs)
 
 
 class TestImmediateApi:
     def test_commit_and_read(self):
-        _, chip = make_chip()
-        chip.commit_program_now(0, token=42)
+        chip = make_chip()
+        chip.program_pages([0], [42])
         result = chip.read_page(0)
         assert result.ok
         assert result.token == 42
         assert result.state is PageState.VALID
 
     def test_unwritten_page_reads_erased(self):
-        _, chip = make_chip()
+        chip = make_chip()
         result = chip.read_page(5)
         assert result.state is PageState.ERASED
         assert result.token is None
         assert result.correctable
 
     def test_no_in_place_update(self):
-        _, chip = make_chip()
-        chip.commit_program_now(0, token=1)
+        chip = make_chip()
+        chip.program_pages([0], [1])
         with pytest.raises(ProtocolError):
-            chip.commit_program_now(0, token=2)
+            chip.program_pages([0], [2])
 
     def test_erase_then_reprogram(self):
-        _, chip = make_chip()
-        chip.commit_program_now(0, token=1)
+        chip = make_chip()
+        chip.program_pages([0], [1])
         chip.erase_block_now(0)
         assert chip.read_page(0).state is PageState.ERASED
-        chip.commit_program_now(0, token=2)
+        chip.program_pages([0], [2])
         assert chip.read_page(0).token == 2
 
     def test_address_validation(self):
-        _, chip = make_chip()
+        chip = make_chip()
         with pytest.raises(AddressError):
-            chip.commit_program_now(chip.geometry.total_pages, token=1)
+            chip.program_pages([chip.geometry.total_pages], [1])
         with pytest.raises(AddressError):
             chip.read_page(-1)
         with pytest.raises(AddressError):
             chip.erase_block_now(chip.geometry.blocks)
+        with pytest.raises(AddressError):
+            chip.apply_interruption_batch([(chip.geometry.total_pages, 0.5, 1)])
 
     def test_unpowered_rejects_ops(self):
-        _, chip = make_chip()
+        chip = make_chip()
         chip.power_loss()
         with pytest.raises(DeviceUnavailableError):
-            chip.commit_program_now(0, token=1)
+            chip.program_pages([0], [1])
         with pytest.raises(DeviceUnavailableError):
             chip.read_page(0)
         chip.power_on()
-        chip.commit_program_now(0, token=1)
+        chip.program_pages([0], [1])
 
     def test_low_voltage_commit_degrades_quality(self):
-        k, chip = make_chip()
+        chip = make_chip()
         chip.voltage_source = lambda: 3.2
-        chip.commit_program_now(0, token=7)
-        record = chip.page_record(0)
-        assert record.quality < 0.2
-        assert record.raw_error_bits > 20
+        chip.program_pages([0], [7])
+        _, _, raw_error_bits, quality = chip.store.entry(0)
+        assert quality < 0.2
+        assert raw_error_bits > 20
 
+    def test_per_page_volts_set_each_page_quality(self):
+        chip = make_chip()
+        chip.voltage_source = lambda: 3.2
+        chip.program_pages([0, 1, 2], [1, 2, 3], [5.0, 3.2, None])
+        qualities = [chip.store.entry(ppa)[3] for ppa in (0, 1, 2)]
+        assert qualities[0] == 1.0
+        assert qualities[1] < 0.2
+        assert qualities[2] == qualities[1]  # None samples the live rail
 
-class TestEventApi:
-    def test_program_takes_latency_and_completes(self):
-        k, chip = make_chip()
-        done = []
-        chip.begin_program(0, token=9, on_done=lambda op: done.append(k.now))
-        k.run()
-        assert len(done) == 1
-        assert done[0] >= chip.timing.program_us(chip.cell)
-        assert chip.read_page(0).token == 9
-
-    def test_same_die_programs_serialize(self):
-        k, chip = make_chip()
-        done = []
-        # Pages 0 and 1 share die 0.
-        chip.begin_program(0, token=1, on_done=lambda op: done.append((op.ppa, k.now)))
-        chip.begin_program(1, token=2, on_done=lambda op: done.append((op.ppa, k.now)))
-        k.run()
-        assert done[1][1] >= 2 * done[0][1]
-
-    def test_different_die_programs_overlap(self):
-        k, chip = make_chip()
-        done = []
-        other_die_ppa = chip.geometry.first_page_of_block(4)  # die 1 in this geometry
-        assert chip.geometry.die_of(other_die_ppa) != chip.geometry.die_of(0)
-        chip.begin_program(0, token=1, on_done=lambda op: done.append(k.now))
-        chip.begin_program(other_die_ppa, token=2, on_done=lambda op: done.append(k.now))
-        k.run()
-        assert done[0] == done[1]
-
-    def test_erase_event_api(self):
-        k, chip = make_chip()
-        chip.commit_program_now(0, token=1)
-        done = []
-        chip.begin_erase(0, on_done=lambda op: done.append(k.now))
-        k.run()
-        assert done and done[0] >= chip.timing.erase_us
-        assert chip.read_page(0).state is PageState.ERASED
+    def test_failed_page_keeps_the_committed_prefix(self):
+        chip = make_chip()
+        with pytest.raises(ProtocolError):
+            chip.program_pages([0, 1, 0, 2], [1, 2, 3, 4])
+        assert chip.programs_committed == 2
+        assert chip.read_page(1).token == 2
+        assert chip.read_page(2).state is PageState.ERASED
 
 
 class TestPowerLoss:
     def test_inflight_program_interrupted(self):
-        k, chip = make_chip()
-        chip.begin_program(0, token=5)
-        k.run(until=chip.timing.program_us(chip.cell) // 4)
-        report = chip.power_loss()
-        assert report.interrupted_programs == [0]
-        assert not chip.active_programs
-        # With the default model an early interrupt corrupts w.p. 0.85; over
-        # many seeds it must happen at least once — here check determinism:
-        state = PageState.CORRUPT if report.corrupted_pages else PageState.ERASED
-        observed = chip.pages.get(0)
-        if state is PageState.CORRUPT:
-            assert observed is not None and observed.state is PageState.CORRUPT
-        else:
-            assert observed is None
+        # Torn at a quarter of ISPP: the page is destroyed w.p. 0.85, else it
+        # keeps a mostly-erased level.  Both outcomes occur over these seeds.
+        outcomes = set()
+        for seed in range(40):
+            chip = make_chip(seed=seed)
+            report = chip.apply_interruption_batch([(0, 0.25, 5)])
+            entry = chip.store.entry(0)
+            if report.corrupted_pages:
+                assert report.corrupted_pages == [0]
+                assert entry[0] == STATE_CORRUPT
+                assert not chip.read_page(0).ok
+            else:
+                assert entry is None
+                assert chip.read_page(0).state is PageState.ERASED
+            assert chip.programs_committed == 0
+            outcomes.add(bool(report.corrupted_pages))
+        assert outcomes == {True, False}
 
     def test_nearly_done_program_commits_weakly(self):
-        k, chip = make_chip()
+        chip = make_chip()
         chip.voltage_source = lambda: 3.1  # sagging rail at the loss instant
         model = CorruptionModel()
-        duration = chip.timing.program_us(chip.cell)
-        chip.begin_program(0, token=5)
-        k.run(until=round(duration * 0.99))
-        report = chip.power_loss()
-        assert report.interrupted_programs == [0]
-        record = chip.pages.get(0)
-        assert record is not None
-        assert record.state is PageState.VALID
-        assert record.quality < model.program_quality(4.75)
+        report = chip.apply_interruption_batch([(0, 0.99, 5)])
+        assert report.corrupted_pages == []
+        state, token, _, quality = chip.store.entry(0)
+        assert state == STATE_VALID
+        assert token == 5
+        assert quality < model.program_quality(4.75)
+        assert chip.programs_committed == 1
 
     def test_paired_page_collateral_damage(self):
-        # Program the lower page of a wordline, then interrupt the upper page.
-        k, chip = make_chip(seed=3)
-        chip.commit_program_now(6, token=100)  # lower page of MLC wordline 3
-        corrupted_any = False
+        # Program the lower page of a wordline, then tear the upper page.
+        chip = make_chip(seed=3)
+        chip.program_pages([6], [100])  # lower page of MLC wordline 3
         for seed in range(20):
             chip.rng = random.Random(seed)
-            chip.power_on()
-            if chip.pages.get(7) is not None:
-                chip.pages.pop(7)
-            chip.begin_program(7, token=101)
-            k.run(until=k.now + 100)
-            report = chip.power_loss()
+            chip.store.discard(7)
+            report = chip.apply_interruption_batch([(7, 0.1, 101)])
             if 6 in report.collateral_pages:
-                corrupted_any = True
                 break
-        assert corrupted_any
-        assert chip.pages[6].state is PageState.CORRUPT
+        else:
+            pytest.fail("no seed tore the upper page into its lower sibling")
+        assert report.collateral_pages == [6]
+        assert chip.store.state_of(6) == STATE_CORRUPT
+        assert not chip.read_page(6).ok
 
-    def test_interrupted_erase_corrupts_block(self):
-        k, chip = make_chip()
-        chip.commit_program_now(1, token=1)
-        chip.commit_program_now(2, token=2)
-        chip.begin_erase(0)
-        k.run(until=k.now + 100)
-        report = chip.power_loss()
-        assert report.interrupted_erase_blocks == [0]
-        assert set(report.corrupted_pages) == {1, 2}
+    def test_power_loss_keeps_stored_charge(self):
+        chip = make_chip()
+        chip.program_pages([0], [9])
+        chip.power_loss()
+        assert not chip.powered
         chip.power_on()
-        assert not chip.read_page(1).ok
+        assert chip.read_page(0).token == 9
 
-    def test_power_loss_report_damage_count(self):
-        k, chip = make_chip()
-        report = chip.power_loss()
-        assert report.total_damage == 0
+
+class TestRngOrder:
+    """One call over N pages draws exactly what N one-page calls draw, so
+    the flush batch's page grouping cannot move a campaign result."""
+
+    def test_program_pages_matches_one_page_calls(self):
+        batched, single = make_chip(seed=11), make_chip(seed=11)
+        ppas = [0, 1, 2, 3, 17, 18]
+        tokens = [10, 11, 12, 13, 14, 15]
+        volts = [5.0, 4.4, None, 3.6, 4.6, 3.2]
+        for chip in (batched, single):
+            chip.voltage_source = lambda: 4.0
+        batched.program_pages(ppas, tokens, volts)
+        for ppa, token, page_volts in zip(ppas, tokens, volts):
+            single.program_pages([ppa], [token], [page_volts])
+        assert list(batched.store.iter_entries()) == list(single.store.iter_entries())
+        assert batched.rng.getstate() == single.rng.getstate()
+        assert batched.programs_committed == single.programs_committed == len(ppas)
+
+    def test_apply_interruption_batch_matches_one_page_calls(self):
+        batched, single = make_chip(seed=5), make_chip(seed=5)
+        for chip in (batched, single):
+            chip.program_pages([0, 2, 4, 6, 8, 10], [1, 2, 3, 4, 5, 6])
+            chip.voltage_source = lambda: 3.4
+        torn = [
+            (1, 0.05, 21),
+            (3, 0.5, 22),
+            (5, 0.99, 23),
+            (7, 1.0, 24),
+            (9, 0.3, 25),
+            (11, 0.97, 26),
+        ]
+        report = batched.apply_interruption_batch(torn)
+        corrupted, collateral = [], []
+        for item in torn:
+            sub = single.apply_interruption_batch([item])
+            corrupted += sub.corrupted_pages
+            collateral += sub.collateral_pages
+        # The batch exercised every branch: torn, survived, and collateral.
+        assert report.corrupted_pages and report.collateral_pages
+        assert batched.programs_committed > 6
+        assert report.corrupted_pages == corrupted
+        assert report.collateral_pages == collateral
+        assert list(batched.store.iter_entries()) == list(single.store.iter_entries())
+        assert batched.rng.getstate() == single.rng.getstate()
+        assert batched.programs_committed == single.programs_committed
 
 
 class TestEccInteraction:
     def test_weak_page_uncorrectable_under_bch_but_fine_under_ldpc(self):
         # Force a deterministic raw error count between the two budgets.
         for scheme, expect_ok in ((EccScheme.bch(), False), (EccScheme.ldpc(), True)):
-            _, chip = make_chip(ecc=scheme)
-            chip.commit_program_now(0, token=5)
-            chip.pages[0].raw_error_bits = 100  # between 60 (BCH) and 130 (LDPC)
+            chip = make_chip(ecc=scheme)
+            chip.program_pages([0], [5])
+            chip.store.set_error_bits(0, 100)  # between 60 (BCH) and 130 (LDPC)
             result = chip.read_page(0)
             assert result.ok is expect_ok
             if not expect_ok:
@@ -205,8 +220,8 @@ class TestEccInteraction:
                 assert chip.uncorrectable_reads == 1
 
     def test_statistics_counters(self):
-        _, chip = make_chip()
-        chip.commit_program_now(0, token=1)
+        chip = make_chip()
+        chip.program_pages([0], [1])
         chip.read_page(0)
         chip.erase_block_now(0)
         assert chip.programs_committed == 1
@@ -214,8 +229,7 @@ class TestEccInteraction:
         assert chip.erases_committed == 1
 
     def test_counts(self):
-        _, chip = make_chip()
-        chip.commit_program_now(0, token=1)
-        chip.commit_program_now(1, token=2)
+        chip = make_chip()
+        chip.program_pages([0, 1], [1, 2])
         assert chip.written_page_count() == 2
         assert chip.valid_page_count() == 2

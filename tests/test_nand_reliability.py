@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.nand import CellKind, EccScheme, FlashChip, NandGeometry
-from repro.sim import Kernel
 
 
 def make_chip(seed=1, cell=CellKind.MLC, ecc=None):
@@ -17,15 +16,17 @@ def make_chip(seed=1, cell=CellKind.MLC, ecc=None):
         blocks_per_plane=4,
         pages_per_block=16,
     )
-    return FlashChip(
-        Kernel(), geometry, cell=cell, ecc=ecc or EccScheme.bch(), rng=random.Random(seed)
-    )
+    return FlashChip(geometry, cell=cell, ecc=ecc or EccScheme.bch(), rng=random.Random(seed))
+
+
+def error_bits(chip, ppa):
+    return chip.store.entry(ppa)[2]
 
 
 class TestReadDisturb:
     def test_block_read_counting(self):
         chip = make_chip()
-        chip.commit_program_now(0, token=1)
+        chip.program_pages([0], [1])
         for _ in range(5):
             chip.read_page(0)
         assert chip.block_read_count(0) == 5
@@ -34,20 +35,18 @@ class TestReadDisturb:
     def test_disturb_event_raises_error_bits(self):
         chip = make_chip()
         chip.READ_DISTURB_INTERVAL = 100  # accelerate for the test
-        for ppa in range(8):
-            chip.commit_program_now(ppa, token=ppa + 1)
-        baseline = sum(chip.pages[p].raw_error_bits for p in range(8))
+        chip.program_pages(range(8), range(1, 9))
+        baseline = sum(error_bits(chip, p) for p in range(8))
         for _ in range(1000):
             chip.read_page(0)
-        after = sum(chip.pages[p].raw_error_bits for p in range(8))
+        after = sum(error_bits(chip, p) for p in range(8))
         assert chip.disturb_events > 0
         assert after > baseline
 
     def test_heavy_read_disturb_eventually_uncorrectable(self):
         chip = make_chip(cell=CellKind.TLC, ecc=EccScheme.bch())
         chip.READ_DISTURB_INTERVAL = 10
-        for ppa in range(16):
-            chip.commit_program_now(ppa, token=ppa + 1)
+        chip.program_pages(range(16), range(1, 17))
         for _ in range(5000):
             chip.read_page(3)
         results = [chip.read_page(p) for p in range(16)]
@@ -64,28 +63,28 @@ class TestReadDisturb:
 class TestRetention:
     def test_fresh_pages_survive_short_retention(self):
         chip = make_chip()
-        chip.commit_program_now(0, token=1)
+        chip.program_pages([0], [1])
         assert chip.age_retention(24.0) == 0
         assert chip.read_page(0).ok
 
     def test_long_retention_grows_errors(self):
         chip = make_chip(cell=CellKind.TLC)
-        chip.commit_program_now(0, token=1)
-        before = chip.pages[0].raw_error_bits
+        chip.program_pages([0], [1])
+        before = error_bits(chip, 0)
         chip.age_retention(1000.0)
-        assert chip.pages[0].raw_error_bits > before
+        assert error_bits(chip, 0) > before
 
     def test_marginal_pages_decay_much_faster(self):
         chip = make_chip()
         chip.voltage_source = lambda: 5.0
-        chip.commit_program_now(0, token=1)
+        chip.program_pages([0], [1])
         chip.voltage_source = lambda: 3.6  # sagging-rail program
-        chip.commit_program_now(1, token=2)
-        healthy_before = chip.pages[0].raw_error_bits
-        weak_before = chip.pages[1].raw_error_bits
+        chip.program_pages([1], [2])
+        healthy_before = error_bits(chip, 0)
+        weak_before = error_bits(chip, 1)
         chip.age_retention(100.0)
-        healthy_growth = chip.pages[0].raw_error_bits - healthy_before
-        weak_growth = chip.pages[1].raw_error_bits - weak_before
+        healthy_growth = error_bits(chip, 0) - healthy_before
+        weak_growth = error_bits(chip, 1) - weak_before
         assert weak_growth > 3 * healthy_growth
 
     def test_delayed_failure_of_discharge_window_data(self):
@@ -95,7 +94,7 @@ class TestRetention:
         chip.voltage_source = lambda: 4.4  # mild sag: survives BCH today
         found = None
         for ppa in range(16):
-            chip.commit_program_now(ppa, token=ppa + 1)
+            chip.program_pages([ppa], [ppa + 1])
             if chip.read_page(ppa).ok:
                 found = ppa
                 break
@@ -111,6 +110,6 @@ class TestRetention:
 
     def test_aging_reports_transitions_only(self):
         chip = make_chip()
-        chip.commit_program_now(0, token=1)
-        chip.pages[0].raw_error_bits = 10_000  # already dead
+        chip.program_pages([0], [1])
+        chip.store.set_error_bits(0, 10_000)  # already dead
         assert chip.age_retention(10.0) == 0

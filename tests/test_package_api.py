@@ -69,14 +69,16 @@ class TestEngineAnnotations:
 
 DOCTEST_MODULES = [
     "repro.sim.kernel",
-    "repro.sim.resources",
+    "repro.sim.process",
     "repro.power.psu",
+    "repro.nand.chip",
     "repro.nand.geometry",
     "repro.nand.cell",
     "repro.nand.ecc",
     "repro.nand.threshold",
     "repro.engine.plan",
     "repro.engine.executors",
+    "repro.ftl.ftl",
     "repro.ftl.mapping",
     "repro.ftl.extent_mapping",
     "repro.ftl.wear",

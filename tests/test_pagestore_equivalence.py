@@ -80,19 +80,6 @@ class NaiveStore:
         for ppa in self._block_range(block):
             self.pages.pop(ppa, None)
 
-    def corrupt_valid_in_block(self, block: int) -> List[int]:
-        victims = [
-            ppa for ppa in self._block_range(block) if self.state_of(ppa) == STATE_VALID
-        ]
-        for ppa in victims:
-            self.corrupt(ppa)
-        return victims
-
-    def scan_valid(self, block: int) -> List[int]:
-        return [
-            ppa for ppa in self._block_range(block) if self.state_of(ppa) == STATE_VALID
-        ]
-
     def iter_entries(self):
         for ppa in sorted(self.pages):
             yield (ppa, *self.pages[ppa])
@@ -145,8 +132,6 @@ _op = st.one_of(
     st.tuples(st.just("set_error_bits"), _ppa, _err),
     st.tuples(st.just("discard"), _ppa),
     st.tuples(st.just("erase_block"), _block),
-    st.tuples(st.just("corrupt_valid_in_block"), _block),
-    st.tuples(st.just("scan_valid"), _block),
     st.tuples(st.just("age_retention"), st.floats(min_value=0.0, max_value=50.0)),
 )
 
@@ -208,11 +193,3 @@ class TestPropertyEquivalence:
         assert _counters(store) == (0, 0, 0)
         assert store.entry(3) is None
         assert not store._chunks  # lazily-allocated chunk must be released
-
-    def test_scan_and_corrupt_orderings_are_ascending(self):
-        store = ArrayPageStore(_TINY)
-        for ppa in (7, 2, 5):
-            store.program(ppa, token=1, err=0, quality=1.0)
-        assert store.scan_valid(0) == [2, 5, 7]
-        assert store.corrupt_valid_in_block(0) == [2, 5, 7]
-        assert store.scan_valid(0) == []

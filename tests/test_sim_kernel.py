@@ -143,6 +143,39 @@ class TestRunControl:
             k.run()
 
 
+class TestPumpUntil:
+    def test_stops_at_the_event_that_satisfies_the_predicate(self):
+        k = Kernel()
+        fired = []
+        for t in (10, 20, 30):
+            k.schedule(t, fired.append, t)
+        k.pump_until(lambda: 20 in fired, 1_000, "t=20")
+        assert fired == [10, 20]
+        assert k.now == 20
+
+    def test_returns_at_once_when_already_done(self):
+        k = Kernel()
+        k.schedule(5, lambda: None)
+        k.pump_until(lambda: True, 0, "nothing")
+        assert k.now == 0
+        assert k.pending_count() == 1
+
+    def test_deadline_raises_at_the_deadline(self):
+        k = Kernel()
+        k.schedule(500, lambda: None)
+        with pytest.raises(SimulationError, match="timed out waiting for the flag"):
+            k.pump_until(lambda: False, 100, "the flag")
+        assert k.now == 100
+
+    def test_idle_heap_raises_the_given_error(self):
+        class IoFailed(Exception):
+            pass
+
+        k = Kernel()
+        with pytest.raises(IoFailed, match="went idle waiting for the read"):
+            k.pump_until(lambda: False, 100, "the read", IoFailed)
+
+
 class TestIntrospection:
     def test_pending_count_excludes_cancelled(self):
         k = Kernel()

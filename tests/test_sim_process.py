@@ -1,10 +1,9 @@
-"""Tests for generator-based processes, signals, and interruption."""
+"""Tests for generator-based processes, signals, and killing a process."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Kernel, Process, Signal, Timeout
-from repro.sim.process import TIMED_OUT, Interrupted, all_of
+from repro.sim import Kernel, Process, Signal
 
 
 class TestBasicProcess:
@@ -75,7 +74,7 @@ class TestBasicProcess:
 class TestSignals:
     def test_signal_wakes_all_waiters(self):
         k = Kernel()
-        sig = Signal(k, "go")
+        sig = Signal("go")
         woken = []
 
         def waiter(tag):
@@ -90,7 +89,7 @@ class TestSignals:
 
     def test_fire_returns_waiter_count(self):
         k = Kernel()
-        sig = Signal(k)
+        sig = Signal()
 
         def waiter():
             yield sig
@@ -102,88 +101,11 @@ class TestSignals:
         assert sig.waiter_count() == 0
 
     def test_fire_with_no_waiters_is_noop(self):
-        k = Kernel()
-        sig = Signal(k)
+        sig = Signal()
         assert sig.fire() == 0
 
 
-class TestTimeout:
-    def test_timeout_wins_when_signal_silent(self):
-        k = Kernel()
-        sig = Signal(k)
-        out = []
-
-        def waiter():
-            result = yield Timeout(sig, 100)
-            out.append((result is TIMED_OUT, k.now))
-
-        Process(k, waiter())
-        k.run()
-        assert out == [(True, 100)]
-
-    def test_signal_wins_when_fired_first(self):
-        k = Kernel()
-        sig = Signal(k)
-        out = []
-
-        def waiter():
-            result = yield Timeout(sig, 100)
-            out.append((result, k.now))
-
-        Process(k, waiter())
-        k.schedule(30, sig.fire, "early")
-        k.run()
-        assert out == [("early", 30)]
-        # The timeout deadline must not wake the process a second time.
-        assert k.pending_count() == 0 or all(
-            e.cancelled for e in k._heap if not e.fired
-        )
-
-
 class TestInterruption:
-    def test_interrupt_raises_inside_generator(self):
-        k = Kernel()
-        seen = []
-
-        def worker():
-            try:
-                yield 1_000
-            except Interrupted as exc:
-                seen.append(exc.cause)
-
-        p = Process(k, worker())
-        k.schedule(100, p.interrupt, "power-loss")
-        k.run()
-        assert seen == ["power-loss"]
-        assert not p.alive
-
-    def test_interrupt_can_be_survived(self):
-        k = Kernel()
-        log = []
-
-        def worker():
-            try:
-                yield 1_000
-            except Interrupted:
-                log.append(("interrupted", k.now))
-            yield 50
-            log.append(("resumed", k.now))
-
-        p = Process(k, worker())
-        k.schedule(100, p.interrupt)
-        k.run()
-        assert log == [("interrupted", 100), ("resumed", 150)]
-
-    def test_interrupt_dead_process_returns_false(self):
-        k = Kernel()
-
-        def worker():
-            yield 1
-
-        p = Process(k, worker())
-        k.run()
-        assert p.interrupt() is False
-
     def test_kill_stops_without_running_body(self):
         k = Kernel()
         log = []
@@ -199,35 +121,20 @@ class TestInterruption:
         assert log == []
         assert not p.alive
 
-
-class TestAllOf:
-    def test_gate_fires_after_last(self):
+    def test_kill_unparks_a_signal_waiter(self):
         k = Kernel()
+        sig = Signal()
+        log = []
 
-        def worker(delay):
-            yield delay
+        def worker():
+            yield sig
+            log.append("never")
 
-        procs = [Process(k, worker(d)) for d in (10, 50, 30)]
-        gate = all_of(k, procs)
-        fired_at = []
-
-        def waiter():
-            yield gate
-            fired_at.append(k.now)
-
-        Process(k, waiter())
+        p = Process(k, worker())
         k.run()
-        assert fired_at == [50]
-
-    def test_gate_with_no_processes_fires_immediately(self):
-        k = Kernel()
-        gate = all_of(k, [])
-        fired = []
-
-        def waiter():
-            yield gate
-            fired.append(k.now)
-
-        Process(k, waiter())
-        k.run()
-        assert fired == [0]
+        assert sig.waiter_count() == 1
+        p.kill()
+        assert sig.waiter_count() == 0
+        assert sig.fire() == 0
+        assert log == []
+        assert not p.alive

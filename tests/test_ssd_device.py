@@ -7,6 +7,7 @@ import pytest
 from repro.cache import FlushPolicy, SupercapBackup
 from repro.errors import ConfigurationError, ProtocolError
 from repro.ftl import FtlConfig
+from repro.nand.pagestore import STATE_VALID
 from repro.power import AtxPsu, PowerController
 from repro.rand import RandomStreams
 from repro.sim import Kernel
@@ -273,7 +274,11 @@ class TestPowerFault:
             submit_write(ssd, i * 4, [i + 1] * 2, results)
         k.run(until=k.now + 5 * MSEC)
         self.fault(k, pc, ssd)
-        qualities = [rec.quality for rec in ssd.chip.pages.values() if rec.token != 0]
+        qualities = [
+            quality
+            for _, state, token, _, quality in ssd.chip.store.iter_entries()
+            if state == STATE_VALID and token != 0
+        ]
         assert qualities, "some pages must have been flushed"
         assert min(qualities) < 1.0, "pages flushed on the sagging rail are marginal"
 
@@ -351,5 +356,5 @@ class TestPeek:
         submit_write(ssd, 10, [5], results)
         k.run(until=k.now + 300 * MSEC)
         ppa = ssd.ftl.lookup(10)
-        ssd.chip.pages[ppa].raw_error_bits = 10_000  # beyond any ECC budget
+        ssd.chip.store.set_error_bits(ppa, 10_000)  # beyond any ECC budget
         assert ssd.peek(10) == CORRUPT_TOKEN

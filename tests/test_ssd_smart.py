@@ -76,7 +76,7 @@ class TestSmartLog:
         host.write(0, [1])
         host.run_for_ms(300)
         ppa = host.ssd.ftl.lookup(0)
-        host.ssd.chip.pages[ppa].raw_error_bits = 100_000
+        host.ssd.chip.store.set_error_bits(ppa, 100_000)
         host.ssd.peek(0)
         log = host.ssd.smart_log()
         assert log.value(smart.REPORTED_UNCORRECTABLE) >= 1

@@ -272,6 +272,18 @@ class TestAudit:
         assert audit.intact + audit.recovered + audit.lost == audit.acked
         assert topo.acked == [] and topo.dirty == {} and topo.io_errors == 0
 
+    @pytest.mark.parametrize("mirror_cache", [False, True])
+    def test_audit_resets_every_leg_tracer(self, mirror_cache):
+        # blktrace restarts per injection: a shard's legs must not carry
+        # every earlier cycle's trace events.
+        topo = make_topology(policy="wt", mirror_cache=mirror_cache, shared_power=True)
+        for cycle in range(2):
+            topo.submit_host_write(10, topo.alloc_tokens(2))
+            topo.quiesce()
+            assert all(leg.tracer.event_count > 0 for leg in topo.legs)
+            fault_cycle(topo, campaign_cycle=cycle)
+            assert [leg.tracer.event_count for leg in topo.legs] == [0] * len(topo.legs)
+
 
 def topo_spec(**overrides):
     defaults = dict(
