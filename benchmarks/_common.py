@@ -23,12 +23,11 @@ unchanged.  ``REPRO_BENCH_WORKERS=HOST:PORT`` instead serves shards to
 ``repro worker`` processes over TCP (see :func:`bench_listen`) — same
 numbers, other people's machines.
 
-Fault tolerance: campaigns run under the engine's shard supervisor.
-``REPRO_BENCH_MAX_RETRIES`` bounds per-shard retries (default 2),
-``REPRO_BENCH_SHARD_TIMEOUT`` (seconds) arms the wedged-worker timeout,
-and ``REPRO_BENCH_CHECKPOINT`` names a directory of per-campaign shard
-journals so a killed paper-scale sweep resumes instead of restarting —
-none of these affect result numbers (retried shards are deterministic).
+Fault tolerance: campaigns run under the engine's shard supervisor with
+its default retry budget, and ``REPRO_BENCH_CHECKPOINT`` names a
+directory of per-campaign shard journals so a killed paper-scale sweep
+resumes instead of restarting — neither affects result numbers (retried
+shards are deterministic).
 
 Profiling: ``REPRO_BENCH_TRACE`` names a directory of per-campaign
 telemetry traces (``<dir>/<label-slug>.trace.jsonl``, one JSONL record
@@ -80,17 +79,6 @@ def bench_listen() -> Optional[str]:
     borrow machines without changing a single number.
     """
     return os.environ.get("REPRO_BENCH_WORKERS") or None
-
-
-def bench_shard_timeout() -> Optional[float]:
-    """Per-shard timeout in seconds (``REPRO_BENCH_SHARD_TIMEOUT``, off by default)."""
-    raw = os.environ.get("REPRO_BENCH_SHARD_TIMEOUT")
-    return float(raw) if raw else None
-
-
-def bench_max_retries() -> int:
-    """Retry budget per shard (``REPRO_BENCH_MAX_RETRIES``, default 2)."""
-    return max(0, int(os.environ.get("REPRO_BENCH_MAX_RETRIES", "2")))
 
 
 def bench_checkpoint_dir() -> Optional[str]:
@@ -186,9 +174,9 @@ def run_engine_plan(plan: CampaignPlan, jobs: Optional[int] = None) -> CampaignR
     """Run any engine plan under the bench environment knobs.
 
     Works for :class:`CampaignPlan` and its subclasses (the stress
-    harness's ``DirtyCyclePlan`` runs through here unchanged): checkpoint,
-    trace, retry, timeout, and distributed-worker env vars all apply, and
-    none of them affect result numbers.
+    harness's ``DirtyCyclePlan`` runs through here unchanged): the
+    checkpoint, trace and distributed-worker env vars all apply, and none
+    of them affect result numbers.
     """
     jobs = bench_jobs() if jobs is None else max(1, jobs)
     checkpoint = _checkpoint_path(plan.label)
@@ -203,8 +191,6 @@ def run_engine_plan(plan: CampaignPlan, jobs: Optional[int] = None) -> CampaignR
             progress=tracer,
             checkpoint=checkpoint,
             resume=checkpoint is not None,
-            max_retries=bench_max_retries(),
-            shard_timeout_s=bench_shard_timeout(),
             listen=bench_listen(),
         )
     finally:

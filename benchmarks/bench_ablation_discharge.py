@@ -22,7 +22,7 @@ from _common import (
 )
 
 from repro.analysis import ascii_table
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import Campaign
 from repro.core.platform import TestPlatform
 from repro.power import AtxPsu, InstantCutoffPsu
 from repro.units import GIB
@@ -34,7 +34,7 @@ def run_with_psu(psu_cls, faults, seed):
     platform = TestPlatform(
         spec, seed=seed, psu_factory=lambda kernel: psu_cls(kernel)
     )
-    result = Campaign(platform, CampaignConfig(faults=faults)).run(psu_cls.__name__)
+    result = Campaign(platform, faults=faults).run(psu_cls.__name__)
     dirty_lost = sum(c.dirty_pages_lost for c in result.cycles)
     return result, dirty_lost
 

@@ -17,7 +17,7 @@ Run:
 
 import dataclasses
 
-from repro import Campaign, CampaignConfig, TestPlatform, WorkloadSpec
+from repro import Campaign, TestPlatform, WorkloadSpec
 from repro.analysis import ascii_table
 from repro.cache import SupercapBackup
 from repro.ssd import models
@@ -36,7 +36,7 @@ def main() -> None:
     rows = []
     for index, (name, config) in enumerate(variants.items()):
         platform = TestPlatform(spec, config=config, seed=4000 + index)
-        result = Campaign(platform, CampaignConfig(faults=6)).run(name)
+        result = Campaign(platform, faults=6).run(name)
         saved = sum(c.supercap_pages_saved for c in result.cycles)
         rows.append(
             [

@@ -10,10 +10,10 @@ IO Generator / Analyzer software stack.
 
 Quick start::
 
-    from repro import Campaign, CampaignConfig, TestPlatform, WorkloadSpec
+    from repro import Campaign, TestPlatform, WorkloadSpec
 
     platform = TestPlatform(WorkloadSpec(read_fraction=0.0), seed=7)
-    result = Campaign(platform, CampaignConfig(faults=10)).run()
+    result = Campaign(platform, faults=10).run()
     print(result.summary())
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
@@ -21,7 +21,7 @@ paper-vs-measured record of every reproduced table and figure.
 """
 
 from repro.core.analyzer import Analyzer, FailureKind, FailureRecord
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import Campaign
 from repro.core.platform import TestPlatform
 from repro.core.results import CampaignResult, FaultCycleResult
 from repro.core.scheduler import FaultScheduler
@@ -44,7 +44,6 @@ __all__ = [
     "Analyzer",
     "AtxPsu",
     "Campaign",
-    "CampaignConfig",
     "CampaignPlan",
     "CampaignResult",
     "DischargeProfile",

@@ -29,6 +29,7 @@ from repro.apps.base import AppRecorder, AppWorkload
 from repro.apps.hpc import CheckpointLoop
 from repro.apps.kv import KvStore
 from repro.apps.wal import WalDatabase
+from repro.core import calibration
 from repro.core.results import CampaignResult, FaultCycleResult
 from repro.engine.plan import CampaignPlan, ShardSpec, derive_shard_seed
 from repro.errors import CampaignError, ReproError
@@ -171,9 +172,8 @@ def run_app_cycle(
     host = HostSystem(
         config=plan.device,
         seed=derive_shard_seed(shard_seed, local_index + 1),
-        max_segment_pages=plan.max_segment_pages,
     )
-    host.boot(plan.ready_timeout_us)
+    host.boot(calibration.READY_TIMEOUT_US)
     fs = FileSystem(host, journal_blocks=plan.journal_blocks)
     fs.format()
 
@@ -190,9 +190,9 @@ def run_app_cycle(
         if host.kernel.now < fault_at:
             raise  # a real failure before the fault ever fired
     host.wait_until_dead()
-    host.run_for(plan.settle_us)
+    host.run_for(calibration.RECOVERY_SETTLE_US)
     host.restore_power()
-    host.wait_until_ready(plan.ready_timeout_us)
+    host.wait_until_ready(calibration.READY_TIMEOUT_US)
 
     # The app's recovery sees only what survived on the device: a fresh
     # filesystem object (no volatile state carried over) sharing the CAS.

@@ -30,11 +30,13 @@ class CacheEntry:
 
 
 class WriteCache:
-    """FIFO write-back buffer with coalescing and explicit capacity.
+    """FIFO write-back buffer with coalescing.
+
+    The device bounds it: ``FlushPolicy.max_dirty_pages`` stalls admission.
 
     Example
     -------
-    >>> cache = WriteCache(capacity_pages=8)
+    >>> cache = WriteCache()
     >>> cache.insert(5, token=1, now=0)
     False
     >>> cache.insert(5, token=2, now=10)   # WAW coalesce
@@ -45,10 +47,7 @@ class WriteCache:
     2
     """
 
-    def __init__(self, capacity_pages: int) -> None:
-        if capacity_pages <= 0:
-            raise ConfigurationError("cache capacity must be positive")
-        self.capacity_pages = capacity_pages
+    def __init__(self) -> None:
         self._entries: "OrderedDict[int, CacheEntry]" = OrderedDict()
         # Statistics.
         self.inserts = 0
@@ -76,10 +75,6 @@ class WriteCache:
         if len(self._entries) > self.peak_dirty:
             self.peak_dirty = len(self._entries)
         return False
-
-    def has_space(self, pages: int = 1) -> bool:
-        """True when ``pages`` more dirty pages fit under the capacity."""
-        return len(self._entries) + pages <= self.capacity_pages
 
     # -- flush path --------------------------------------------------------------------
 

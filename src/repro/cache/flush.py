@@ -26,16 +26,11 @@ from repro.units import MSEC
 
 @dataclass(frozen=True)
 class FlushPolicy:
-    """Write-back flusher configuration.
-
-    ``write_through`` models the paper's cache-disabled experiments: every
-    write is acknowledged only after its pages are durable in flash.
-    """
+    """Write-back flusher configuration."""
 
     batch_pages: int = 64
     linger_us: int = 2 * MSEC
     max_dirty_pages: int = 256
-    write_through: bool = False
 
     def __post_init__(self) -> None:
         if self.batch_pages <= 0:

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from repro.analysis import ascii_table
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import Campaign
 from repro.core.experiment import run_discharge_capture, run_post_ack_sweep
 from repro.core.platform import TestPlatform
 from repro.engine import (
@@ -40,6 +40,7 @@ from repro.engine import (
     DEFAULT_SHARD_FAULTS,
     fanout_hooks,
     format_eta,
+    RetryPolicy,
     run_plan,
     TraceWriter,
 )
@@ -49,6 +50,7 @@ from repro.errors import (
     CheckpointError,
     EngineTraceError,
     ReproError,
+    TraceError,
 )
 from repro.ssd import models
 from repro.units import GIB, KIB
@@ -782,7 +784,7 @@ def _engine_kwargs(args: argparse.Namespace) -> dict:
         "jobs": args.jobs,
         "checkpoint": args.checkpoint,
         "resume": args.resume,
-        "max_retries": args.max_retries,
+        "retry_policy": RetryPolicy(max_retries=args.max_retries),
         "shard_timeout_s": args.shard_timeout,
         "quarantine": True,
         "listen": args.listen,
@@ -907,7 +909,7 @@ def _cmd_smart(args: argparse.Namespace) -> int:
     config = models.by_name(args.device)
     spec = WorkloadSpec(wss_bytes=8 * GIB, read_fraction=0.0, outstanding=16)
     platform = TestPlatform(spec, config=config, seed=args.seed)
-    Campaign(platform, CampaignConfig(faults=args.faults)).run()
+    Campaign(platform, faults=args.faults).run()
     log = platform.ssd.smart_log()
     if args.json:
         print(json.dumps(log.as_dict(), indent=2, sort_keys=True))
@@ -1140,7 +1142,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if args.blkparse:
         trace = parse_blkparse(path.read_text().splitlines())
     else:
-        trace = WorkloadTrace.load(path)
+        try:
+            trace = WorkloadTrace.load(path)
+        except TraceError as exc:
+            return _usage_error(exc)
     if not len(trace):
         print("trace contains no replayable requests", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ Maps one-to-one onto Fig. 1 of the paper:
 """
 
 from repro.core.analyzer import Analyzer, FailureKind, FailureRecord
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import Campaign
 from repro.core.fleet import merge_by_model, plan_fleet, rank_by_loss, run_fleet
 from repro.core.ledger_io import check_ledger, load_ledger, save_ledger
 from repro.core.platform import TestPlatform
@@ -28,7 +28,6 @@ from repro.core.scheduler import FaultScheduler
 __all__ = [
     "Analyzer",
     "Campaign",
-    "CampaignConfig",
     "CampaignResult",
     "FailureKind",
     "FailureRecord",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.units import MSEC
+from repro.units import MSEC, SEC
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ ANCHORS: Dict[str, Anchor] = {
         30,
         "s",
         "§III-B: '30 seconds timeout for delayed requests'",
-        "repro.trace.btt.DELAYED_REQUEST_TIMEOUT_US / BlockLayer.timeout_us",
+        "repro.trace.btt.DELAYED_REQUEST_TIMEOUT_US (Btt and BlockLayer)",
     ),
     "unsafe_shutdowns_per_dirty_cycle": Anchor(
         1,
@@ -130,6 +130,9 @@ CYCLE_MAX_US = 1_500 * MSEC
 
 RECOVERY_SETTLE_US = 1_000 * MSEC
 """Rail-discharge settle time before power is restored (paper: 900 ms+)."""
+
+READY_TIMEOUT_US = 10 * SEC
+"""Deadline for a device to come READY once power is restored."""
 
 PAPER_FAULTS = {
     "fig5_request_type": 300,

@@ -18,7 +18,6 @@ population), which is why ``calibration.CYCLE_MIN_US`` exceeds the interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.core import calibration
@@ -26,44 +25,28 @@ from repro.core.analyzer import FailureKind
 from repro.core.platform import TestPlatform
 from repro.core.results import CampaignResult, FaultCycleResult
 from repro.errors import CampaignError
-from repro.units import MSEC, SEC
-
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    """Shape of a campaign.
-
-    ``faults`` is the number of injection cycles; the fault instant within
-    each cycle is drawn uniformly from the Scheduler's window.
-    """
-
-    faults: int = 20
-    settle_us: int = calibration.RECOVERY_SETTLE_US
-    ready_timeout_us: int = 10 * SEC
-    warmup_us: int = 200 * MSEC
-
-    def __post_init__(self) -> None:
-        if self.faults <= 0:
-            raise CampaignError("campaign needs at least one fault")
-        if self.settle_us < 0 or self.warmup_us < 0:
-            raise CampaignError("negative campaign timing")
 
 
 class Campaign:
-    """Runs injection cycles against a :class:`TestPlatform`.
+    """Runs ``faults`` injection cycles against a :class:`TestPlatform`.
+
+    The fault instant within each cycle is drawn uniformly from the
+    Scheduler's window.
 
     Example
     -------
     See ``examples/quickstart.py`` and the benches; minimal use::
 
         platform = TestPlatform(WorkloadSpec(), seed=3)
-        result = Campaign(platform, CampaignConfig(faults=5)).run()
+        result = Campaign(platform, faults=5).run()
         print(result.summary())
     """
 
-    def __init__(self, platform: TestPlatform, config: Optional[CampaignConfig] = None) -> None:
+    def __init__(self, platform: TestPlatform, faults: int = 20) -> None:
+        if faults <= 0:
+            raise CampaignError("campaign needs at least one fault")
         self.platform = platform
-        self.config = config or CampaignConfig()
+        self.faults = faults
         self._traffic_time = 0
 
     def run(self, label: Optional[str] = None) -> CampaignResult:
@@ -73,7 +56,7 @@ class Campaign:
         result = CampaignResult(label=label or platform.describe())
         platform.boot()
         self._traffic_time = 0
-        for cycle_index in range(self.config.faults):
+        for cycle_index in range(self.faults):
             result.add_cycle(self._run_cycle(cycle_index))
         result.requests_issued = platform.generator.issued
         result.traffic_time_us = self._traffic_time
@@ -97,11 +80,11 @@ class Campaign:
         fault_time = scheduler.inject_now()
         host.wait_until_dead()
         generator.stop()
-        host.run_for(self.config.settle_us)
+        host.run_for(calibration.RECOVERY_SETTLE_US)
 
         # 3. Restore and recover.
         host.restore_power()
-        host.wait_until_ready(self.config.ready_timeout_us)
+        host.wait_until_ready(calibration.READY_TIMEOUT_US)
 
         # 4. Verification.
         writes, reads, failed = generator.drain_ledgers()

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.core.campaign import CampaignConfig
 from repro.core.results import CampaignResult
 from repro.errors import CampaignError
 from repro.ssd.device import SsdConfig
@@ -29,7 +28,6 @@ def plan_fleet(
     spec: WorkloadSpec,
     faults: int,
     base_seed: int = 0,
-    campaign_config: Optional[CampaignConfig] = None,
     shard_faults: Optional[int] = None,
 ) -> list:
     """One :class:`CampaignPlan` per device, identical workload, disjoint seeds.
@@ -45,16 +43,6 @@ def plan_fleet(
         raise CampaignError("fleet needs at least one device")
     if faults <= 0:
         raise CampaignError("fleet needs a positive fault budget")
-    timing = {}
-    if campaign_config is not None:
-        # A full CampaignConfig overrides the bare fault budget, as the
-        # legacy run_fleet signature did.
-        faults = campaign_config.faults
-        timing = {
-            "settle_us": campaign_config.settle_us,
-            "ready_timeout_us": campaign_config.ready_timeout_us,
-            "warmup_us": campaign_config.warmup_us,
-        }
     return [
         CampaignPlan(
             spec=spec,
@@ -63,7 +51,6 @@ def plan_fleet(
             base_seed=base_seed + index * FLEET_SEED_STRIDE,
             label=name,
             shard_faults=shard_faults,
-            **timing,
         )
         for index, (name, config) in enumerate(sorted(configs.items()))
     ]
@@ -74,13 +61,12 @@ def run_fleet(
     spec: WorkloadSpec,
     faults: int,
     base_seed: int = 0,
-    campaign_config: Optional[CampaignConfig] = None,
     progress: Optional[Callable[[str, CampaignResult], None]] = None,
     jobs: Optional[int] = None,
     shard_faults: Optional[int] = None,
     checkpoint=None,
     resume: bool = False,
-    max_retries: Optional[int] = None,
+    retry_policy=None,
     shard_timeout_s: Optional[float] = None,
     quarantine: bool = False,
     engine_progress=None,
@@ -101,7 +87,7 @@ def run_fleet(
     Fault tolerance: ``checkpoint``/``resume`` journal the whole fleet in
     one write-ahead file (records are keyed per plan, so a resumed fleet
     skips exactly the devices/shards that already committed);
-    ``max_retries``/``shard_timeout_s``/``quarantine`` configure the
+    ``retry_policy``/``shard_timeout_s``/``quarantine`` configure the
     engine's retries — with quarantine on, a poisoned shard degrades one
     device's result (see ``result.execution``) instead of killing the
     whole fleet.
@@ -118,7 +104,6 @@ def run_fleet(
         spec,
         faults,
         base_seed=base_seed,
-        campaign_config=campaign_config,
         shard_faults=shard_faults,
     )
     results: Dict[str, CampaignResult] = {}
@@ -136,7 +121,7 @@ def run_fleet(
         on_plan_done=_plan_done,
         checkpoint=checkpoint,
         resume=resume,
-        max_retries=max_retries,
+        retry_policy=retry_policy,
         shard_timeout_s=shard_timeout_s,
         quarantine=quarantine,
         listen=listen,

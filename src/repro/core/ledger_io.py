@@ -73,7 +73,12 @@ def save_ledger(packets: Iterable[DataPacket], path: Union[str, Path]) -> int:
 
 
 def load_ledger(path: Union[str, Path]) -> List[DataPacket]:
-    """Read a JSON-lines ledger back into packets."""
+    """Read a JSON-lines ledger back into packets.
+
+    A line that is not a JSON record of this format with every field
+    raises :class:`~repro.errors.CampaignError` naming the file and the
+    line.
+    """
     path = Path(path)
     packets: List[DataPacket] = []
     with path.open("r", encoding="utf-8") as handle:
@@ -82,12 +87,12 @@ def load_ledger(path: Union[str, Path]) -> List[DataPacket]:
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
+                packets.append(record_to_packet(json.loads(line)))
+            except (ValueError, KeyError, TypeError, CampaignError) as exc:
                 raise CampaignError(
-                    f"{path}:{line_number}: corrupt ledger line: {exc}"
+                    f"{path}:{line_number}: corrupt ledger line "
+                    f"({type(exc).__name__}: {exc})"
                 ) from exc
-            packets.append(record_to_packet(record))
     return packets
 
 

@@ -18,8 +18,8 @@ from typing import Optional
 from repro.core.analyzer import Analyzer
 from repro.core.scheduler import FaultScheduler
 from repro.host.system import HostSystem
-from repro.power.psu import AtxPsu
 from repro.rand import RandomStreams
+from repro.sim import Kernel
 from repro.ssd.device import SsdConfig
 from repro.workload.generator import IOGenerator
 from repro.workload.spec import WorkloadSpec
@@ -49,25 +49,15 @@ class TestPlatform:
         spec: WorkloadSpec,
         config: Optional[SsdConfig] = None,
         seed: int = 0,
-        psu: Optional[AtxPsu] = None,
         psu_factory=None,
-        max_segment_pages: int = 128,
     ) -> None:
         self.streams = RandomStreams(seed)
-        kernel = None
-        if psu_factory is not None:
-            if psu is not None:
-                raise ValueError("pass either psu or psu_factory, not both")
-            from repro.sim import Kernel
-
-            kernel = Kernel()
-            psu = psu_factory(kernel)
+        kernel = Kernel()
         self.host = HostSystem(
             config=config,
             seed=seed,
             kernel=kernel,
-            psu=psu,
-            max_segment_pages=max_segment_pages,
+            psu=psu_factory(kernel) if psu_factory is not None else None,
         )
         self.spec = spec
         self.scheduler = FaultScheduler(

@@ -33,26 +33,15 @@ class FaultScheduler:
     True
     """
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        power: PowerController,
-        rng: Random,
-        min_delay_us: int = calibration.CYCLE_MIN_US,
-        max_delay_us: int = calibration.CYCLE_MAX_US,
-    ) -> None:
-        if min_delay_us <= 0 or max_delay_us < min_delay_us:
-            raise CampaignError("fault window must satisfy 0 < min <= max")
+    def __init__(self, kernel: Kernel, power: PowerController, rng: Random) -> None:
         self.kernel = kernel
         self.power = power
         self.rng = rng
-        self.min_delay_us = min_delay_us
-        self.max_delay_us = max_delay_us
         self.injections: List[int] = []
 
     def draw_fault_delay(self) -> int:
         """Uniform random fault instant within the cycle window."""
-        return self.rng.randint(self.min_delay_us, self.max_delay_us)
+        return self.rng.randint(calibration.CYCLE_MIN_US, calibration.CYCLE_MAX_US)
 
     def inject_now(self) -> int:
         """Send the Off command immediately.  Returns the injection time."""

@@ -109,7 +109,6 @@ def run_plans(
     on_plan_done: Optional[PlanDoneHook] = None,
     checkpoint: Optional[Union[str, Path]] = None,
     resume: bool = False,
-    max_retries: Optional[int] = None,
     shard_timeout_s: Optional[float] = None,
     quarantine: bool = False,
     retry_policy: Optional[RetryPolicy] = None,
@@ -124,7 +123,8 @@ def run_plans(
     fires as soon as each plan's last shard has merged.
 
     Fault tolerance: shards are executed by :func:`execute_local` with
-    ``max_retries`` bounded retries and exponential backoff, per-shard
+    ``retry_policy``'s bounded retries and exponential backoff (the
+    :class:`RetryPolicy` defaults when ``None``), per-shard
     ``shard_timeout_s`` enforcement (``jobs > 1`` only: the wedged worker
     is killed), and — with ``quarantine=True`` — poison-shard quarantine
     instead of :class:`~repro.errors.ShardFailureError`.
@@ -147,13 +147,6 @@ def run_plans(
         raise CampaignError("lease_timeout_s requires listen=HOST:PORT")
     if resume and checkpoint is None:
         raise CampaignError("resume requires a checkpoint path")
-    policy = retry_policy
-    if policy is None:
-        policy = (
-            RetryPolicy(max_retries=max_retries)
-            if max_retries is not None
-            else RetryPolicy()
-        )
     journal: Optional[CheckpointJournal] = None
     resume_state: Optional[ResumeState] = None
     if checkpoint is not None:
@@ -174,7 +167,7 @@ def run_plans(
     if listen is not None:
         runs = RemoteExecutor(
             listen=listen,
-            policy=policy,
+            policy=retry_policy,
             journal=journal,
             resume=resume_state,
             quarantine_enabled=quarantine,
@@ -188,7 +181,7 @@ def run_plans(
             tasks,
             telemetry,
             jobs=jobs if jobs else 1,
-            policy=policy,
+            policy=retry_policy,
             journal=journal,
             resume=resume_state,
             quarantine_enabled=quarantine,
@@ -223,7 +216,6 @@ def run_plan(
     progress: Optional[ProgressHook] = None,
     checkpoint: Optional[Union[str, Path]] = None,
     resume: bool = False,
-    max_retries: Optional[int] = None,
     shard_timeout_s: Optional[float] = None,
     quarantine: bool = False,
     retry_policy: Optional[RetryPolicy] = None,
@@ -237,7 +229,6 @@ def run_plan(
         progress=progress,
         checkpoint=checkpoint,
         resume=resume,
-        max_retries=max_retries,
         shard_timeout_s=shard_timeout_s,
         quarantine=quarantine,
         retry_policy=retry_policy,

@@ -52,21 +52,15 @@ class BackoffPoller:
     progress means more progress is likely soon.
     """
 
-    def __init__(
-        self,
-        base_s: float = POLL_BASE_S,
-        cap_s: float = POLL_CAP_S,
-        factor: float = 2.0,
-    ) -> None:
+    def __init__(self, base_s: float = POLL_BASE_S, cap_s: float = POLL_CAP_S) -> None:
         self.base_s = base_s
         self.cap_s = max(base_s, cap_s)
-        self.factor = factor
         self._current = base_s
 
     def next_delay(self) -> float:
         """The delay to sleep now; advances the schedule."""
         delay = min(self._current, self.cap_s)
-        self._current = min(self._current * self.factor, self.cap_s)
+        self._current = min(self._current * 2, self.cap_s)
         return delay
 
     def reset(self) -> None:

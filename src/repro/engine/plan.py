@@ -33,13 +33,12 @@ from dataclasses import asdict, dataclass, replace
 from functools import reduce
 from typing import Optional, Tuple
 
-from repro.core import calibration
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import Campaign
 from repro.core.platform import TestPlatform
 from repro.core.results import CampaignResult
 from repro.errors import CampaignError
 from repro.ssd.device import SsdConfig
-from repro.units import MSEC, SEC
+from repro.units import MSEC
 from repro.workload.spec import WorkloadSpec
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -87,6 +86,11 @@ class CampaignPlan:
     by at most one) and depends only on plan fields, so serial and parallel
     runs agree on it.
 
+    ``warmup_us`` is the traffic every cycle runs before its fault window
+    opens.  The dirty-cycle, topology and app plans read it; a plain
+    campaign ignores it and draws its fault instant from the Scheduler's
+    window.
+
     Example
     -------
     >>> from repro.workload.spec import WorkloadSpec
@@ -104,10 +108,7 @@ class CampaignPlan:
     base_seed: int = 0
     label: str = ""
     shard_faults: Optional[int] = None
-    settle_us: int = calibration.RECOVERY_SETTLE_US
-    ready_timeout_us: int = 10 * SEC
     warmup_us: int = 200 * MSEC
-    max_segment_pages: int = 128
 
     def __post_init__(self) -> None:
         if self.faults <= 0:
@@ -168,23 +169,9 @@ class CampaignPlan:
 
     # -- worker-side hydration ----------------------------------------------------
 
-    def campaign_config(self, faults: int) -> CampaignConfig:
-        """The :class:`CampaignConfig` for a shard of ``faults`` cycles."""
-        return CampaignConfig(
-            faults=faults,
-            settle_us=self.settle_us,
-            ready_timeout_us=self.ready_timeout_us,
-            warmup_us=self.warmup_us,
-        )
-
     def build_platform(self, seed: int) -> TestPlatform:
         """A fresh :class:`TestPlatform` for one shard."""
-        return TestPlatform(
-            self.spec,
-            config=self.device,
-            seed=seed,
-            max_segment_pages=self.max_segment_pages,
-        )
+        return TestPlatform(self.spec, config=self.device, seed=seed)
 
     def shard_label(self, shard: ShardSpec) -> str:
         """Display label of one shard's result (``#s<i>`` suffix when split).
@@ -207,7 +194,7 @@ class CampaignPlan:
         """
         label = self.shard_label(shard)
         platform = self.build_platform(shard.seed)
-        campaign = Campaign(platform, self.campaign_config(shard.faults))
+        campaign = Campaign(platform, faults=shard.faults)
         return campaign.run(label)
 
 

@@ -333,18 +333,18 @@ class EngineTelemetry:
 class ConsoleProgress:
     """Progress hook rendering one console line per event.
 
-    Writes to ``stderr`` by default so the engine's chatter never pollutes
+    Shard starts and checkpoint writes are not rendered.  Lines go to
+    ``stderr`` by default so the engine's chatter never pollutes
     parseable stdout tables.
     """
 
-    def __init__(self, stream: Optional[TextIO] = None, verbose: bool = False) -> None:
+    def __init__(self, stream: Optional[TextIO] = None) -> None:
         self.stream = stream if stream is not None else sys.stderr
-        self.verbose = verbose
 
     QUIET_KINDS = ("shard-started", "checkpoint-written")
 
     def __call__(self, event: ProgressEvent) -> None:
-        if event.kind in self.QUIET_KINDS and not self.verbose:
+        if event.kind in self.QUIET_KINDS:
             return
         eta = format_eta(event.eta_s)
         if event.shard_index == PLAN_EVENT_INDEX:

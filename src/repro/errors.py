@@ -140,7 +140,7 @@ class AppAuditError(ReproError):
 
 
 class TraceError(ReproError):
-    """The block-layer tracer was queried for an unknown request or event."""
+    """A block trace was queried for an unknown request, or a trace file is corrupt."""
 
 
 class EngineTraceError(ReproError):

@@ -2,15 +2,16 @@
 
 Responsibilities modelled:
 
-- **splitting**: requests larger than ``max_segment_pages`` fan out into
-  multiple device commands (sub-requests); the parent completes when every
-  child does, and fails if any child fails;
-- **queueing**: at most ``queue_depth`` commands are outstanding on the
-  device (NCQ); excess requests wait in a FIFO dispatch queue;
+- **splitting**: requests larger than :data:`MAX_SEGMENT_PAGES` fan out
+  into multiple device commands (sub-requests); the parent completes when
+  every child does, and fails if any child fails;
+- **queueing**: at most the device's ``queue_depth`` commands are
+  outstanding on it (NCQ); excess requests wait in a FIFO dispatch queue;
 - **tracing**: every lifecycle step emits a blktrace-style event through an
   attached :class:`~repro.trace.blktrace.BlockTracer`;
-- **timeout**: requests stuck longer than ``timeout_us`` (the paper sets
-  30 s) complete with IO error, like the kernel's request timeout.
+- **timeout**: requests stuck longer than the paper's 30 s rule
+  (:data:`~repro.trace.btt.DELAYED_REQUEST_TIMEOUT_US`) complete with IO
+  error, like the kernel's request timeout.
 """
 
 from __future__ import annotations
@@ -20,13 +21,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional
 from collections import deque
 
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ProtocolError
 from repro.sim.kernel import Event, Kernel
 from repro.ssd.command import CommandStatus, IoCommand
 from repro.ssd.device import SsdDevice
 from repro.trace.blktrace import BlockTracer
+from repro.trace.btt import DELAYED_REQUEST_TIMEOUT_US
 from repro.trace.events import Action
-from repro.units import SEC
+
+MAX_SEGMENT_PAGES = 128
+"""Largest device command in 4 KiB pages: 512 KiB, Linux's ``max_sectors_kb``."""
 
 
 class RequestState(enum.Enum):
@@ -112,20 +116,11 @@ class BlockLayer:
         kernel: Kernel,
         device: SsdDevice,
         tracer: Optional[BlockTracer] = None,
-        max_segment_pages: int = 128,  # 512 KiB, the kernel's max_sectors_kb
-        queue_depth: Optional[int] = None,
-        timeout_us: int = 30 * SEC,  # the paper's 30 s request timeout
     ) -> None:
-        if max_segment_pages <= 0:
-            raise ConfigurationError("max_segment_pages must be positive")
-        if timeout_us <= 0:
-            raise ConfigurationError("timeout must be positive")
         self.kernel = kernel
         self.device = device
         self.tracer = tracer
-        self.max_segment_pages = max_segment_pages
-        self.queue_depth = queue_depth or device.config.queue_depth
-        self.timeout_us = timeout_us
+        self.queue_depth = device.config.queue_depth
         self._dispatch_queue: Deque[BlockRequest] = deque()
         self._outstanding = 0
         self._pumping = False
@@ -151,7 +146,7 @@ class BlockLayer:
         self._split(request)
         self._trace(request, Action.GET_REQUEST)
         self._timeout_events[request.request_id] = self.kernel.schedule(
-            self.timeout_us, self._timeout_fired, request
+            DELAYED_REQUEST_TIMEOUT_US, self._timeout_fired, request
         )
         self._dispatch_queue.append(request)
         self._pump()
@@ -161,7 +156,7 @@ class BlockLayer:
         """Fan a request out into device-sized sub-commands (X events)."""
         offset = 0
         while offset < request.page_count:
-            take = min(self.max_segment_pages, request.page_count - offset)
+            take = min(MAX_SEGMENT_PAGES, request.page_count - offset)
             if request.is_write:
                 child = IoCommand.write(
                     request.lpn + offset,

@@ -41,7 +41,6 @@ class HostSystem:
         seed: int = 0,
         kernel: Optional[Kernel] = None,
         psu: Optional[AtxPsu] = None,
-        max_segment_pages: int = 128,
     ) -> None:
         self.kernel = kernel if kernel is not None else Kernel()
         self.streams = RandomStreams(seed)
@@ -51,9 +50,7 @@ class HostSystem:
         self.ssd = SsdDevice(
             self.kernel, self.config, self.power.psu, self.streams.fork("device")
         )
-        self.block = BlockLayer(
-            self.kernel, self.ssd, self.tracer, max_segment_pages=max_segment_pages
-        )
+        self.block = BlockLayer(self.kernel, self.ssd, self.tracer)
         self.btt = Btt(self.tracer)
 
     # -- lifecycle -------------------------------------------------------------------

@@ -147,11 +147,6 @@ class NandGeometry:
             raise ConfigurationError(f"block {block} out of range")
         return block * self.pages_per_block
 
-    def die_of(self, ppa: int) -> int:
-        """Dense die index (across channels) owning ``ppa``."""
-        addr = self.decode(ppa)
-        return addr.channel * self.dies_per_channel + addr.die
-
     def iter_block_pages(self, block: int) -> Iterator[int]:
         """Iterate dense PPAs of every page in dense block ``block``."""
         start = self.first_page_of_block(block)

@@ -211,7 +211,7 @@ class NvmeController:
             "cell": config.cell.name,
             "queue_depth": config.queue_depth,
             "power_loss_protection": config.supercap is not None,
-            "write_cache": config.write_back,
+            "write_cache": config.cache_enabled,
         }
 
     def get_log_page(self, page_id: int) -> NvmeHealthLog:

@@ -48,22 +48,17 @@ class Microcontroller:
     >>> from repro.sim import Kernel
     >>> k = Kernel()
     >>> seen = []
-    >>> mcu = Microcontroller(k, on_pin13=seen.append)
+    >>> mcu = Microcontroller(k)
+    >>> mcu.attach_pin13(seen.append)
     >>> mcu.serial_write(CMD_OFF)
     >>> k.run()
     >>> seen   # pin 13 driven high -> PS_ON# deasserted -> power cut
     [True]
     """
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        on_pin13: Optional[Callable[[bool], None]] = None,
-        baud: int = SERIAL_BAUD,
-    ) -> None:
+    def __init__(self, kernel: Kernel) -> None:
         self.kernel = kernel
-        self.baud = baud
-        self._on_pin13 = on_pin13
+        self._on_pin13: Optional[Callable[[bool], None]] = None
         self.pin13_high = False
         self.commands_received = 0
         self.bytes_dropped = 0
@@ -89,7 +84,7 @@ class Microcontroller:
         delay = 0
         for raw in data:
             byte = bytes([raw])
-            delay += serial_frame_time_us(self.baud)
+            delay += serial_frame_time_us()
             if byte not in (CMD_ON, CMD_OFF):
                 self.bytes_dropped += 1
                 continue

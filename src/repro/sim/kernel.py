@@ -97,8 +97,8 @@ class Kernel:
     10
     """
 
-    def __init__(self, start_time: int = 0) -> None:
-        self._now = int(start_time)
+    def __init__(self) -> None:
+        self._now = 0
         self._heap: List[Event] = []
         self._seq = 0
         self._running = False

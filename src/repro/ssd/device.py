@@ -60,7 +60,6 @@ class SsdConfig:
     ftl: FtlConfig = FtlConfig()
     flush: FlushPolicy = FlushPolicy()
     cache_enabled: bool = True
-    cache_capacity_pages: int = 65536  # 256 MiB of 4 KiB pages
     thresholds: PowerThresholds = PowerThresholds()
     interface_overhead_us: int = 140
     link_mib_per_sec: int = 550
@@ -78,17 +77,10 @@ class SsdConfig:
             raise ConfigurationError("bad interface parameters")
         if self.queue_depth <= 0:
             raise ConfigurationError("queue depth must be positive")
-        if self.cache_capacity_pages <= 0:
-            raise ConfigurationError("cache capacity must be positive")
         if not 0.0 < self.current_draw_amps < 10.0:
             raise ConfigurationError("implausible current draw")
         if self.recovery_time_us < 0:
             raise ConfigurationError("recovery time cannot be negative")
-
-    @property
-    def write_back(self) -> bool:
-        """True when writes are acknowledged from DRAM."""
-        return self.cache_enabled and not self.flush.write_through
 
     def transfer_us(self, nbytes: int) -> int:
         """Host-link transfer time for ``nbytes``."""
@@ -184,7 +176,7 @@ class SsdDevice:
             voltage_source=self._internal_volts_now,
         )
         self.ftl = Ftl(kernel, self.chip, config.ftl, streams.stream("ftl"))
-        self.cache = WriteCache(config.cache_capacity_pages)
+        self.cache = WriteCache()
         self.parallelism = geometry.planes
         self.page_write_us = config.timing.page_write_us(config.cell, geometry.page_size)
         self.page_read_us = config.timing.page_read_us(geometry.page_size)
@@ -289,7 +281,7 @@ class SsdDevice:
         :data:`CORRUPT_TOKEN` if unreadable, or None when the page reads as
         erased/unmapped.
         """
-        if self.config.write_back:
+        if self.config.cache_enabled:
             entry = self.cache.peek(lpn)
             if entry is not None:
                 return entry.token
@@ -335,7 +327,7 @@ class SsdDevice:
             )
             yield config.interface_overhead_us + transfer
             if command.op is CommandOp.WRITE:
-                if config.write_back:
+                if config.cache_enabled:
                     # Admission throttle (oversized requests admit once the
                     # cache drains — see FlushPolicy.throttled).
                     while self.config.flush.throttled(
@@ -359,7 +351,7 @@ class SsdDevice:
                 for offset in range(command.page_count):
                     lpn = command.lpn + offset
                     hit = (
-                        self.cache.read_hit(lpn) if config.write_back else None
+                        self.cache.read_hit(lpn) if config.cache_enabled else None
                     )
                     if hit is not None:
                         tokens.append(hit)
@@ -378,7 +370,7 @@ class SsdDevice:
                 command.tokens = tokens
                 self._complete(command, CommandStatus.OK)
             elif command.op is CommandOp.TRIM:
-                if config.write_back:
+                if config.cache_enabled:
                     self.cache.discard(command.lpn, command.page_count)
                 self.ftl.trim_range(command.lpn, command.page_count)
                 self._complete(command, CommandStatus.OK)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List
 
-from repro.cache import FlushPolicy, SupercapBackup
+from repro.cache import SupercapBackup
 from repro.errors import ConfigurationError
 from repro.ftl import FtlConfig
 from repro.nand import CellKind, EccScheme, NandTiming
@@ -100,7 +100,6 @@ def ssd_cache_disabled(base: SsdConfig) -> SsdConfig:
         base,
         name=f"{base.name}-nocache",
         cache_enabled=False,
-        flush=replace(base.flush, write_through=True),
     )
 
 
@@ -117,7 +116,6 @@ def hdd_like_control() -> SsdConfig:
         cell=CellKind.SLC,
         ecc=EccScheme.bch(),
         cache_enabled=False,
-        flush=FlushPolicy(write_through=True),
         timing=NandTiming(program_base_us=900),
         ftl=FtlConfig(page_recovery_prob=0.9995, extent_recovery_prob=0.999),
         interface_overhead_us=800,  # seek-ish command cost

@@ -11,7 +11,7 @@ this module uses, raising :class:`~repro.errors.CmdlogError`):
   payload, so torn or bit-flipped records are detected on replay;
 - **fsync on the records that matter**: cycle markers (power fault,
   power on, verified) are fsync'd immediately, bulk IO records are
-  fsync'd every ``fsync_every`` appends and at close;
+  fsync'd every :data:`FSYNC_EVERY` appends and at close;
 - **torn-tail-tolerant replay**: a damaged *final* line (crash
   mid-append) is dropped silently; damage anywhere before the tail raises
   :class:`~repro.errors.CmdlogError`;
@@ -43,6 +43,9 @@ from repro.workload.packet import DataPacket
 PathLike = Union[str, Path]
 
 CMDLOG_VERSION = 1
+
+FSYNC_EVERY = 64
+"""Bulk IO records appended between fsyncs of a file-backed log."""
 
 _WRITE_OPS = ("write", "write_zeroes")
 
@@ -113,9 +116,8 @@ class CommandLog:
     covers the overlap if truncation itself is interrupted.
     """
 
-    def __init__(self, path: Optional[PathLike] = None, fsync_every: int = 64) -> None:
+    def __init__(self, path: Optional[PathLike] = None) -> None:
         self.path = Path(path) if path is not None else None
-        self.fsync_every = max(1, fsync_every)
         self.records: List[Dict] = []
         self._handle: Optional[IO[str]] = None
         self._since_sync = 0
@@ -175,7 +177,7 @@ class CommandLog:
             self._handle = self.path.open("w", encoding="utf-8")
         self._handle.write(encode_line(payload, CmdlogError) + "\n")
         self._since_sync += 1
-        if sync or self._since_sync >= self.fsync_every:
+        if sync or self._since_sync >= FSYNC_EVERY:
             self._handle.flush()
             os.fsync(self._handle.fileno())
             self._since_sync = 0

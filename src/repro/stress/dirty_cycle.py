@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
+from repro.core import calibration
 from repro.core.analyzer import Analyzer
 from repro.core.results import CampaignResult, FaultCycleResult
 from repro.engine.plan import CampaignPlan, ShardSpec
@@ -151,7 +152,7 @@ class _IoWorker:
             self._writes_since_flush = 0
             return NvmeCommand(NvmeOpcode.FLUSH)
         nlb = uniform_int(rng, spec.size_min_pages, spec.size_max_pages)
-        slba = spec.region_start_lpn + rng.randrange(spec.wss_pages - nlb + 1)
+        slba = rng.randrange(spec.wss_pages - nlb + 1)
         if rng.random() < spec.read_fraction:
             return NvmeCommand(NvmeOpcode.READ, slba=slba, nlb=nlb)
         self._writes_since_flush += 1
@@ -189,9 +190,7 @@ def run_dirty_shard(plan: DirtyCyclePlan, shard: ShardSpec) -> CampaignResult:
     campaign-wide sequence, exactly as for ordinary fault campaigns.
     """
     config = plan.device_config()
-    host = HostSystem(
-        config, seed=shard.seed, max_segment_pages=plan.max_segment_pages
-    )
+    host = HostSystem(config, seed=shard.seed)
     ctrl = NvmeController(host.ssd)
     qpair = ctrl.create_io_qpair(depth=plan.qdepth)
     analyzer = Analyzer.from_peek(host.ssd.peek)
@@ -227,7 +226,7 @@ def run_dirty_shard(plan: DirtyCyclePlan, shard: ShardSpec) -> CampaignResult:
             host.wait_until_dead()
             ctrl.abort_backlog(qpair)
             ctrl.reap(qpair)  # error CQEs posted at link-down
-            host.run_for(plan.settle_us)
+            host.run_for(calibration.RECOVERY_SETTLE_US)
             host.restore_power()
 
             # 3. Optional second fault inside the FTL recovery window.
@@ -235,7 +234,7 @@ def run_dirty_shard(plan: DirtyCyclePlan, shard: ShardSpec) -> CampaignResult:
             if plan.recovery_fault_every and (
                 cycle_offset + cycle_index + 1
             ) % plan.recovery_fault_every == 0:
-                _wait_for_recovering(host, plan.ready_timeout_us)
+                _wait_for_recovering(host, calibration.READY_TIMEOUT_US)
                 # Cut early in the window: the rail needs tens of ms to
                 # decay to the detach threshold, and only a detach that
                 # lands while still RECOVERING interrupts the rebuild.
@@ -251,11 +250,11 @@ def run_dirty_shard(plan: DirtyCyclePlan, shard: ShardSpec) -> CampaignResult:
                         f"{config.recovery_time_us} is shorter than the "
                         "rail's decay-to-detach time)"
                     )
-                host.run_for(plan.settle_us)
+                host.run_for(calibration.RECOVERY_SETTLE_US)
                 host.restore_power()
                 recovery_faults = 1
 
-            host.wait_until_ready(plan.ready_timeout_us)
+            host.wait_until_ready(calibration.READY_TIMEOUT_US)
             cmdlog.mark(cycle_index, "power_on", kernel.now)
 
             # 4. SMART audit: the drive's own health log must agree with

@@ -22,29 +22,25 @@ from repro.power.controller import PowerController
 from repro.sim import Kernel
 from repro.units import MSEC
 
+REQUEST_US = 2 * MSEC
+"""Fixed per-write overhead of the backing array (seek and rotate)."""
+
+PAGE_US = 50
+"""Streaming cost of each 4 KiB page of a backing write."""
+
 
 class BackingStore:
     """A durable, power-aware page store with HDD-array write latency.
 
-    ``request_us`` is the fixed per-request overhead (seek/rotate), and
-    ``page_us`` the per-page streaming cost.  Completion callbacks receive
-    ``True`` only when every page of the write committed; a power fault in
-    the store's domain (:meth:`power_fail`) drops all in-flight writes.
+    A write commits :data:`REQUEST_US` plus :data:`PAGE_US` per page after
+    it is submitted.  Completion callbacks receive ``True`` only when every
+    page of the write committed; a power fault in the store's domain
+    (:meth:`power_fail`) drops all in-flight writes.
     """
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        power: PowerController,
-        request_us: int = 2 * MSEC,
-        page_us: int = 50,
-    ) -> None:
-        if request_us <= 0 or page_us <= 0:
-            raise ConfigurationError("backing latencies must be positive")
+    def __init__(self, kernel: Kernel, power: PowerController) -> None:
         self.kernel = kernel
         self.power = power
-        self.request_us = request_us
-        self.page_us = page_us
         self.committed: Dict[int, int] = {}
         self._epoch = 0
         # Statistics.
@@ -80,7 +76,7 @@ class BackingStore:
                 on_done(False)
             return
         epoch = self._epoch
-        latency = self.request_us + len(tokens) * self.page_us
+        latency = REQUEST_US + len(tokens) * PAGE_US
 
         def commit() -> None:
             if epoch != self._epoch or not self.powered:

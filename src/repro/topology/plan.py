@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cache.flush import FlushPolicy
+from repro.core import calibration
 from repro.core.results import CampaignResult, FaultCycleResult
 from repro.engine.plan import CampaignPlan, ShardSpec
 from repro.errors import CampaignError
@@ -45,7 +46,6 @@ class TopologyPlan(CampaignPlan):
       store is never faulted, and faults rotate across legs;
     - ``destage``: the WB dirty-ledger policy — ``batch_pages`` per destage
       round, admission stall at ``max_dirty_pages``;
-    - ``backing_request_us`` / ``backing_page_us``: backing-store latency;
     - ``fault_window_us``: the fault instant is drawn uniformly from
       ``[warmup_us, warmup_us + fault_window_us)`` of each cycle's traffic.
 
@@ -58,8 +58,6 @@ class TopologyPlan(CampaignPlan):
     mirror_cache: bool = False
     shared_power: bool = False
     destage: FlushPolicy = field(default_factory=FlushPolicy)
-    backing_request_us: int = 2 * MSEC
-    backing_page_us: int = 50
     fault_window_us: int = 400 * MSEC
 
     def __post_init__(self) -> None:
@@ -70,8 +68,6 @@ class TopologyPlan(CampaignPlan):
             )
         if self.fault_window_us <= 0:
             raise CampaignError("fault window must be positive")
-        if self.backing_request_us <= 0 or self.backing_page_us <= 0:
-            raise CampaignError("backing latencies must be positive")
         if self.spec.read_fraction != 0.0:
             raise CampaignError("topology campaigns are write-only workloads")
         if self.spec.open_loop:
@@ -100,8 +96,6 @@ class TopologyPlan(CampaignPlan):
             mirror_cache=self.mirror_cache,
             shared_power=self.shared_power,
             destage=self.destage,
-            backing_request_us=self.backing_request_us,
-            backing_page_us=self.backing_page_us,
             seed=seed,
         )
 
@@ -130,7 +124,7 @@ class _TopologyWorker:
     def _next_write(self):
         spec = self.spec
         nlb = uniform_int(self.rng, spec.size_min_pages, spec.size_max_pages)
-        slba = spec.region_start_lpn + self.rng.randrange(spec.wss_pages - nlb + 1)
+        slba = self.rng.randrange(spec.wss_pages - nlb + 1)
         return slba, nlb
 
     def drop_held(self) -> None:
@@ -172,7 +166,7 @@ def run_topology_shard(plan: TopologyPlan, shard: ShardSpec) -> CampaignResult:
     cycle_offset = sum(s.faults for s in plan.shards()[: shard.index])
     traffic_time = 0
 
-    topo.boot(plan.ready_timeout_us)
+    topo.boot(calibration.READY_TIMEOUT_US)
     for cycle_index in range(shard.faults):
         # 1. Traffic until the drawn fault instant.
         fault_delay = plan.warmup_us + fault_rng.randrange(plan.fault_window_us)
@@ -184,11 +178,11 @@ def run_topology_shard(plan: TopologyPlan, shard: ShardSpec) -> CampaignResult:
         faulted = topo.inject_fault(cycle_offset + cycle_index)
         topo.wait_dead(faulted)
         topo.drain_dead(faulted)
-        topo.run_for(plan.settle_us)
+        topo.run_for(calibration.RECOVERY_SETTLE_US)
 
         # 3. Power back on, wait for the cache tier, let stragglers land.
-        topo.restore(plan.ready_timeout_us)
-        topo.quiesce(plan.ready_timeout_us)
+        topo.restore(calibration.READY_TIMEOUT_US)
+        topo.quiesce(calibration.READY_TIMEOUT_US)
 
         # 4. Classify every acked write and reconcile the topology.
         audit = topo.audit_and_reset()

@@ -49,7 +49,7 @@ from repro.ssd.device import SsdConfig, SsdDevice
 from repro.ssd.power_state import DevicePowerState
 from repro.topology.backing import BackingStore
 from repro.trace.blktrace import BlockTracer
-from repro.units import MSEC, SEC
+from repro.units import SEC
 
 POLICIES = ("wb", "wt", "wa")
 
@@ -95,8 +95,6 @@ class CacheTopology:
         mirror_cache: bool = False,
         shared_power: bool = False,
         destage: Optional[FlushPolicy] = None,
-        backing_request_us: int = 2 * MSEC,
-        backing_page_us: int = 50,
         seed: int = 0,
     ) -> None:
         if policy not in POLICIES:
@@ -126,9 +124,7 @@ class CacheTopology:
                 _SingleLeg(self.kernel, device, seed, "cache-0", power=self.pdu)
             ]
         backing_power = self.pdu if shared_power else PowerController(self.kernel)
-        self.backing = BackingStore(
-            self.kernel, backing_power, backing_request_us, backing_page_us
-        )
+        self.backing = BackingStore(self.kernel, backing_power)
 
         # Host-visible state, reset every cycle by audit_and_reset().
         self.dirty: "OrderedDict[int, int]" = OrderedDict()  # lpn -> token (WB)

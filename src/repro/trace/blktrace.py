@@ -1,15 +1,14 @@
 """The event collector (blktrace stand-in).
 
-A bounded-memory ring of :class:`~repro.trace.events.TraceEvent` records.
+An in-memory buffer of :class:`~repro.trace.events.TraceEvent` records.
 Campaigns reset the collector at each fault-cycle boundary, exactly as the
 paper re-runs blktrace per injection.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterator, List
 
-from repro.errors import TraceError
 from repro.sim.kernel import Kernel
 from repro.trace.events import Action, TraceEvent
 
@@ -26,14 +25,10 @@ class BlockTracer:
     1
     """
 
-    def __init__(self, kernel: Kernel, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity <= 0:
-            raise TraceError("tracer capacity must be positive")
+    def __init__(self, kernel: Kernel) -> None:
         self.kernel = kernel
-        self.capacity = capacity
         self._events: List[TraceEvent] = []
         self._sequence = 0
-        self.dropped = 0
         self._sinks: List[Callable[[TraceEvent], None]] = []
 
     def add_sink(self, sink: Callable[[TraceEvent], None]) -> None:
@@ -59,10 +54,7 @@ class BlockTracer:
             is_write=is_write,
         )
         self._sequence += 1
-        if self.capacity is not None and len(self._events) >= self.capacity:
-            self.dropped += 1
-        else:
-            self._events.append(event)
+        self._events.append(event)
         for sink in self._sinks:
             sink(event)
         return event

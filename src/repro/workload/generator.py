@@ -6,8 +6,8 @@ Turns a :class:`~repro.workload.spec.WorkloadSpec` into block-layer traffic:
   reissuing as completions arrive — this measures the device's natural
   service rate (how the paper drives most experiments);
 - *open loop* (Fig. 8): Poisson arrivals at ``spec.requested_iops``; if the
-  host-side backlog exceeds ``max_backlog`` further arrivals are shed (the
-  submission queue is full), which is what lets *responded* IOPS saturate
+  host-side backlog reaches :data:`MAX_BACKLOG` further arrivals are shed
+  (the submission queue is full), which is what lets *responded* IOPS saturate
   below *requested* IOPS;
 - *sequence mode* (Fig. 9): paired accesses where the second op targets the
   address of the first once it completes.
@@ -28,6 +28,9 @@ from repro.workload.packet import DataPacket
 from repro.workload.sequences import AccessPair, pair_for
 from repro.workload.spec import AccessPattern, WorkloadSpec
 
+MAX_BACKLOG = 512
+"""Host-side requests waiting to dispatch before open-loop arrivals are shed."""
+
 
 class IOGenerator:
     """Issues spec-shaped traffic into a host system.
@@ -42,15 +45,13 @@ class IOGenerator:
         host: HostSystem,
         spec: WorkloadSpec,
         streams: RandomStreams,
-        max_backlog: int = 512,
     ) -> None:
         self.host = host
         self.spec = spec
-        self.rng = streams.stream("iogen" + spec.seed_salt)
-        self.max_backlog = max_backlog
+        self.rng = streams.stream("iogen")
         self.running = False
         self._next_packet_id = 1
-        self._seq_cursor_lpn = spec.region_start_lpn
+        self._seq_cursor_lpn = 0
         self._pair: Optional[AccessPair] = (
             pair_for(spec.sequence) if spec.sequence else None
         )
@@ -98,16 +99,13 @@ class IOGenerator:
     def _draw_address(self, size_pages: int) -> int:
         spec = self.spec
         if spec.pattern is AccessPattern.SEQUENTIAL:
-            if (
-                self._seq_cursor_lpn + size_pages
-                > spec.region_start_lpn + spec.wss_pages
-            ):
-                self._seq_cursor_lpn = spec.region_start_lpn
+            if self._seq_cursor_lpn + size_pages > spec.wss_pages:
+                self._seq_cursor_lpn = 0
             lpn = self._seq_cursor_lpn
             self._seq_cursor_lpn += size_pages
             return lpn
         span = spec.wss_pages - size_pages
-        return spec.region_start_lpn + self.rng.randint(0, max(0, span))
+        return self.rng.randint(0, max(0, span))
 
     def _draw_is_write(self) -> bool:
         if self.spec.read_fraction <= 0.0:
@@ -129,7 +127,7 @@ class IOGenerator:
         self._arrival_event = None
         if not self.running:
             return
-        if self.host.block.backlog >= self.max_backlog:
+        if self.host.block.backlog >= MAX_BACKLOG:
             # Submission queue full: arrivals are shed.  Rather than model
             # each shed arrival as its own event (at 30k IOPS that would
             # dominate the simulation), account for the whole 5 ms window

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, List, Union
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TraceError
 from repro.host.system import HostSystem
 from repro.trace.blktrace import BlockTracer
 from repro.trace.events import Action
@@ -110,14 +110,25 @@ class WorkloadTrace:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "WorkloadTrace":
-        """Read a JSON-lines trace."""
+        """Read a JSON-lines trace.
+
+        A line that is not a JSON record with every field raises
+        :class:`~repro.errors.TraceError` naming the file and the line.
+        """
         path = Path(path)
         records = []
         with path.open("r", encoding="utf-8") as handle:
-            for line in handle:
+            for line_number, line in enumerate(handle, start=1):
                 line = line.strip()
-                if line:
+                if not line:
+                    continue
+                try:
                     records.append(TraceRecord.from_json(line))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise TraceError(
+                        f"{path}:{line_number}: corrupt trace line "
+                        f"({type(exc).__name__}: {exc})"
+                    ) from exc
         return cls(records)
 
 
@@ -197,15 +208,10 @@ class TraceReplayer:
     verified by the Analyzer exactly like generated traffic.
     """
 
-    def __init__(
-        self,
-        host: HostSystem,
-        trace: WorkloadTrace,
-        first_packet_id: int = 1,
-    ) -> None:
+    def __init__(self, host: HostSystem, trace: WorkloadTrace) -> None:
         self.host = host
         self.trace = trace
-        self._next_packet_id = first_packet_id
+        self._next_packet_id = 1
         self.packets: List[DataPacket] = []
         self.submitted = 0
         self.started = False

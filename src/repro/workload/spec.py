@@ -40,7 +40,6 @@ class WorkloadSpec:
     """
 
     wss_bytes: int = 64 * GIB
-    region_start_lpn: int = 0
     read_fraction: float = 0.0
     size_min_bytes: int = 4 * KIB
     size_max_bytes: int = 1 * MIB
@@ -48,7 +47,6 @@ class WorkloadSpec:
     requested_iops: Optional[float] = None
     outstanding: int = 32
     sequence: Optional[str] = None  # "RAR" / "RAW" / "WAR" / "WAW"
-    seed_salt: str = ""
 
     def __post_init__(self) -> None:
         if self.wss_bytes < PAGE_4K:

@@ -11,13 +11,13 @@ from repro.units import MSEC
 
 class TestWriteCache:
     def test_insert_and_dirty_count(self):
-        cache = WriteCache(capacity_pages=8)
+        cache = WriteCache()
         assert cache.insert(1, token=10, now=0) is False
         assert cache.dirty_count == 1
         assert cache.dirty_bytes == 4096
 
     def test_coalesce_on_same_lpn(self):
-        cache = WriteCache(capacity_pages=8)
+        cache = WriteCache()
         cache.insert(1, token=10, now=0)
         assert cache.insert(1, token=20, now=5) is True
         assert cache.dirty_count == 1
@@ -26,7 +26,7 @@ class TestWriteCache:
         assert cache.peek(1).coalesce_depth == 1
 
     def test_fifo_batch_order(self):
-        cache = WriteCache(capacity_pages=8)
+        cache = WriteCache()
         for lpn in (5, 3, 9):
             cache.insert(lpn, token=lpn * 10, now=0)
         batch = cache.take_batch(2)
@@ -35,10 +35,10 @@ class TestWriteCache:
 
     def test_take_batch_validation(self):
         with pytest.raises(ConfigurationError):
-            WriteCache(8).take_batch(0)
+            WriteCache().take_batch(0)
 
     def test_put_back_preserves_order_and_newer_wins(self):
-        cache = WriteCache(capacity_pages=8)
+        cache = WriteCache()
         cache.insert(1, token=10, now=0)
         cache.insert(2, token=20, now=0)
         batch = cache.take_batch(2)
@@ -50,7 +50,7 @@ class TestWriteCache:
         assert cache.take_batch(1)[0].lpn == 2
 
     def test_read_hit_miss_statistics(self):
-        cache = WriteCache(capacity_pages=8)
+        cache = WriteCache()
         cache.insert(1, token=10, now=0)
         assert cache.read_hit(1) == 10
         assert cache.read_hit(2) is None
@@ -58,7 +58,7 @@ class TestWriteCache:
         assert cache.read_misses == 1
 
     def test_drop_all(self):
-        cache = WriteCache(capacity_pages=8)
+        cache = WriteCache()
         cache.insert(1, token=10, now=0)
         cache.insert(2, token=20, now=0)
         lost = cache.drop_all()
@@ -66,29 +66,20 @@ class TestWriteCache:
         assert cache.dirty_count == 0
 
     def test_oldest_age(self):
-        cache = WriteCache(capacity_pages=8)
+        cache = WriteCache()
         assert cache.oldest_age_us(100) is None
         cache.insert(1, token=10, now=100)
         cache.insert(2, token=20, now=300)
         assert cache.oldest_age_us(500) == 400
 
-    def test_has_space(self):
-        cache = WriteCache(capacity_pages=2)
-        assert cache.has_space(2)
-        cache.insert(1, token=1, now=0)
-        assert cache.has_space(1)
-        assert not cache.has_space(2)
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            WriteCache(0)
-        with pytest.raises(ConfigurationError):
-            WriteCache(4).insert(-1, token=1, now=0)
+            WriteCache().insert(-1, token=1, now=0)
 
     @given(st.lists(st.tuples(st.integers(0, 20), st.integers(1, 100)), max_size=60))
     def test_property_last_write_wins(self, writes):
         """The cache must always surface the latest token per LPN."""
-        cache = WriteCache(capacity_pages=1024)
+        cache = WriteCache()
         latest = {}
         for now, (lpn, token) in enumerate(writes):
             cache.insert(lpn, token, now)
@@ -99,7 +90,7 @@ class TestWriteCache:
 
     @given(st.lists(st.integers(0, 30), min_size=1, max_size=60))
     def test_property_take_batch_drains_everything_once(self, lpns):
-        cache = WriteCache(capacity_pages=1024)
+        cache = WriteCache()
         for now, lpn in enumerate(lpns):
             cache.insert(lpn, token=now + 1, now=now)
         seen = []

@@ -447,6 +447,18 @@ class TestCommands:
         path.write_text("")
         assert main(["replay", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "damaged", ['{"t": 0, "lpn": 8, "pa', '{"t": 0, "lpn": 8, "w": true}'],
+        ids=["torn", "missing-field"],
+    )
+    def test_replay_damaged_trace_is_a_usage_error(self, capsys, tmp_path, damaged):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"t": 0, "lpn": 0, "pages": 1, "w": true}\n' + damaged + "\n")
+        assert main(["replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and "t.jsonl:2:" in err
+        assert len(err.splitlines()) == 1
+
 
 # -- the run-command contract --------------------------------------------------------
 

@@ -5,11 +5,13 @@ point readers at repository paths, ``repro`` subcommands and package
 names.  Every path they name under a source directory must exist, every
 ``repro WORD`` they show must be a subcommand of
 :func:`repro.cli.build_parser`, and every backticked dotted ``repro.…``
-name must import (a module) or resolve by attribute lookup below one.
+name, and every name a ```` ```python ```` block imports from ``repro``,
+must import (a module) or resolve by attribute lookup below one.
 CHANGES.md and ROADMAP.md are history, so they are not checked.
 """
 
 import argparse
+import ast
 import importlib
 import pathlib
 import re
@@ -34,6 +36,7 @@ COMMAND = re.compile(
 )
 # `repro.nand.chip.FlashChip`: a module, or a name inside one.
 DOTTED = re.compile(r"`(repro(?:\.\w+)+)`")
+PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
 
 
 def path_exists(mention: str) -> bool:
@@ -66,6 +69,18 @@ def name_resolves(dotted: str) -> bool:
     return False
 
 
+def python_block_imports(text: str) -> list:
+    """``module.name`` for each ``from repro… import name`` in python blocks."""
+    return [
+        f"{node.module}.{alias.name}"
+        for block in PYTHON_BLOCK.findall(text)
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "repro"
+        for alias in node.names
+    ]
+
+
 def subcommands() -> set:
     return {
         name
@@ -86,7 +101,8 @@ def test_docs_name_existing_paths_and_subcommands():
             if word not in commands
         ]
         broken += [
-            f"{doc}: {name}" for name in DOTTED.findall(text)
+            f"{doc}: {name}"
+            for name in DOTTED.findall(text) + python_block_imports(text)
             if not name_resolves(name)
         ]
     assert not broken, "\n".join(broken)

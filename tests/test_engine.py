@@ -10,7 +10,7 @@ import pickle
 
 import pytest
 
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import Campaign
 from repro.core.platform import TestPlatform
 from repro.core.results import CampaignResult, FaultCycleResult
 from repro.engine import (
@@ -120,7 +120,7 @@ class TestDeterminism:
         plan = small_plan(faults=3, shard_faults=None)
         engine_result = run_plan(plan)
         platform = TestPlatform(small_spec(), config=small_config(), seed=42)
-        legacy = Campaign(platform, CampaignConfig(faults=3)).run("engine-test")
+        legacy = Campaign(platform, faults=3).run("engine-test")
         assert engine_result.summary() == legacy.summary()
 
     def test_merged_cycles_renumbered(self):

@@ -267,7 +267,7 @@ class TestPlanFingerprint:
         from repro.ssd.device import SsdConfig
 
         base = make_plan(device=SsdConfig()).fingerprint()
-        tweaked = make_plan(device=SsdConfig(cache_capacity_pages=7)).fingerprint()
+        tweaked = make_plan(device=SsdConfig(queue_depth=7)).fingerprint()
         assert tweaked != base
 
     def test_sensitive_to_plan_class(self):

@@ -428,7 +428,7 @@ class TestPlanFinishedSentinel:
         import io
 
         stream = io.StringIO()
-        hook = ConsoleProgress(stream=stream, verbose=True)
+        hook = ConsoleProgress(stream=stream)
         hook(
             ProgressEvent(
                 kind="plan-finished", plan_label="p", shard_index=PLAN_EVENT_INDEX,

@@ -190,18 +190,10 @@ class TestEarlyRestore:
 class TestFaultDuringWriteThrough:
     def test_inflight_write_through_resolved(self):
         host = make_host(
+            seed=33,
             cache_enabled=False,
             ftl=FtlConfig(page_recovery_prob=1.0, extent_recovery_prob=1.0),
         )
-        # Write-through config requires the flush policy flag as well.
-        import dataclasses
-
-        from repro.cache import FlushPolicy
-
-        config = dataclasses.replace(
-            host.config, flush=FlushPolicy(write_through=True), cache_enabled=False
-        )
-        host = HostSystem(config=config, seed=33)
         host.boot()
         # A long write-through request; fault lands mid-NAND-write.
         req = host.write(0, list(range(1, 257)))

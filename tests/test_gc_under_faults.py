@@ -9,7 +9,7 @@ mountable, relocated data verifies, and the free pool never wedges.
 
 import pytest
 
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import Campaign
 from repro.core.platform import TestPlatform
 from repro.ssd.device import SsdConfig
 from repro.units import GIB, MIB, MSEC
@@ -29,7 +29,7 @@ class TestGcUnderFaults:
             outstanding=16,
         )
         platform = TestPlatform(spec, config=config, seed=seed)
-        result = Campaign(platform, CampaignConfig(faults=faults)).run()
+        result = Campaign(platform, faults=faults).run()
         return platform, result
 
     def test_campaign_completes_with_gc_activity(self):

@@ -4,8 +4,9 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.ftl import FtlConfig
-from repro.host import BlockLayer, BlockRequest, HostSystem, RequestState
+from repro.host import BlockRequest, HostSystem, RequestState
 from repro.ssd.device import SsdConfig
+from repro.trace.btt import DELAYED_REQUEST_TIMEOUT_US
 from repro.trace.events import Action
 from repro.units import GIB, MSEC, SEC
 
@@ -162,18 +163,14 @@ class TestFailures:
 
     def test_timeout_rule(self):
         host = make_host()
-        layer = BlockLayer(
-            host.kernel, host.ssd, host.tracer, timeout_us=100 * MSEC
-        )
-        # Suspend the dispatcher by detaching... instead submit to a layer
-        # whose device queue we stall via a huge queue of writes first.
-        req = BlockRequest(lpn=0, page_count=1, is_write=True, tokens=[1])
-        layer.submit(req)
+        req = host.write(0, [1])
         # Freeze: kill the device dispatcher so nothing completes.
         host.ssd._dispatcher.kill()
-        host.run_for_ms(300)
+        host.run_for(DELAYED_REQUEST_TIMEOUT_US - MSEC)
+        assert not req.done
+        host.run_for(2 * MSEC)
         assert req.state is RequestState.TIMED_OUT
-        assert layer.timed_out == 1
+        assert host.block.timed_out == 1
 
 
 class TestBttIntegration:

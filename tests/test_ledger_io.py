@@ -68,6 +68,18 @@ class TestSerialisation:
             load_ledger(path)
         assert ":1:" in str(excinfo.value)
 
+    @pytest.mark.parametrize("damage", ["torn", "missing-field"])
+    def test_damaged_line_names_file_and_line(self, tmp_path, damage):
+        good = packet_to_record(make_packet())
+        if damage == "torn":
+            bad = json.dumps(good)[:40]
+        else:
+            bad = json.dumps({k: v for k, v in good.items() if k != "pages"})
+        path = tmp_path / "ledger.jsonl"
+        path.write_text(json.dumps(good) + "\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(CampaignError, match=r"ledger\.jsonl:2: "):
+            load_ledger(path)
+
 
 class TestStandaloneChecker:
     def test_clean_device_passes(self):

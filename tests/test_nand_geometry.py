@@ -86,10 +86,6 @@ class TestAddressMath:
         pages = list(SMALL.iter_block_pages(1))
         assert pages == list(range(8, 16))
 
-    def test_die_of_spans_channels(self):
-        dies = {SMALL.die_of(SMALL.first_page_of_block(b)) for b in range(SMALL.blocks)}
-        assert dies == set(range(SMALL.dies))
-
     @given(st.integers(0, SMALL.total_pages - 1))
     def test_roundtrip_property(self, ppa):
         assert SMALL.encode(SMALL.decode(ppa)) == ppa

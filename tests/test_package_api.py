@@ -20,12 +20,6 @@ class TestTopLevelExports:
         for name in repro.__all__:
             assert hasattr(repro, name), name
 
-    def test_quickstart_symbols_present(self):
-        # The README quickstart must keep working.
-        from repro import Campaign, CampaignConfig, TestPlatform, WorkloadSpec
-
-        assert Campaign and CampaignConfig and TestPlatform and WorkloadSpec
-
 
 SUBPACKAGES = [
     "repro.sim",

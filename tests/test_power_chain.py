@@ -19,7 +19,8 @@ class TestMicrocontroller:
     def test_off_command_raises_pin13(self):
         k = Kernel()
         pin = []
-        mcu = Microcontroller(k, on_pin13=pin.append)
+        mcu = Microcontroller(k)
+        mcu.attach_pin13(pin.append)
         mcu.serial_write(CMD_OFF)
         k.run()
         assert pin == [True]
@@ -38,7 +39,8 @@ class TestMicrocontroller:
     def test_command_latency_is_serial_plus_firmware(self):
         k = Kernel()
         stamped = []
-        mcu = Microcontroller(k, on_pin13=lambda high: stamped.append(k.now))
+        mcu = Microcontroller(k)
+        mcu.attach_pin13(lambda high: stamped.append(k.now))
         mcu.serial_write(CMD_OFF)
         k.run()
         expected = serial_frame_time_us() + 100

@@ -38,7 +38,8 @@ class TestScheduling:
             k.schedule(-1, lambda: None)
 
     def test_schedule_at_past_rejected(self):
-        k = Kernel(start_time=100)
+        k = Kernel()
+        k.run(until=100)
         with pytest.raises(SimulationError):
             k.schedule_at(50, lambda: None)
 

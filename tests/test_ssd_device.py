@@ -7,6 +7,7 @@ import pytest
 from repro.cache import FlushPolicy, SupercapBackup
 from repro.errors import ConfigurationError, ProtocolError
 from repro.ftl import FtlConfig
+from repro.nand import CorruptionModel
 from repro.nand.pagestore import STATE_VALID
 from repro.power import AtxPsu, PowerController
 from repro.rand import RandomStreams
@@ -45,13 +46,6 @@ def submit_write(ssd, lpn, tokens, results):
 
 
 class TestConfig:
-    def test_write_back_property(self):
-        assert SsdConfig().write_back
-        wt = SsdConfig(flush=FlushPolicy(write_through=True))
-        assert not wt.write_back
-        nocache = SsdConfig(cache_enabled=False)
-        assert not nocache.write_back
-
     def test_transfer_us(self):
         config = SsdConfig(link_mib_per_sec=512)
         assert config.transfer_us(512 * 1024 * 1024) == pytest.approx(1_000_000, rel=0.01)
@@ -227,6 +221,42 @@ class TestPowerFault:
         damage = ssd.last_damage
         assert damage.dirty_pages_lost + damage.inflight_pages_torn >= 1
 
+    def test_brownout_tears_the_inflight_flush_batch(self):
+        # A wide batch under a deep throttle is still programming when the
+        # internals brown out.  Marginal programs keep the nominal error
+        # rate and every stranded map update is recovered, so what reads
+        # back depends only on how the torn batch was resolved.
+        config = small_config(
+            flush=FlushPolicy(batch_pages=256, max_dirty_pages=4096, linger_us=0),
+            corruption=CorruptionModel(marginal_error_multiplier=1.0),
+            ftl=FtlConfig(
+                journal_commit_interval_us=700 * MSEC,
+                page_recovery_prob=1.0,
+                extent_recovery_prob=1.0,
+            ),
+        )
+        k, pc, ssd = rig(config, seed=3)
+        results = []
+        for lpn in range(0, 32 * 128, 128):
+            submit_write(ssd, lpn, [lpn + i + 1 for i in range(128)], results)
+        k.run(until=k.now + MSEC)
+        pc.power_off()
+        while ssd.state is not DevicePowerState.DEAD:
+            batch = ssd._active_batch
+            k.step()
+        committed = batch.committed_prefix(k.now)
+        started = batch.started_count(k.now)
+        assert 0 < committed < started
+        assert ssd.last_damage.inflight_pages_torn == started - committed
+        self.fault(k, pc, ssd)
+        pc.power_on()
+        k.run(until=k.now + SEC)
+        assert all(r.status is CommandStatus.OK for r in results)
+        tokens = [token for run in batch.tokens for token in run]
+        # Token t was written at LPN t - 1.
+        assert all(ssd.peek(t - 1) == t for t in tokens[:committed])
+        assert not any(ssd.peek(t - 1) == t for t in tokens[committed:])
+
     def test_recovery_restores_ready_and_durable_data(self):
         k, pc, ssd = rig()
         results = []
@@ -285,7 +315,6 @@ class TestPowerFault:
     def test_write_through_device_still_fails_via_map(self):
         config = small_config(
             cache_enabled=False,
-            flush=FlushPolicy(write_through=True),
             ftl=FtlConfig(
                 journal_commit_interval_us=10 * SEC,
                 page_recovery_prob=0.0,

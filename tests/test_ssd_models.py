@@ -54,16 +54,15 @@ class TestExtras:
     def test_cache_disabled_variant(self):
         base = models.ssd_a()
         nocache = models.ssd_cache_disabled(base)
-        assert not nocache.write_back
-        assert nocache.flush.write_through
+        assert not nocache.cache_enabled
         assert nocache.name.endswith("-nocache")
         # The base is untouched (configs are frozen).
-        assert base.write_back
+        assert base.cache_enabled
 
     def test_hdd_like_control(self):
         hdd = models.hdd_like_control()
         assert hdd.cell is CellKind.SLC
-        assert not hdd.write_back
+        assert not hdd.cache_enabled
         assert hdd.interface_overhead_us > models.ssd_a().interface_overhead_us
 
 

@@ -16,7 +16,7 @@ from repro.ftl import FtlConfig
 from repro.power.controller import PowerController
 from repro.sim import Kernel
 from repro.ssd.device import SsdConfig
-from repro.topology import BackingStore, CacheTopology, TopologyPlan
+from repro.topology import BackingStore, CacheTopology, TopologyPlan, backing
 from repro.topology.plan import run_topology_shard
 from repro.units import GIB, KIB, MSEC
 from repro.workload.spec import WorkloadSpec
@@ -71,14 +71,15 @@ class TestBackingStore:
         if powered:
             power.power_on()
             kernel.run()  # let the serial/ATX actuation chain settle
-        store = BackingStore(kernel, power, request_us=100, page_us=10)
+        store = BackingStore(kernel, power)
         return kernel, store
 
     def test_commit_after_latency(self):
         kernel, store = self.make()
         acks = []
         store.submit_write(4, [7, 8], acks.append)
-        kernel.run(until=kernel.now + 119)
+        latency = backing.REQUEST_US + 2 * backing.PAGE_US
+        kernel.run(until=kernel.now + latency - 1)
         assert acks == [] and store.peek(4) is None
         kernel.run(until=kernel.now + 2)
         assert acks == [True]
@@ -96,9 +97,9 @@ class TestBackingStore:
         kernel, store = self.make()
         acks = []
         store.submit_write(0, [1, 2, 3], acks.append)
-        kernel.run(until=kernel.now + 50)
+        kernel.run(until=kernel.now + backing.PAGE_US)
         store.power_fail()
-        kernel.run(until=kernel.now + 1000)
+        kernel.run(until=kernel.now + backing.REQUEST_US + 3 * backing.PAGE_US)
         # The commit fires but finds a newer epoch: nothing lands, no page
         # commits partially.
         assert acks == [False]
@@ -111,12 +112,6 @@ class TestBackingStore:
         assert store.peek(9) == 42
 
     def test_validation(self):
-        kernel = Kernel()
-        power = PowerController(kernel)
-        with pytest.raises(ConfigurationError):
-            BackingStore(kernel, power, request_us=0)
-        with pytest.raises(ConfigurationError):
-            BackingStore(kernel, power, page_us=0)
         _, store = self.make()
         with pytest.raises(ConfigurationError):
             store.submit_write(0, [])
@@ -314,8 +309,6 @@ class TestTopologyPlan:
             self.make_plan(policy="nope")
         with pytest.raises(CampaignError):
             self.make_plan(fault_window_us=0)
-        with pytest.raises(CampaignError):
-            self.make_plan(backing_page_us=0)
         with pytest.raises(CampaignError):
             self.make_plan(spec=topo_spec(read_fraction=0.5))
         with pytest.raises(CampaignError):

@@ -27,17 +27,6 @@ class TestBlockTracer:
         events = [t.record(Action.QUEUE, i, 0, 1, False) for i in range(5)]
         assert [e.sequence for e in events] == [0, 1, 2, 3, 4]
 
-    def test_capacity_drops(self):
-        t = BlockTracer(Kernel(), capacity=2)
-        for i in range(4):
-            t.record(Action.QUEUE, i, 0, 1, False)
-        assert t.event_count == 2
-        assert t.dropped == 2
-
-    def test_bad_capacity(self):
-        with pytest.raises(TraceError):
-            BlockTracer(Kernel(), capacity=0)
-
     def test_events_for_filters(self):
         t = tracer_with()
         t.record(Action.QUEUE, 1, 0, 1, True)

@@ -246,7 +246,7 @@ class TestIOGenerator:
             size_max_bytes=1 * MIB,
             requested_iops=20_000.0,
         )
-        gen = IOGenerator(host, spec, RandomStreams(7), max_backlog=50)
+        gen = IOGenerator(host, spec, RandomStreams(7))
         gen.start()
         host.run_for_ms(300)
         gen.stop()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TraceError
 from repro.host import HostSystem
 from repro.rand import RandomStreams
 from repro.ssd.device import SsdConfig
@@ -67,6 +67,18 @@ class TestWorkloadTrace:
         loaded = WorkloadTrace.load(path)
         assert len(loaded) == 3
         assert loaded.records == self.sample().records
+
+    @pytest.mark.parametrize(
+        "damaged", ['{"t": 5, "lpn": 0, "pa', '{"t": 5, "lpn": 0, "w": true}'],
+        ids=["torn", "missing-field"],
+    )
+    def test_damaged_line_names_file_and_line(self, tmp_path, damaged):
+        path = tmp_path / "trace.jsonl"
+        self.sample().save(path)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(damaged + "\n")
+        with pytest.raises(TraceError, match=r"trace\.jsonl:4: "):
+            WorkloadTrace.load(path)
 
 
 class TestCaptureAndReplay:
