@@ -51,7 +51,7 @@ def run_mirror(shared_power: bool, seed: int, rounds: int = 6):
         mirror.run_for_ms(300)  # data on flash, map update still volatile
         mirror.fault_domain(None if shared_power else round_index % 2)
         mirror.run_for_ms(1500)
-        mirror.restore_all()
+        mirror.boot()
         result = mirror.read_verified(lpn, 4, expected=tokens)
         if not result.data_available or result.tokens != tokens:
             lost += 1

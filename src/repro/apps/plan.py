@@ -173,7 +173,7 @@ def run_app_cycle(
         config=plan.device,
         seed=derive_shard_seed(shard_seed, local_index + 1),
     )
-    host.boot(calibration.READY_TIMEOUT_US)
+    host.boot()
     fs = FileSystem(host, journal_blocks=plan.journal_blocks)
     fs.format()
 
@@ -192,7 +192,7 @@ def run_app_cycle(
     host.wait_until_dead()
     host.run_for(calibration.RECOVERY_SETTLE_US)
     host.restore_power()
-    host.wait_until_ready(calibration.READY_TIMEOUT_US)
+    host.wait_until_ready()
 
     # The app's recovery sees only what survived on the device: a fresh
     # filesystem object (no volatile state carried over) sharing the CAS.

@@ -44,6 +44,7 @@ from repro.engine import (
     run_plan,
     TraceWriter,
 )
+from repro.engine.wire import DEFAULT_LEASE_TIMEOUT_S
 from repro.errors import (
     CampaignError,
     CampaignInterrupted,
@@ -335,7 +336,7 @@ class _Topology(RunKind):
         command.add_argument(
             "--mirror-cache",
             action="store_true",
-            help="mirror the cache tier across two legs (RAID-1 MirrorPair)",
+            help="mirror the cache tier: two RAID-1 legs, each its own drive stack",
         )
         command.add_argument(
             "--shared-power",
@@ -628,14 +629,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--lease-timeout",
         type=float,
-        default=None,
+        default=DEFAULT_LEASE_TIMEOUT_S,
         metavar="SECONDS",
         help="requeue a shard whose worker stops heartbeating (default 15)",
     )
     serve.add_argument(
         "--max-retries",
         type=int,
-        default=None,
+        default=2,
         help="retry budget per shard before quarantine/failure (default 2)",
     )
     serve.add_argument(
@@ -977,19 +978,14 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.engine.serve import run_serve
-    from repro.engine.wire import DEFAULT_LEASE_TIMEOUT_S
 
     return run_serve(
         args.listen,
         args.cas,
-        lease_timeout_s=(
-            args.lease_timeout
-            if args.lease_timeout is not None
-            else DEFAULT_LEASE_TIMEOUT_S
-        ),
+        lease_timeout_s=args.lease_timeout,
         quarantine=args.quarantine,
         shard_timeout_s=args.shard_timeout,
-        max_retries=args.max_retries,
+        policy=RetryPolicy(max_retries=args.max_retries),
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.units import MSEC, SEC
+from repro.units import MSEC
 
 
 @dataclass(frozen=True)
@@ -130,9 +130,6 @@ CYCLE_MAX_US = 1_500 * MSEC
 
 RECOVERY_SETTLE_US = 1_000 * MSEC
 """Rail-discharge settle time before power is restored (paper: 900 ms+)."""
-
-READY_TIMEOUT_US = 10 * SEC
-"""Deadline for a device to come READY once power is restored."""
 
 PAPER_FAULTS = {
     "fig5_request_type": 300,

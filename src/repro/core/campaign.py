@@ -84,7 +84,7 @@ class Campaign:
 
         # 3. Restore and recover.
         host.restore_power()
-        host.wait_until_ready(calibration.READY_TIMEOUT_US)
+        host.wait_until_ready()
 
         # 4. Verification.
         writes, reads, failed = generator.drain_ledgers()

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core import calibration
 from repro.core.platform import TestPlatform
 from repro.errors import CampaignError
 from repro.host.system import HostSystem
@@ -114,7 +115,7 @@ def run_post_ack_sweep(
             host.run_for(interval_ms * MSEC)
             host.cut_power()
             host.wait_until_dead()
-            host.run_for(1000 * MSEC)
+            host.run_for(calibration.RECOVERY_SETTLE_US)
             host.restore_power()
             host.wait_until_ready()
             writes, _, failed = generator.drain_ledgers()

@@ -18,6 +18,7 @@ from typing import Optional
 from repro.core.analyzer import Analyzer
 from repro.core.scheduler import FaultScheduler
 from repro.host.system import HostSystem
+from repro.power.controller import PowerController
 from repro.rand import RandomStreams
 from repro.sim import Kernel
 from repro.ssd.device import SsdConfig
@@ -53,11 +54,12 @@ class TestPlatform:
     ) -> None:
         self.streams = RandomStreams(seed)
         kernel = Kernel()
+        psu = psu_factory(kernel) if psu_factory is not None else None
         self.host = HostSystem(
             config=config,
             seed=seed,
             kernel=kernel,
-            psu=psu_factory(kernel) if psu_factory is not None else None,
+            power=PowerController(kernel, psu),
         )
         self.spec = spec
         self.scheduler = FaultScheduler(

@@ -2,18 +2,17 @@
 
 "It determines the random time instances in which power failure will be
 occurred.  It sends On/Off Commands to the hardware part ..." — the class
-below draws those instants, fires the Off command through the
-:class:`~repro.power.controller.PowerController` (serial -> Arduino -> ATX),
-and arranges restoration after the rail has fully discharged.
+below draws those instants and fires the Off command through the
+:class:`~repro.power.controller.PowerController` (serial -> Arduino -> ATX);
+the campaign restores power once the rail has fully discharged.
 """
 
 from __future__ import annotations
 
 from random import Random
-from typing import List, Optional
+from typing import List
 
 from repro.core import calibration
-from repro.errors import CampaignError
 from repro.power.controller import PowerController
 from repro.sim.kernel import Kernel
 
@@ -48,25 +47,3 @@ class FaultScheduler:
         self.power.power_off()
         self.injections.append(self.kernel.now)
         return self.kernel.now
-
-    def schedule_injection(self, delay_us: Optional[int] = None) -> int:
-        """Arrange a fault ``delay_us`` from now (drawn if omitted).
-
-        Returns the absolute injection time.
-        """
-        if delay_us is None:
-            delay_us = self.draw_fault_delay()
-        if delay_us < 0:
-            raise CampaignError("fault delay must be non-negative")
-        at = self.kernel.now + delay_us
-        self.power.schedule_off(delay_us, note=lambda: self.injections.append(at))
-        return at
-
-    def schedule_restore(self, delay_us: int = calibration.RECOVERY_SETTLE_US) -> None:
-        """Arrange the On command after the rail has settled."""
-        self.power.schedule_on(delay_us)
-
-    @property
-    def fault_count(self) -> int:
-        """Faults injected so far."""
-        return len(self.injections)

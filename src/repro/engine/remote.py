@@ -228,17 +228,19 @@ def _worker_session(
     identity: str,
     held: Optional[HeldPlans],
     say,
-) -> Tuple[int, Optional[HeldPlans]]:
+) -> Tuple[Optional[int], Optional[HeldPlans]]:
     """One coordinator conversation: handshake, work loop, outcome.
 
-    Returns ``(exit_code, held_plans)``.  ``held`` carries an
-    already-hydrated plan batch into a reconnect: the hello advertises its
-    fingerprint, and when the coordinator welcomes us for the *same*
-    batch, hydration is skipped entirely — the idempotent re-handshake a
-    restarted coordinator relies on.
+    Returns ``(exit_code, held_plans)``; the exit code is ``None`` when the
+    connection ended before the coordinator answered the hello.  ``held``
+    carries an already-hydrated plan batch into a reconnect: the hello
+    advertises its fingerprint, and when the coordinator welcomes us for
+    the *same* batch, hydration is skipped entirely — the idempotent
+    re-handshake a restarted coordinator relies on.
     """
     send_lock = threading.Lock()
     executed = 0
+    welcome = None
     try:
         sock.settimeout(600.0)
         with send_lock:
@@ -254,7 +256,7 @@ def _worker_session(
         welcome = recv_frame(sock)
         if welcome is None:
             say(f"[worker {identity}] coordinator closed during handshake")
-            return 3, held
+            return None, held
         if welcome["kind"] == "reject":
             say(f"[worker {identity}] rejected: {welcome.get('reason')}")
             return 2, held
@@ -348,7 +350,7 @@ def _worker_session(
             executed += 1
     except (RemoteProtocolError, OSError) as exc:
         say(f"[worker {identity}] protocol/connection failure: {exc}")
-        return 3, held
+        return (3 if welcome is not None else None), held
     finally:
         try:
             sock.close()
@@ -370,18 +372,22 @@ def run_worker(
     fault fixture and the bit-determinism guarantee carry over unchanged.
 
     Exit codes: 0 clean shutdown from the coordinator; 2 rejected at
-    handshake (stale plans or protocol mismatch); 3 connection lost
-    mid-campaign.
+    handshake (stale plans or protocol mismatch); 3 connection lost,
+    mid-campaign or before the coordinator answered the hello.
 
     With ``persist=True`` the worker outlives individual coordinator
     sessions: after a lost connection it reconnects *holding* its
     hydrated plan batch (so a restarted coordinator for the same
     fingerprint re-handshakes idempotently); after a stale rejection it
     drops the held batch and retries fresh; after a clean shutdown it
-    waits for the next campaign.  The persist loop ends — returning the
-    last session's exit code — once no coordinator accepts a connection
-    within ``connect_timeout_s``.  A *fresh* handshake rejection still
-    exits 2 immediately: retrying a protocol mismatch is hopeless.
+    waits for the next campaign.  The persist loop ends once no
+    coordinator accepts a connection within ``connect_timeout_s``.  It
+    returns the code of the last session whose hello got an answer
+    (``welcome``, ``reject`` or ``shutdown``), or 3 if none did: a
+    connection closed before any answer — a service stopping while the
+    worker reconnects — does not replace that code.  A *fresh* handshake
+    rejection still exits 2 immediately: retrying a protocol mismatch is
+    hopeless.
     """
     stream = announce if announce is not None else sys.stderr
 
@@ -404,13 +410,15 @@ def run_worker(
                 raise
             say(f"[worker {identity}] {exc}; ending persist loop")
             return code
-        code, held = _worker_session(sock, host, port, identity, held, say)
+        answered, held = _worker_session(sock, host, port, identity, held, say)
         if not persist:
-            return code
-        if code == 2:
+            return 3 if answered is None else answered
+        if answered is not None:
+            code = answered  # an unanswered hello keeps the last code
+        if answered == 2:
             if held is None:
                 return 2  # fresh handshake rejected: config error, not transient
             held = None  # stale plans: reconnect fresh and re-hydrate
-        elif code == 0:
+        elif answered == 0:
             held = None  # campaign complete; await the next one
         time.sleep(0.2)

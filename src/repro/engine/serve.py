@@ -992,11 +992,10 @@ def run_serve(
     lease_timeout_s: float = DEFAULT_LEASE_TIMEOUT_S,
     quarantine: bool = False,
     shard_timeout_s: Optional[float] = None,
-    max_retries: Optional[int] = None,
+    policy: Optional[RetryPolicy] = None,
     announce=None,
 ) -> int:
     """Body of ``repro serve``: run the service until SIGINT/SIGTERM."""
-    policy = RetryPolicy(max_retries=max_retries) if max_retries is not None else None
     service = CampaignService(
         listen=listen,
         cas_root=cas_root,

@@ -4,20 +4,19 @@ Bundles the full actuation chain of the paper's hardware part —
 
     Scheduler --(serial)--> Arduino UNO --(pin 13)--> ATX PS_ON# --> PSU rail
 
-— behind two methods, :meth:`power_off` and :meth:`power_on`, plus a
-fault-scheduling helper.  The Scheduler in :mod:`repro.core.scheduler` talks
-only to this class, never to the PSU directly, mirroring the paper's strict
-HW/SW split (Fig. 1).
+— behind two methods, :meth:`power_off` and :meth:`power_on`.  The
+Scheduler in :mod:`repro.core.scheduler` talks only to this class, never to
+the PSU directly, mirroring the paper's strict HW/SW split (Fig. 1).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Optional
 
 from repro.power.arduino import CMD_OFF, CMD_ON, Microcontroller
 from repro.power.atx import AtxController
 from repro.power.psu import AtxPsu, PsuState
-from repro.sim.kernel import Event, Kernel
+from repro.sim.kernel import Kernel
 
 
 class PowerController:
@@ -52,7 +51,6 @@ class PowerController:
         self.atx = AtxController(kernel, self.psu)
         self.mcu = Microcontroller(kernel)
         self.mcu.attach_pin13(self._pin13_changed)
-        self._scheduled: List[Event] = []
         self.off_commands_sent = 0
         self.on_commands_sent = 0
 
@@ -71,40 +69,6 @@ class PowerController:
         """Send the Off command: this is the fault-injection trigger."""
         self.off_commands_sent += 1
         self.mcu.serial_write(CMD_OFF)
-
-    # -- scheduling ------------------------------------------------------------------
-
-    def schedule_off(self, delay_us: int, note: Optional[Callable[[], None]] = None) -> Event:
-        """Arrange for a power cut ``delay_us`` from now.
-
-        ``note`` (if given) is invoked at the same instant the Off command is
-        sent — the fault Scheduler uses it to timestamp injections.
-        """
-
-        def fire() -> None:
-            if note is not None:
-                note()
-            self.power_off()
-
-        event = self.kernel.schedule(delay_us, fire)
-        self._scheduled.append(event)
-        return event
-
-    def schedule_on(self, delay_us: int) -> Event:
-        """Arrange for power restoration ``delay_us`` from now."""
-        event = self.kernel.schedule(delay_us, self.power_on)
-        self._scheduled.append(event)
-        return event
-
-    def cancel_scheduled(self) -> int:
-        """Cancel all not-yet-fired scheduled transitions.  Returns count."""
-        cancelled = 0
-        for event in self._scheduled:
-            if event.pending:
-                event.cancel()
-                cancelled += 1
-        self._scheduled.clear()
-        return cancelled
 
     # -- state ----------------------------------------------------------------------
 

@@ -1,10 +1,11 @@
 """RAID-1 over two simulated SSDs with configurable power domains.
 
 A :class:`MirrorPair` owns two complete :class:`~repro.host.system.HostSystem`
-stacks sharing one simulation kernel.  ``shared_power=True`` wires both
-device loads to a single PSU (one fault hits both drives — the common
-single-PDU rack); ``False`` gives each drive its own PSU so faults can be
-injected per-domain.
+stacks (``mirror-a`` at ``seed``, ``mirror-b`` at ``seed + 1``) on a
+simulation kernel of its own.  ``shared_power=True`` wires both device
+loads to a single PSU (one fault hits both drives — the common single-PDU
+rack); ``False`` gives each drive its own PSU so faults can be injected
+per-domain.
 
 Reads are verified reads: the mirror reads both replicas and can repair a
 replica whose data is missing or corrupt from the healthy one, which is how
@@ -18,13 +19,10 @@ from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.host.block_layer import BlockRequest
-from repro.host.system import HostSystem
+from repro.host.system import READY_TIMEOUT_US, HostSystem
 from repro.power.controller import PowerController
-from repro.rand import RandomStreams
 from repro.sim import Kernel
-from repro.ssd.device import SsdConfig, SsdDevice
-from repro.trace.blktrace import BlockTracer
-from repro.host.block_layer import BlockLayer
+from repro.ssd.device import CORRUPT_TOKEN, SsdConfig
 from repro.units import SEC
 
 
@@ -54,20 +52,6 @@ class MirrorReadResult:
         return self.tokens is not None
 
 
-class _Replica:
-    """One leg of the mirror: its own power chain + device + block layer."""
-
-    def __init__(self, kernel: Kernel, config: SsdConfig, seed: int, name: str,
-                 power: Optional[PowerController] = None) -> None:
-        self.kernel = kernel
-        self.power = power if power is not None else PowerController(kernel)
-        self.tracer = BlockTracer(kernel)
-        self.ssd = SsdDevice(
-            kernel, config, self.power.psu, RandomStreams(seed).fork(name), name=name
-        )
-        self.block = BlockLayer(kernel, self.ssd, self.tracer)
-
-
 class MirrorPair:
     """RAID-1 across two devices.
 
@@ -86,27 +70,13 @@ class MirrorPair:
         config: Optional[SsdConfig] = None,
         shared_power: bool = True,
         seed: int = 0,
-        kernel: Optional[Kernel] = None,
-        power: Optional[PowerController] = None,
     ) -> None:
-        """``kernel`` embeds the pair in an existing simulation (topology
-        stacks); ``power`` wires both legs to an external shared controller
-        (e.g. a rack PDU also feeding other tiers) and implies
-        ``shared_power=True``."""
-        if power is not None and not shared_power:
-            raise ConfigurationError(
-                "an external shared power controller implies shared_power=True"
-            )
-        self.kernel = kernel if kernel is not None else Kernel()
+        self.kernel = Kernel()
         self.shared_power = shared_power
-        config = config or SsdConfig()
-        if power is not None:
-            shared: Optional[PowerController] = power
-        else:
-            shared = PowerController(self.kernel) if shared_power else None
-        self.replicas: Tuple[_Replica, _Replica] = (
-            _Replica(self.kernel, config, seed, "mirror-a", power=shared),
-            _Replica(self.kernel, config, seed + 1, "mirror-b", power=shared),
+        shared = PowerController(self.kernel) if shared_power else None
+        self.replicas: Tuple[HostSystem, HostSystem] = (
+            HostSystem(config, seed, self.kernel, shared, "mirror-a"),
+            HostSystem(config, seed + 1, self.kernel, shared, "mirror-b"),
         )
         # Statistics.
         self.writes_submitted = 0
@@ -116,7 +86,11 @@ class MirrorPair:
     # -- lifecycle ---------------------------------------------------------------------
 
     def boot(self) -> None:
-        """Power everything on and wait for both drives."""
+        """Power every domain (back) on and wait for both drives.
+
+        This is both the first boot and the restore after
+        :meth:`fault_domain`; each distinct controller gets one On command.
+        """
         seen = set()
         for replica in self.replicas:
             if id(replica.power) not in seen:
@@ -124,7 +98,7 @@ class MirrorPair:
                 seen.add(id(replica.power))
         self.kernel.pump_until(
             lambda: all(r.ssd.is_ready for r in self.replicas),
-            10 * SEC,
+            READY_TIMEOUT_US,
             "both mirror drives ready",
         )
 
@@ -139,14 +113,7 @@ class MirrorPair:
         if not tokens:
             raise ConfigurationError("empty mirror write")
         self.writes_submitted += 1
-        requests = []
-        for replica in self.replicas:
-            request = BlockRequest(
-                lpn=lpn, page_count=len(tokens), is_write=True, tokens=list(tokens)
-            )
-            replica.block.submit(request)
-            requests.append(request)
-        return requests
+        return [replica.write(lpn, tokens) for replica in self.replicas]
 
     def flush(self) -> None:
         """FLUSH barrier on both replicas."""
@@ -161,7 +128,7 @@ class MirrorPair:
             lambda: len(done) >= expected, 10 * SEC, "the mirror flush"
         )
 
-    def _peek_replica(self, replica: _Replica, lpn: int, count: int) -> Optional[List[int]]:
+    def _peek_replica(self, replica: HostSystem, lpn: int, count: int) -> Optional[List[int]]:
         if not replica.ssd.is_ready:
             return None
         tokens = []
@@ -169,15 +136,15 @@ class MirrorPair:
             token = replica.ssd.peek(lpn + offset)
             if token is None:
                 token = 0
-            if token == -1:  # CORRUPT_TOKEN
+            if token == CORRUPT_TOKEN:
                 return None
             tokens.append(token)
         return tokens
 
-    def _peek_replica_raw(self, replica: _Replica, lpn: int, count: int) -> List[int]:
-        """Per-page view for repair targeting: corrupt pages surface as the
-        corrupt token (-1) instead of poisoning the whole span, so a repair
-        can rewrite exactly the pages that deviate."""
+    def _peek_replica_raw(self, replica: HostSystem, lpn: int, count: int) -> List[int]:
+        """Per-page view for repair targeting: corrupt pages surface as
+        :data:`~repro.ssd.device.CORRUPT_TOKEN` instead of poisoning the
+        whole span, so a repair can rewrite exactly the pages that deviate."""
         tokens = []
         for offset in range(count):
             token = replica.ssd.peek(lpn + offset)
@@ -214,13 +181,7 @@ class MirrorPair:
                 if not deviating:
                     continue
                 for start, length in _contiguous_runs(deviating):
-                    request = BlockRequest(
-                        lpn=lpn + start,
-                        page_count=length,
-                        is_write=True,
-                        tokens=list(chosen[start : start + length]),
-                    )
-                    replica.block.submit(request)
+                    replica.write(lpn + start, chosen[start : start + length])
                 repaired += len(deviating)
                 self.repairs += 1
         self.repaired_pages += repaired
@@ -241,16 +202,3 @@ class MirrorPair:
         if replica_index is None:
             raise ConfigurationError("independent domains need a replica index")
         self.replicas[replica_index].power.power_off()
-
-    def restore_all(self) -> None:
-        """Power every domain back on and wait for readiness."""
-        seen = set()
-        for replica in self.replicas:
-            if id(replica.power) not in seen:
-                replica.power.power_on()
-                seen.add(id(replica.power))
-        self.kernel.pump_until(
-            lambda: all(r.ssd.is_ready for r in self.replicas),
-            10 * SEC,
-            "both mirror drives ready",
-        )

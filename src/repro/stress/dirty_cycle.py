@@ -32,7 +32,7 @@ from repro.core.analyzer import Analyzer
 from repro.core.results import CampaignResult, FaultCycleResult
 from repro.engine.plan import CampaignPlan, ShardSpec
 from repro.errors import CampaignError, StressAuditError
-from repro.host.system import HostSystem
+from repro.host.system import READY_TIMEOUT_US, HostSystem
 from repro.nvme.command import NvmeCommand, NvmeOpcode
 from repro.nvme.controller import NvmeController
 from repro.rand import uniform_int
@@ -110,11 +110,11 @@ class DirtyCyclePlan(CampaignPlan):
         return run_dirty_shard(self, shard)
 
 
-def _wait_for_recovering(host: HostSystem, timeout_us: int) -> None:
+def _wait_for_recovering(host: HostSystem) -> None:
     """Run until the device enters its recovery window (after restore)."""
     host.kernel.pump_until(
         lambda: host.ssd.state in (DevicePowerState.RECOVERING, DevicePowerState.READY),
-        timeout_us,
+        READY_TIMEOUT_US,
         "the recovery window",
     )
     if host.ssd.state is DevicePowerState.READY:
@@ -234,7 +234,7 @@ def run_dirty_shard(plan: DirtyCyclePlan, shard: ShardSpec) -> CampaignResult:
             if plan.recovery_fault_every and (
                 cycle_offset + cycle_index + 1
             ) % plan.recovery_fault_every == 0:
-                _wait_for_recovering(host, calibration.READY_TIMEOUT_US)
+                _wait_for_recovering(host)
                 # Cut early in the window: the rail needs tens of ms to
                 # decay to the detach threshold, and only a detach that
                 # lands while still RECOVERING interrupts the rebuild.
@@ -254,7 +254,7 @@ def run_dirty_shard(plan: DirtyCyclePlan, shard: ShardSpec) -> CampaignResult:
                 host.restore_power()
                 recovery_faults = 1
 
-            host.wait_until_ready(calibration.READY_TIMEOUT_US)
+            host.wait_until_ready()
             cmdlog.mark(cycle_index, "power_on", kernel.now)
 
             # 4. SMART audit: the drive's own health log must agree with

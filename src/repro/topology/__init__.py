@@ -5,10 +5,10 @@ Ahmadian et al.'s follow-up (PAPERS.md, arXiv:1912.01555) shows the same
 mechanism amplified in enterprise systems where a write-back SSD cache
 fronts a durable array — a fault in the cache tier silently loses data the
 application believes durable.  This package composes the already-built
-pieces (``repro.cache`` policies, ``repro.raid.mirror`` legs,
-``repro.power`` domains) into such topologies and runs the fault campaign
-against the *topology*, classifying each acknowledged host write as
-device-intact, device-FWA-but-topology-recovered, or application-visible
+pieces (``repro.cache`` policies, ``repro.host`` drive stacks as cache
+legs, ``repro.power`` domains) into such topologies and runs the fault
+campaign against the *topology*, classifying each acknowledged host write
+as device-intact, device-FWA-but-topology-recovered, or application-visible
 loss.
 
 Public surface: :class:`~repro.topology.stack.CacheTopology`,

@@ -39,8 +39,8 @@ class TopologyPlan(CampaignPlan):
     ``faults`` is the number of power-fault cycles.  Extra knobs:
 
     - ``policy``: cache policy, one of ``wb`` / ``wt`` / ``wa``;
-    - ``mirror_cache``: two mirrored cache legs
-      (:class:`~repro.raid.mirror.MirrorPair`) instead of one;
+    - ``mirror_cache``: two mirrored cache legs instead of one, each a
+      :class:`~repro.host.system.HostSystem` with its own device;
     - ``shared_power``: one PDU for cache legs *and* backing store (a fault
       takes everything); otherwise each leg has its own rail, the backing
       store is never faulted, and faults rotate across legs;
@@ -166,7 +166,7 @@ def run_topology_shard(plan: TopologyPlan, shard: ShardSpec) -> CampaignResult:
     cycle_offset = sum(s.faults for s in plan.shards()[: shard.index])
     traffic_time = 0
 
-    topo.boot(calibration.READY_TIMEOUT_US)
+    topo.boot()
     for cycle_index in range(shard.faults):
         # 1. Traffic until the drawn fault instant.
         fault_delay = plan.warmup_us + fault_rng.randrange(plan.fault_window_us)
@@ -181,8 +181,8 @@ def run_topology_shard(plan: TopologyPlan, shard: ShardSpec) -> CampaignResult:
         topo.run_for(calibration.RECOVERY_SETTLE_US)
 
         # 3. Power back on, wait for the cache tier, let stragglers land.
-        topo.restore(calibration.READY_TIMEOUT_US)
-        topo.quiesce(calibration.READY_TIMEOUT_US)
+        topo.restore()
+        topo.quiesce()
 
         # 4. Classify every acked write and reconcile the topology.
         audit = topo.audit_and_reset()

@@ -2,10 +2,10 @@
 
 This is the enterprise system of Ahmadian et al.'s follow-up study
 (PAPERS.md, arXiv:1912.01555): host writes land in an SSD cache tier
-(optionally mirrored across two legs via
-:class:`~repro.raid.mirror.MirrorPair`) backed by a slow-but-durable
-array (:class:`~repro.topology.backing.BackingStore`).  Three cache
-policies decide when a write is acknowledged:
+(one leg, or two mirrored legs, each a
+:class:`~repro.host.system.HostSystem` on the topology's kernel) backed
+by a slow-but-durable array (:class:`~repro.topology.backing.BackingStore`).
+Three cache policies decide when a write is acknowledged:
 
 - ``wb`` (write-back): ACK once every cache leg holds the data; a destage
   daemon drains the dirty ledger to the backing store in
@@ -40,16 +40,14 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cache.flush import FlushPolicy
 from repro.errors import ConfigurationError
-from repro.host.block_layer import BlockLayer, BlockRequest
+from repro.host.block_layer import BlockRequest
+from repro.host.system import BROWNOUT_TIMEOUT_US, READY_TIMEOUT_US, HostSystem
 from repro.power.controller import PowerController
-from repro.raid.mirror import MirrorPair
 from repro.rand import RandomStreams
 from repro.sim import Kernel
-from repro.ssd.device import SsdConfig, SsdDevice
+from repro.ssd.device import SsdConfig
 from repro.ssd.power_state import DevicePowerState
 from repro.topology.backing import BackingStore
-from repro.trace.blktrace import BlockTracer
-from repro.units import SEC
 
 POLICIES = ("wb", "wt", "wa")
 
@@ -65,22 +63,14 @@ class CycleAudit:
     io_errors: int
 
 
-class _SingleLeg:
-    """A non-mirrored cache leg: its own power chain + device + block layer."""
-
-    def __init__(self, kernel: Kernel, config: SsdConfig, seed: int, name: str,
-                 power: Optional[PowerController] = None) -> None:
-        self.kernel = kernel
-        self.power = power if power is not None else PowerController(kernel)
-        self.tracer = BlockTracer(kernel)
-        self.ssd = SsdDevice(
-            kernel, config, self.power.psu, RandomStreams(seed).fork(name), name=name
-        )
-        self.block = BlockLayer(kernel, self.ssd, self.tracer)
-
-
 class CacheTopology:
     """SSD cache tier + backing store under one simulation kernel.
+
+    Each cache leg is a :class:`~repro.host.system.HostSystem` on the
+    topology's kernel: ``cache-0`` alone, or ``mirror-a`` and ``mirror-b``
+    at ``seed`` and ``seed + 1``.  With ``shared_power`` every leg and the
+    backing store hang off one PDU controller; otherwise each leg has its
+    own and the backing store a third.
 
     All simulation state is a pure function of the constructor arguments,
     so a topology cycle is reproducible from ``(config, seed)`` alone —
@@ -109,20 +99,17 @@ class CacheTopology:
         self.pdu: Optional[PowerController] = (
             PowerController(self.kernel) if shared_power else None
         )
-        self.mirror: Optional[MirrorPair] = None
-        if mirror_cache:
-            self.mirror = MirrorPair(
+        names = ("mirror-a", "mirror-b") if mirror_cache else ("cache-0",)
+        self.legs = [
+            HostSystem(
                 config=device,
-                shared_power=shared_power,
-                seed=seed,
+                seed=seed + index,
                 kernel=self.kernel,
                 power=self.pdu,
+                name=name,
             )
-            self.legs = list(self.mirror.replicas)
-        else:
-            self.legs = [
-                _SingleLeg(self.kernel, device, seed, "cache-0", power=self.pdu)
-            ]
+            for index, name in enumerate(names)
+        ]
         backing_power = self.pdu if shared_power else PowerController(self.kernel)
         self.backing = BackingStore(self.kernel, backing_power)
 
@@ -146,15 +133,9 @@ class CacheTopology:
             seen.setdefault(id(controller), controller)
         return list(seen.values())
 
-    def boot(self, timeout_us: int = 10 * SEC) -> None:
+    def boot(self) -> None:
         """Power every domain on and wait for all cache legs."""
-        for controller in self._controllers():
-            controller.power_on()
-        self.kernel.pump_until(
-            lambda: all(leg.ssd.is_ready for leg in self.legs),
-            timeout_us,
-            "every cache leg ready",
-        )
+        self.restore()
 
     def run_for(self, duration_us: int) -> None:
         """Advance simulated time."""
@@ -187,12 +168,7 @@ class CacheTopology:
             # a write whose durability contract is the backing store).
             for leg in self.legs:
                 if leg.ssd.is_ready:
-                    leg.block.submit(
-                        BlockRequest(
-                            lpn=lpn, page_count=len(tokens), is_write=True,
-                            tokens=list(tokens),
-                        )
-                    )
+                    leg.write(lpn, tokens)
         self.backing.submit_write(
             lpn, list(tokens), lambda ok: self._host_done(lpn, tokens, ok)
         )
@@ -210,12 +186,7 @@ class CacheTopology:
                 self._host_done(lpn, tokens, state["ok"])
 
         for leg in self.legs:
-            leg.block.submit(
-                BlockRequest(
-                    lpn=lpn, page_count=len(tokens), is_write=True,
-                    tokens=list(tokens), on_done=leg_done,
-                )
-            )
+            leg.write(lpn, tokens, on_done=leg_done)
 
     def _host_done(self, lpn: int, tokens: List[int], ok: bool) -> None:
         self.in_flight -= 1
@@ -262,7 +233,7 @@ class CacheTopology:
 
     # -- fault injection ---------------------------------------------------------------
 
-    def inject_fault(self, campaign_cycle: int) -> List[object]:
+    def inject_fault(self, campaign_cycle: int) -> List[HostSystem]:
         """Cut this cycle's fault domain; returns the cache legs it hits.
 
         Shared power drops the PDU (every leg *and* the backing store);
@@ -279,34 +250,34 @@ class CacheTopology:
         victim.power.power_off()
         return [victim]
 
-    def wait_dead(self, legs: List[object], timeout_us: int = 3 * SEC) -> None:
+    def wait_dead(self, legs: List[HostSystem]) -> None:
         """Run until every faulted leg has browned out."""
         self.kernel.pump_until(
             lambda: all(leg.ssd.state is DevicePowerState.DEAD for leg in legs),
-            timeout_us,
+            BROWNOUT_TIMEOUT_US,
             "the faulted cache legs to brown out",
         )
 
-    def drain_dead(self, legs: List[object]) -> None:
+    def drain_dead(self, legs: List[HostSystem]) -> None:
         """Error out requests still queued behind the dead legs."""
         for leg in legs:
             leg.block.flush_queue_as_errors()
 
-    def restore(self, timeout_us: int = 10 * SEC) -> None:
-        """Power every domain back on and wait for all legs to recover."""
+    def restore(self) -> None:
+        """Power every domain (back) on and wait for all legs to be READY."""
         for controller in self._controllers():
             controller.power_on()
         self.kernel.pump_until(
             lambda: all(leg.ssd.is_ready for leg in self.legs),
-            timeout_us,
+            READY_TIMEOUT_US,
             "every cache leg ready",
         )
 
-    def quiesce(self, timeout_us: int = 10 * SEC) -> None:
+    def quiesce(self) -> None:
         """Wait until every host write and destage batch has resolved."""
         self.kernel.pump_until(
             lambda: self.in_flight == 0 and self._destage_pending == 0,
-            timeout_us,
+            READY_TIMEOUT_US,
             "host writes and destage batches to resolve",
         )
 

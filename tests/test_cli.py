@@ -254,6 +254,41 @@ class TestCommands:
         assert "1 quarantined" in first.err
         assert main(argv + ["--quarantine"]) == 0
 
+    def test_serve_hands_the_service_a_retry_policy(self, monkeypatch, tmp_path):
+        from types import SimpleNamespace
+
+        from repro.engine import RetryPolicy
+        from repro.engine import serve
+        from repro.engine.wire import DEFAULT_LEASE_TIMEOUT_S
+
+        built = {}
+
+        class StoppedService:
+            """Records its settings and stops as soon as it starts."""
+
+            host, port, submissions_total, _thread = "127.0.0.1", 0, 0, None
+
+            def __init__(self, **kwargs):
+                built.update(kwargs)
+                self.cas = SimpleNamespace(root=tmp_path, schema=0, stats=dict)
+
+            def start(self):
+                pass
+
+            def stop(self):
+                pass
+
+            def _announce(self, line):
+                pass
+
+        monkeypatch.setattr(serve, "CampaignService", StoppedService)
+        argv = ["serve", "--cas", str(tmp_path), "--max-retries", "0"]
+        assert main(argv) == 0
+        assert built["policy"] == RetryPolicy(max_retries=0)
+        assert built["lease_timeout_s"] == DEFAULT_LEASE_TIMEOUT_S
+        assert main(["serve", "--cas", str(tmp_path)]) == 0
+        assert built["policy"] == RetryPolicy()
+
     def test_campaign_trace_then_report(self, capsys, tmp_path):
         trace = tmp_path / "run.trace.jsonl"
         assert main(

@@ -36,21 +36,7 @@ class TestFaultScheduler:
         sched.inject_now()
         k.run(until=k.now + 1500 * MSEC)
         assert not pc.is_powered
-        assert sched.fault_count == 1
-
-    def test_schedule_injection(self):
-        k, pc, sched = self.make()
-        at = sched.schedule_injection(100 * MSEC)
-        assert at == k.now + 100 * MSEC
-        k.run(until=k.now + 1500 * MSEC)
-        assert sched.injections == [at]
-
-    def test_schedule_restore(self):
-        k, pc, sched = self.make()
-        sched.inject_now()
-        sched.schedule_restore(1200 * MSEC)
-        k.run(until=k.now + 2500 * MSEC)
-        assert pc.is_powered
+        assert len(sched.injections) == 1
 
 
 class TestResults:

@@ -19,6 +19,7 @@ run resumed serially, and a stale worker turned away at handshake.
 Wire-protocol framing is unit-tested at the bottom.
 """
 
+import io
 import os
 import signal
 import socket
@@ -29,8 +30,11 @@ import time
 import pytest
 
 from repro.engine import run_plan
+from repro.engine.checkpoint import plans_fingerprint
 from repro.engine.executors import TEST_FAULT_ENV
+from repro.engine.remote import run_worker
 from repro.engine.wire import (
+    encode_plans,
     MAX_FRAME_BYTES,
     parse_address,
     PROTOCOL_VERSION,
@@ -460,6 +464,63 @@ class TestHandshake:
         assert "stale" in validate_hello({**good, "fingerprint": "fp-2"}, "fp-1")
         assert "version" in validate_hello({**good, "v": 99}, "fp-1")
         assert "expected hello" in validate_hello({"kind": "request"}, "fp-1")
+
+
+def _scripted_coordinator(replies):
+    """A listener that answers one connection per scripted reply.
+
+    Each connection's hello gets its reply frame, or none when the reply
+    is ``None``; after a ``welcome`` the worker's first request is read
+    and the connection dropped.  The listener closes before the last
+    connection does, so the worker's next connect is refused.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        for index, reply in enumerate(replies):
+            conn, _ = listener.accept()
+            with conn:
+                recv_frame(conn)  # the hello
+                if reply is not None:
+                    send_frame(conn, reply)
+                    if reply["kind"] == "welcome":
+                        recv_frame(conn)  # the first request
+                if index == len(replies) - 1:
+                    listener.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener.getsockname()[1], thread
+
+
+class TestPersistExitCode:
+    def run_persist_worker(self, replies):
+        port, coordinator = _scripted_coordinator(replies)
+        code = run_worker(
+            ("127.0.0.1", port),
+            connect_timeout_s=0.5,
+            announce=io.StringIO(),
+            persist=True,
+        )
+        coordinator.join(timeout=10)
+        assert not coordinator.is_alive()  # every scripted connection was served
+        return code
+
+    def test_unanswered_reconnect_keeps_the_shutdown_code(self):
+        # A service that stops while the worker reconnects after a
+        # finished campaign closes the connection before any answer.
+        assert self.run_persist_worker([{"kind": "shutdown"}, None]) == 0
+
+    def test_session_lost_after_welcome_still_exits_3(self):
+        plans = [small_plan()]
+        welcome = {
+            "kind": "welcome",
+            "v": PROTOCOL_VERSION,
+            "fingerprint": plans_fingerprint(plans),
+            "plans": encode_plans(plans),
+            "heartbeat_s": 5.0,
+        }
+        assert self.run_persist_worker([welcome]) == 3
 
 
 class TestWireFrames:

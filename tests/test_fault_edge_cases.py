@@ -12,7 +12,7 @@ from repro.ftl import FtlConfig
 from repro.host import HostSystem
 from repro.ssd import DevicePowerState
 from repro.ssd.device import SsdConfig
-from repro.units import GIB, MSEC
+from repro.units import GIB, MSEC, SEC
 
 
 def make_host(seed=31, **overrides):
@@ -46,6 +46,22 @@ class TestFaultDuringBoot:
         req = host.write(0, [1])
         host.run_for_ms(50)
         assert req.ok
+
+
+class TestReadyDeadline:
+    def test_slow_initialisation_fits_the_one_ready_deadline(self):
+        # Every wait for READY reads the same 10 s deadline, so a drive that
+        # takes 6 s to initialise comes up through boot() and through a
+        # restore alike.
+        host = make_host(init_time_us=6 * SEC)
+        host.boot()
+        assert host.ssd.is_ready
+        host.cut_power()
+        host.wait_until_dead()
+        host.run_for_ms(1500)
+        host.restore_power()
+        host.wait_until_ready()
+        assert host.ssd.is_ready
 
 
 class TestIdleFault:

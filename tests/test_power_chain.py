@@ -117,27 +117,6 @@ class TestPowerController:
         assert not pc.is_powered
         assert pc.rail_volts < 0.1
 
-    def test_schedule_off_fires_with_note(self):
-        k = Kernel()
-        pc = PowerController(k)
-        pc.power_on()
-        k.run()
-        noted = []
-        pc.schedule_off(50 * MSEC, note=lambda: noted.append(k.now))
-        k.run()
-        assert noted == [50 * MSEC + k.now - k.now] or len(noted) == 1
-        assert pc.off_commands_sent == 1
-
-    def test_cancel_scheduled(self):
-        k = Kernel()
-        pc = PowerController(k)
-        pc.power_on()
-        k.run()
-        pc.schedule_off(100 * MSEC)
-        assert pc.cancel_scheduled() == 1
-        k.run()
-        assert pc.is_powered
-
 
 class TestRailProbe:
     def test_capture_records_discharge_shape(self):
@@ -147,7 +126,8 @@ class TestRailProbe:
         k.run()
         probe = RailProbe(k, pc.psu, interval_us=5 * MSEC)
         probe.start_capture(duration_us=1600 * MSEC)
-        pc.schedule_off(10 * MSEC)
+        k.run(until=k.now + 10 * MSEC)
+        pc.power_off()
         k.run()
         waveform = probe.waveform_ms()
         assert waveform[0][1] == pytest.approx(5.0)

@@ -62,7 +62,7 @@ class TestPowerDomains:
     def run_fault_cycle(self, mirror, replica_index=None):
         mirror.fault_domain(replica_index)
         mirror.run_for_ms(1500)
-        mirror.restore_all()
+        mirror.boot()
 
     def test_shared_domain_fault_hits_both(self):
         mirror = MirrorPair(config=lossy_config(), shared_power=True, seed=9)

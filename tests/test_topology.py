@@ -13,6 +13,7 @@ import pytest
 from repro.cache.flush import FlushPolicy
 from repro.errors import CampaignError, ConfigurationError
 from repro.ftl import FtlConfig
+from repro.host import HostSystem
 from repro.power.controller import PowerController
 from repro.sim import Kernel
 from repro.ssd.device import SsdConfig
@@ -280,6 +281,31 @@ class TestAudit:
             assert [leg.tracer.event_count for leg in topo.legs] == [0] * len(topo.legs)
 
 
+class TestLegStacks:
+    @pytest.mark.parametrize("mirror_cache", [False, True])
+    def test_legs_are_host_systems_on_the_topology_kernel(self, mirror_cache):
+        topo = CacheTopology(device=leg_config(), mirror_cache=mirror_cache, seed=5)
+        assert all(isinstance(leg, HostSystem) for leg in topo.legs)
+        assert all(leg.kernel is topo.kernel for leg in topo.legs)
+        names = ["mirror-a", "mirror-b"] if mirror_cache else ["cache-0"]
+        assert [leg.ssd.name for leg in topo.legs] == names
+
+    @pytest.mark.parametrize("mirror_cache", [False, True])
+    def test_shared_power_is_one_controller(self, mirror_cache):
+        topo = CacheTopology(
+            device=leg_config(), mirror_cache=mirror_cache, shared_power=True, seed=5
+        )
+        assert all(leg.power is topo.pdu for leg in topo.legs)
+        assert topo.backing.power is topo.pdu
+
+    @pytest.mark.parametrize("mirror_cache", [False, True])
+    def test_split_power_gives_each_leg_its_own(self, mirror_cache):
+        topo = CacheTopology(device=leg_config(), mirror_cache=mirror_cache, seed=5)
+        controllers = [leg.power for leg in topo.legs] + [topo.backing.power]
+        assert topo.pdu is None
+        assert len({id(controller) for controller in controllers}) == len(controllers)
+
+
 def topo_spec(**overrides):
     defaults = dict(
         wss_bytes=1 * GIB,
@@ -334,3 +360,76 @@ class TestTopologyPlan:
         assert cycle.fwa_failures == 0  # write-through contract
         assert cycle.unsafe_shutdowns == 1
         assert result.requests_issued >= cycle.writes_completed
+
+
+# Golden results of two ``wb`` faults on ``leg_config()`` legs at base seed
+# 9, one per leg layout.  A leg's name and seed fix its device streams, and
+# the build order (PDU, legs, backing controller) fixes the kernel's event
+# order, so a change to either moves these numbers.  Per cycle:
+# (intact_writes, topology_recovered, fwa_failures, io_errors,
+# unsafe_shutdowns).
+LEG_LAYOUTS = [
+    pytest.param(
+        False,
+        False,
+        {"fwa": 35, "total_data_loss": 35, "loss_per_fault": 17.5, "fwa_fraction": 1.0},
+        [(6, 1131, 12, 0, 1), (10, 1283, 23, 0, 1)],
+        id="single-split",
+    ),
+    pytest.param(
+        False,
+        True,
+        {"fwa": 46, "total_data_loss": 46, "loss_per_fault": 23.0, "fwa_fraction": 1.0},
+        [(6, 1123, 20, 0, 1), (10, 1280, 26, 0, 1)],
+        id="single-shared",
+    ),
+    pytest.param(
+        True,
+        False,
+        {"fwa": 0, "total_data_loss": 0, "loss_per_fault": 0.0, "fwa_fraction": 0.0},
+        [(6, 1143, 0, 0, 1), (10, 1306, 0, 0, 1)],
+        id="mirror-split",
+    ),
+    pytest.param(
+        True,
+        True,
+        {"fwa": 46, "total_data_loss": 46, "loss_per_fault": 23.0, "fwa_fraction": 1.0},
+        [(6, 1123, 20, 0, 2), (10, 1280, 26, 0, 2)],
+        id="mirror-shared",
+    ),
+]
+
+
+@pytest.mark.parametrize("mirror_cache,shared_power,losses,cycles", LEG_LAYOUTS)
+def test_leg_layout_is_pinned(mirror_cache, shared_power, losses, cycles):
+    plan = TopologyPlan(
+        spec=topo_spec(),
+        faults=2,
+        device=leg_config(),
+        base_seed=9,
+        shard_faults=2,
+        policy="wb",
+        mirror_cache=mirror_cache,
+        shared_power=shared_power,
+    )
+    (shard,) = plan.shards()
+    result = run_topology_shard(plan, shard)
+    assert result.summary() == {
+        "faults": 2,
+        "requests_completed": 2465,
+        "data_failures": 0,
+        "io_errors": 0,
+        "io_errors_per_fault": 0.0,
+        "responded_iops": 2548.4,
+        **losses,
+    }
+    assert [
+        (
+            cycle.intact_writes,
+            cycle.topology_recovered,
+            cycle.fwa_failures,
+            cycle.io_errors,
+            cycle.unsafe_shutdowns,
+        )
+        for cycle in result.cycles
+    ] == cycles
