@@ -445,8 +445,15 @@ class CampaignService:
             await self._stop_event.wait()
         finally:
             sweeper.cancel()
-            # No wait_closed(): from Python 3.12 it waits for every open
-            # connection, a wedged worker's too; loop teardown closes those.
+            # Stop accepting, then yield once so every accept already queued
+            # builds its transport before close(): asyncio asserts that the
+            # server is open while it builds one, and a transport it gives
+            # up on keeps its socket open until garbage collection, leaving
+            # a worker waiting on its hello.  No wait_closed(): from Python
+            # 3.12 it waits for every open connection, a wedged worker's
+            # too; loop teardown closes those.
+            self._loop.remove_reader(self._server.fileno())
+            await asyncio.sleep(0)
             server.close()
             # Cancelling a worker pump mid-read slams its socket, and the
             # worker exits 3 (connection lost) instead of ending its persist

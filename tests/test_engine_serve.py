@@ -11,6 +11,7 @@ key mismatches.
 """
 
 import logging
+import socket
 import threading
 import time
 
@@ -25,6 +26,7 @@ from repro.engine.serve import (
     follow_campaign,
     submit_campaign,
 )
+from repro.engine.wire import PROTOCOL_VERSION, recv_frame, send_frame
 from repro.errors import CampaignError
 from tests.engine_faults import (
     clean_summary,
@@ -426,6 +428,42 @@ class TestServeStop:
         assert "stopped before completion" in str(errors[0])
         asyncio_errors = [r for r in caplog.records if r.name == "asyncio"]
         assert not asyncio_errors, [r.getMessage() for r in asyncio_errors]
+
+    def test_no_hello_racing_stop_is_left_open(self, tmp_path):
+        # A worker reconnecting as the service stops must be answered or
+        # cut off.  asyncio asserts that the server is open while it builds
+        # an accepted connection's transport, and one it gave up on kept its
+        # socket open until garbage collection: a few hellos in a hundred
+        # then waited until their socket timeout.
+        outcomes = []
+
+        def hello(address):
+            try:
+                with socket.create_connection(address, timeout=2.0) as conn:
+                    send_frame(
+                        conn,
+                        {
+                            "kind": "hello",
+                            "v": PROTOCOL_VERSION,
+                            "worker": "racer",
+                            "fingerprint": None,
+                        },
+                    )
+                    outcomes.append("answered" if recv_frame(conn) else "closed")
+            except socket.timeout:
+                outcomes.append("left open")
+            except OSError:
+                outcomes.append("refused or reset")
+
+        for attempt in range(200):
+            service = _start_service(tmp_path / f"cas-{attempt}")
+            racer = threading.Thread(target=hello, args=(service.address,))
+            racer.start()
+            time.sleep((attempt % 20) * 0.0002)  # spread stop over the handshake
+            service.stop()
+            racer.join(timeout=10.0)
+            assert not racer.is_alive()
+        assert "left open" not in outcomes, outcomes.count("left open")
 
 
 class TestLocalSubmission:
