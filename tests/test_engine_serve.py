@@ -452,7 +452,7 @@ class TestServeStop:
                     outcomes.append("answered" if recv_frame(conn) else "closed")
             except socket.timeout:
                 outcomes.append("left open")
-            except OSError:
+            except (OSError, CampaignError):  # refused, reset or cut mid-frame
                 outcomes.append("refused or reset")
 
         for attempt in range(200):
@@ -463,6 +463,7 @@ class TestServeStop:
             service.stop()
             racer.join(timeout=10.0)
             assert not racer.is_alive()
+        assert len(outcomes) == 200
         assert "left open" not in outcomes, outcomes.count("left open")
 
 
