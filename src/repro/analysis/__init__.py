@@ -7,13 +7,6 @@
   the paper's figures in terminal output.
 """
 
-from repro.analysis.export import (
-    campaign_to_dict,
-    save_campaign_csv,
-    save_campaign_json,
-    save_series_csv,
-    save_sweep_csv,
-)
 from repro.analysis.report import ascii_bar_series, ascii_table, paper_vs_measured
 from repro.analysis.stats import (
     mean,
@@ -26,11 +19,6 @@ from repro.analysis.stats import (
 __all__ = [
     "ascii_bar_series",
     "ascii_table",
-    "campaign_to_dict",
-    "save_campaign_csv",
-    "save_campaign_json",
-    "save_series_csv",
-    "save_sweep_csv",
     "mean",
     "paper_vs_measured",
     "proportion_confidence_interval",

@@ -3,10 +3,10 @@
 Because every app fault cycle is a pure function of ``(shard seed, cycle
 index, fault delay)`` — see :func:`repro.apps.plan.run_app_cycle` — any
 one cycle of a campaign can be replayed in isolation: locate the shard
-that owns the campaign-wide cycle index, re-draw that shard's fault
-schedule up to the cycle, and run the single cycle with an
-:class:`~repro.apps.base.AppRecorder` attached.  The report then chains
-three views of the same fault:
+that owns the campaign-wide cycle index, read that shard's fault
+schedule (:func:`repro.apps.plan.fault_delays`) up to the cycle, and
+run the single cycle with an :class:`~repro.apps.base.AppRecorder`
+attached.  The report then chains three views of the same fault:
 
 1. the **promise log** — what the app acked, in order;
 2. **per-LBA device verdicts** — for every block the app wrote, whether
@@ -19,16 +19,16 @@ three views of the same fault:
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import List, Optional, Tuple
 
 from repro.apps.base import AppRecorder, Promise
 from repro.apps.kv import SEG_PREFIX, SEG_SUFFIX
-from repro.apps.plan import AppPlan, CycleDebris, run_app_cycle
+from repro.apps.plan import AppPlan, CycleDebris, fault_delays, run_app_cycle
 from repro.core.results import FaultCycleResult
 from repro.engine.plan import ShardSpec
 from repro.errors import CampaignError
 from repro.fs import FileNotFound
-from repro.rand import RandomStreams
 
 
 def locate_cycle(plan: AppPlan, cycle_index: int) -> Tuple[ShardSpec, int]:
@@ -50,17 +50,13 @@ def locate_cycle(plan: AppPlan, cycle_index: int) -> Tuple[ShardSpec, int]:
 
 
 def replay_fault_delay(plan: AppPlan, shard: ShardSpec, local_index: int) -> int:
-    """Re-draw the shard's fault schedule up to ``local_index``.
+    """The fault delay of the shard's cycle ``local_index``.
 
-    Must consume the stream exactly like :func:`repro.apps.plan.run_app_shard`
-    does (one draw per cycle, in order) so the replayed cycle sees the
-    identical fault instant.
+    Read from :func:`repro.apps.plan.fault_delays`, the schedule
+    :func:`repro.apps.plan.run_app_shard` runs, so the replayed cycle
+    sees the identical fault instant.
     """
-    fault_rng = RandomStreams(shard.seed).stream("apps-fault")
-    delay = 0
-    for _ in range(local_index + 1):
-        delay = fault_rng.randrange(plan.fault_window_us)
-    return delay
+    return next(islice(fault_delays(plan, shard), local_index, None))
 
 
 def _device_verdict(fs, file: str, index: int, expected: bytes) -> Tuple[str, str]:

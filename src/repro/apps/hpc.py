@@ -5,7 +5,7 @@ Each generation ``g`` the job serialises its (synthetic) state into
 and the assembled-state digest, followed by the data blocks — fsyncs it,
 then publishes it with an atomic rename to ``ckpt-<g>``.  The rename
 return is the ack point: the scheduler is told generation ``g`` is
-restartable.  Generations older than ``keep_generations`` are then
+restartable.  Generations older than :data:`KEEP_GENERATIONS` are then
 deleted and their promises *retracted* — the app deliberately withdrew
 them, so the audit no longer holds storage to them.
 
@@ -39,6 +39,10 @@ from repro.errors import AppAuditError
 
 TMP_FILE = "ckpt.tmp"
 CKPT_PREFIX = "ckpt-"
+STATE_BLOCKS = 6
+"""Data blocks in one checkpoint generation."""
+KEEP_GENERATIONS = 3
+"""Newest generations kept; older ones are deleted and retracted."""
 
 
 def ckpt_name(generation: int) -> str:
@@ -122,16 +126,10 @@ class CheckpointLoop(AppWorkload):
         rng,
         run_id: str,
         *,
-        state_blocks: int = 6,
-        keep_generations: int = 3,
         fsync_data: bool = True,
         recorder=None,
     ) -> None:
         super().__init__(rng, run_id, recorder)
-        if state_blocks <= 0 or keep_generations <= 0:
-            raise AppAuditError("state_blocks and keep_generations must be positive")
-        self.state_blocks = state_blocks
-        self.keep_generations = keep_generations
         self.fsync_data = fsync_data
         self._generation = 0
         self._inflight_rename: Optional[str] = None
@@ -146,7 +144,7 @@ class CheckpointLoop(AppWorkload):
         generation = self._generation + 1
         parts = [
             bytes(self.rng.getrandbits(8) for _ in range(48)).hex()
-            for _ in range(self.state_blocks)
+            for _ in range(STATE_BLOCKS)
         ]
         digest = content_digest(canonical_json([generation, parts]))
         if fs.exists(TMP_FILE):
@@ -159,7 +157,7 @@ class CheckpointLoop(AppWorkload):
                 "a": "hpchdr",
                 "run": self.run_id,
                 "g": generation,
-                "m": self.state_blocks,
+                "m": STATE_BLOCKS,
                 "dig": digest,
             }
         )
@@ -202,7 +200,7 @@ class CheckpointLoop(AppWorkload):
             )
         )
         self.ops_completed += 1
-        retire = generation - self.keep_generations
+        retire = generation - KEEP_GENERATIONS
         if retire >= 1:
             stale = ckpt_name(retire)
             if fs.exists(stale):

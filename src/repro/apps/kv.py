@@ -1,9 +1,9 @@
 """A log-structured KV store: append-only segments, compaction, manifest swap.
 
 Forward path: every put appends one sealed record to the active segment
-file ``seg-<n>.log``; every ``flush_every`` puts the segment is fsynced
+file ``seg-<n>.log``; every :data:`FLUSH_EVERY` puts the segment is fsynced
 and the batch of puts since the last flush is acked (one promise per
-*key*, superseding the key's earlier promise).  Every ``compact_every``
+*key*, superseding the key's earlier promise).  Every :data:`COMPACT_EVERY`
 puts the live table is rewritten into a fresh segment, the segment is
 fsynced, and a manifest naming the new segment set is published with the
 write-tmp → fsync → rename dance; obsolete segments are deleted only
@@ -41,6 +41,12 @@ SEG_PREFIX = "seg-"
 SEG_SUFFIX = ".log"
 MANIFEST_PREFIX = "manifest-"
 MANIFEST_TMP = "manifest.tmp"
+KV_KEYS = 48
+"""Size of the key space puts draw from."""
+FLUSH_EVERY = 4
+"""Puts per fsync'd and acked batch."""
+COMPACT_EVERY = 40
+"""Puts between compactions into a fresh segment."""
 
 
 def _seg_name(seg: int) -> str:
@@ -175,19 +181,11 @@ class KvStore(AppWorkload):
         rng,
         run_id: str,
         *,
-        kv_keys: int = 64,
-        flush_every: int = 4,
-        compact_every: int = 48,
         checksum_records: bool = True,
         fsync_batches: bool = True,
         recorder=None,
     ) -> None:
         super().__init__(rng, run_id, recorder)
-        if kv_keys <= 0 or flush_every <= 0 or compact_every <= 0:
-            raise AppAuditError("kv_keys, flush_every, compact_every must be positive")
-        self.kv_keys = kv_keys
-        self.flush_every = flush_every
-        self.compact_every = compact_every
         self.checksum_records = checksum_records
         self.fsync_batches = fsync_batches
         self.table: Dict[str, Tuple[int, str, int, int]] = {}  # key -> (seq, val, seg, block)
@@ -220,14 +218,14 @@ class KvStore(AppWorkload):
         """One put; every ``flush_every`` puts fsync + ack the batch."""
         self._seq += 1
         seq = self._seq
-        key = f"key{self.rng.randrange(self.kv_keys):04d}"
+        key = f"key{self.rng.randrange(KV_KEYS):04d}"
         val = bytes(self.rng.getrandbits(8) for _ in range(16)).hex()
         seg, block = self._active_seg, self._seg_cursor
         self._write_block(fs, _seg_name(seg), block, self._record(key, val, seq, seg))
         self._seg_cursor += 1
         self._pending.append((key, seq, val, seg, block))
         self._puts += 1
-        if self._puts % self.flush_every == 0:
+        if self._puts % FLUSH_EVERY == 0:
             if self.fsync_batches:
                 fs.fsync(_seg_name(seg))
             # Ack point: the whole batch became durable with that flush
@@ -245,7 +243,7 @@ class KvStore(AppWorkload):
                 )
             self._pending.clear()
         self.ops_completed += 1
-        if self._puts % self.compact_every == 0:
+        if self._puts % COMPACT_EVERY == 0:
             self._compact(fs)
 
     def _compact(self, fs) -> None:

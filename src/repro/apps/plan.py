@@ -22,7 +22,7 @@ in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.apps.audit import SemanticAudit, audit_app
 from repro.apps.base import AppRecorder, AppWorkload
@@ -56,8 +56,10 @@ class AppPlan(CampaignPlan):
     - ``app_checksums``: KV record sealing — ``False`` models a store
       that trusts storage, the silent-corruption contrast leg;
     - ``fault_window_us``: the fault instant is drawn uniformly from
-      ``[warmup_us, warmup_us + fault_window_us)`` of each cycle;
-    - per-app shape knobs (``txn_rows`` … ``keep_generations``).
+      ``[warmup_us, warmup_us + fault_window_us)`` of each cycle.
+
+    Each app's shape (rows per transaction, keys, checkpoint size, …) is
+    a constant of its module, e.g. :data:`repro.apps.wal.TXN_ROWS`.
 
     The inherited ``spec`` is carried for engine bookkeeping (labels,
     fingerprints) but app cycles generate their own operation stream.
@@ -68,16 +70,6 @@ class AppPlan(CampaignPlan):
     journal_blocks: int = 64
     app_fsync: bool = True
     app_checksums: bool = True
-    # WAL shape.
-    txn_rows: int = 3
-    snapshot_every: int = 8
-    # KV shape.
-    kv_keys: int = 48
-    flush_every: int = 4
-    compact_every: int = 40
-    # HPC shape.
-    state_blocks: int = 6
-    keep_generations: int = 3
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -89,17 +81,6 @@ class AppPlan(CampaignPlan):
             raise CampaignError("fault window must be positive")
         if self.journal_blocks <= 0:
             raise CampaignError("journal_blocks must be positive")
-        for name in (
-            "txn_rows",
-            "snapshot_every",
-            "kv_keys",
-            "flush_every",
-            "compact_every",
-            "state_blocks",
-            "keep_generations",
-        ):
-            if getattr(self, name) <= 0:
-                raise CampaignError(f"{name} must be positive")
 
     def display_label(self) -> str:
         if self.label:
@@ -114,31 +95,18 @@ class AppPlan(CampaignPlan):
         """A fresh workload model instance for one cycle."""
         if self.app == "wal":
             return WalDatabase(
-                rng,
-                run_id,
-                txn_rows=self.txn_rows,
-                snapshot_every=self.snapshot_every,
-                fsync_commits=self.app_fsync,
-                recorder=recorder,
+                rng, run_id, fsync_commits=self.app_fsync, recorder=recorder
             )
         if self.app == "kv":
             return KvStore(
                 rng,
                 run_id,
-                kv_keys=self.kv_keys,
-                flush_every=self.flush_every,
-                compact_every=self.compact_every,
                 checksum_records=self.app_checksums,
                 fsync_batches=self.app_fsync,
                 recorder=recorder,
             )
         return CheckpointLoop(
-            rng,
-            run_id,
-            state_blocks=self.state_blocks,
-            keep_generations=self.keep_generations,
-            fsync_data=self.app_fsync,
-            recorder=recorder,
+            rng, run_id, fsync_data=self.app_fsync, recorder=recorder
         )
 
     def run_shard(self, shard: ShardSpec) -> CampaignResult:
@@ -156,6 +124,19 @@ class CycleDebris:
     fault_time_us: int = 0
 
 
+def fault_delays(plan: AppPlan, shard: ShardSpec) -> Iterator[int]:
+    """The shard's fault schedule: each cycle's fault delay, in cycle order.
+
+    One draw per cycle from the shard's dedicated ``apps-fault`` stream,
+    so the schedule is identical across app configurations for a given
+    seed (the fsync/no-fsync contrast sees the same fault instants).  The
+    shard loop and ``--explain`` both read it from here.
+    """
+    fault_rng = RandomStreams(shard.seed).stream("apps-fault")
+    for _ in range(shard.faults):
+        yield fault_rng.randrange(plan.fault_window_us)
+
+
 def run_app_cycle(
     plan: AppPlan,
     shard_seed: int,
@@ -165,9 +146,9 @@ def run_app_cycle(
 ) -> Tuple[FaultCycleResult, CycleDebris]:
     """One complete app fault cycle, a pure function of its arguments.
 
-    ``fault_delay`` is the offset past warmup at which power is cut (the
-    shard loop draws it from the shard's fault stream; ``--explain``
-    replays the same draws to reproduce any one cycle in isolation).
+    ``fault_delay`` is the offset past warmup at which power is cut, the
+    cycle's entry of :func:`fault_delays` (``--explain`` reads the same
+    schedule to reproduce any one cycle in isolation).
     """
     host = HostSystem(
         config=plan.device,
@@ -245,15 +226,12 @@ def run_app_shard(plan: AppPlan, shard: ShardSpec) -> CampaignResult:
 
     Cycle indices in the result are shard-local;
     :func:`repro.engine.plan.merge_shard_results` renumbers them into one
-    campaign-wide sequence.  The fault schedule comes from a dedicated
-    per-shard stream, so it is identical across app configurations for a
-    given seed (the fsync/no-fsync contrast sees the same fault instants).
+    campaign-wide sequence.  Cycle ``i`` is cut at the ``i``-th entry of
+    :func:`fault_delays`.
     """
-    fault_rng = RandomStreams(shard.seed).stream("apps-fault")
     result = CampaignResult(label=plan.shard_label(shard))
     traffic_time = 0
-    for local_index in range(shard.faults):
-        fault_delay = fault_rng.randrange(plan.fault_window_us)
+    for local_index, fault_delay in enumerate(fault_delays(plan, shard)):
         cycle, _ = run_app_cycle(plan, shard.seed, local_index, fault_delay)
         result.add_cycle(cycle)
         result.requests_issued += cycle.requests_completed

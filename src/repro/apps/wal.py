@@ -8,7 +8,7 @@ Protocol (one transaction per :meth:`WalDatabase.step`):
    the transaction promised to the caller (``fsync_commits=False`` models
    the classic mis-configured database that acks at write return).
 
-Every ``snapshot_every`` transactions the committed ledger is folded into
+Every :data:`SNAPSHOT_EVERY` transactions the committed ledger is folded into
 a snapshot file via the write-tmp → fsync → rename dance, giving redo
 recovery a redundant copy: a transaction whose WAL record is torn but
 that is covered by a readable snapshot is *torn-but-recovered*, not lost.
@@ -42,6 +42,10 @@ from repro.errors import AppAuditError
 WAL_FILE = "wal.log"
 TMP_FILE = "db.tmp"
 SNAP_PREFIX = "snap-"
+TXN_ROWS = 3
+"""A transaction writes 1 to ``TXN_ROWS`` rows."""
+SNAPSHOT_EVERY = 8
+"""Transactions between snapshots of the committed ledger."""
 _SNAP_CHUNK_HEX = 3000  # hex chars of ledger JSON per snapshot block
 
 
@@ -188,16 +192,10 @@ class WalDatabase(AppWorkload):
         rng,
         run_id: str,
         *,
-        txn_rows: int = 3,
-        snapshot_every: int = 16,
         fsync_commits: bool = True,
         recorder=None,
     ) -> None:
         super().__init__(rng, run_id, recorder)
-        if txn_rows <= 0 or snapshot_every <= 0:
-            raise AppAuditError("txn_rows and snapshot_every must be positive")
-        self.txn_rows = txn_rows
-        self.snapshot_every = snapshot_every
         self.fsync_commits = fsync_commits
         self.ledger: List[Tuple[int, str]] = []  # acked (txid, digest), in order
         self._txid = 0
@@ -233,7 +231,7 @@ class WalDatabase(AppWorkload):
     def step(self, fs) -> None:
         """One transaction: rows, commit record, fsync, ack."""
         txid = self._txid + 1
-        rows = self._make_rows(txid, 1 + self.rng.randrange(self.txn_rows))
+        rows = self._make_rows(txid, 1 + self.rng.randrange(TXN_ROWS))
         digest = txn_digest(txid, rows)
         blocks = []
         for offset, row in enumerate(rows):
@@ -268,7 +266,7 @@ class WalDatabase(AppWorkload):
             )
         )
         self.ops_completed += 1
-        if txid % self.snapshot_every == 0:
+        if txid % SNAPSHOT_EVERY == 0:
             self._write_snapshot(fs)
 
     def _write_snapshot(self, fs) -> None:

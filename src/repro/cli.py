@@ -990,7 +990,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _render_streamed_record(record) -> None:
-    """One stderr line per live event streamed from the campaign service."""
+    """One stderr line per live event the campaign service streams.
+
+    ``record`` is the :class:`~repro.engine.progress.ProgressEvent` that
+    :func:`~repro.engine.serve.submit_campaign` decoded from its trace line.
+    """
     eta = format_eta(record.eta_s)
     if record.shard_index < 0:
         scope = f"all {record.shard_count} shards"
@@ -1147,7 +1151,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         return 2
     host = HostSystem(config=models.by_name(args.device), seed=args.seed)
     host.boot()
-    analyzer = Analyzer(host)
+    analyzer = Analyzer(host.ssd.peek)
     replayer = TraceReplayer(host, trace)
     replayer.start()
     fault_injected = False

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.host.system import HostSystem
 from repro.ssd.device import CORRUPT_TOKEN
 from repro.workload.checksum import TOKEN_ZERO
 from repro.workload.packet import DataPacket
@@ -71,7 +70,12 @@ class VerificationOutcome:
 
 
 class Analyzer:
-    """Stateful verifier over one host system.
+    """Stateful verifier over one ``peek(lpn) -> token|None`` source.
+
+    The source is usually a simulated drive's ``host.ssd.peek``, bound
+    when the Analyzer is built; it can as well read a real block device
+    (returning per-page checksums), diskchecker-style — the taxonomy logic
+    is identical.
 
     Keeps a persistent per-LPN *expected content* ledger across fault
     cycles: after each verification the ledger is reconciled with what the
@@ -79,25 +83,12 @@ class Analyzer:
     request" references (Fig. 2's Initial Checksum) are exact.
     """
 
-    def __init__(self, host: Optional[HostSystem] = None, peek=None) -> None:
-        if host is None and peek is None:
-            raise ValueError("Analyzer needs a host system or a peek callable")
-        self.host = host
-        self._peek = peek if peek is not None else host.ssd.peek
+    def __init__(self, peek: Callable[[int], Optional[int]]) -> None:
+        self._peek = peek
         self._expected: Dict[int, int] = {}  # lpn -> token (TOKEN_ZERO if absent)
         # Statistics.
         self.total_records: int = 0
         self.packets_verified: int = 0
-
-    @classmethod
-    def from_peek(cls, peek) -> "Analyzer":
-        """Standalone checker over any ``peek(lpn) -> token|None`` source.
-
-        This is the diskchecker-style usage: the peek callable can read a
-        real block device (returning per-page checksums) instead of the
-        simulated one — the taxonomy logic is identical.
-        """
-        return cls(host=None, peek=peek)
 
     # -- reference bookkeeping ---------------------------------------------------------
 

@@ -107,7 +107,7 @@ def check_ledger(
     there (None = erased/unmapped).  Only acknowledged writes are judged;
     unacknowledged ones are classified IO errors, as in the campaign path.
     """
-    analyzer = Analyzer.from_peek(peek)
+    analyzer = Analyzer(peek)
     packets = list(packets)
     acked_writes = [p for p in packets if p.is_write and p.acked]
     unacked = [p for p in packets if p.is_write and not p.acked]

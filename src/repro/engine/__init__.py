@@ -22,6 +22,12 @@ plan, the merged result is identical for any worker count, retry
 pattern, or checkpoint/resume split — ``run_plan(plan, jobs=1)``
 and a killed-and-resumed ``run_plan(plan, jobs=16)`` agree exactly.
 
+Every engine event is one :class:`ProgressEvent`: the ``progress`` hook
+receives it, a :class:`TraceWriter` writes it as one trace line, and
+:func:`read_trace`, :class:`TraceCursor`, the live follower
+(:mod:`repro.engine.live`) and :func:`submit_campaign`'s stream return
+it, equal to what the hook saw.
+
 Example
 -------
 >>> from repro.engine import CampaignPlan, run_plan
@@ -80,12 +86,10 @@ from repro.engine.supervisor import (
 )
 from repro.engine.trace import (
     build_trace_report,
-    load_trace_report,
     read_trace,
     TraceCursor,
     TraceReport,
     TraceReportBuilder,
-    TraceRecord,
     TraceWriter,
 )
 from repro.engine.live import (
@@ -260,7 +264,6 @@ __all__ = [
     "ShardTiming",
     "SubmissionOutcome",
     "TraceCursor",
-    "TraceRecord",
     "TraceReport",
     "TraceReportBuilder",
     "TraceSource",
@@ -273,7 +276,6 @@ __all__ = [
     "follow_trace",
     "format_eta",
     "load_resume_state",
-    "load_trace_report",
     "merge_plan_runs",
     "merge_shard_results",
     "parse_address",

@@ -53,10 +53,8 @@ JOURNAL_VERSION = 1
 
 # -- lossless CampaignResult codec --------------------------------------------------
 #
-# ``repro.analysis.export`` serialises for *plotting* (it includes derived
-# summaries and may drop bookkeeping fields); the journal must round-trip
-# exactly, so it walks dataclass fields — a field added to
-# ``FaultCycleResult`` is carried automatically.
+# The journal must round-trip exactly, so it walks dataclass fields — a
+# field added to ``FaultCycleResult`` is carried automatically.
 
 
 def result_to_record(result: CampaignResult) -> Dict:

@@ -11,7 +11,9 @@ straggler view:
 - :class:`TraceSource` pairs one :class:`~repro.engine.trace.TraceCursor`
   (incremental tailing, torn-tail retention, truncation/rotation reset)
   with one :class:`~repro.engine.trace.TraceReportBuilder` (O(new
-  records) per poll);
+  records) per poll); each record is the
+  :class:`~repro.engine.progress.ProgressEvent` its line encodes, the
+  same value the running engine handed its hooks;
 - :class:`FollowSession` follows one trace file — or multiplexes every
   trace in a directory, so a whole ``REPRO_BENCH_TRACE`` bench sweep can
   be watched from one terminal, discovering new campaigns as they start;

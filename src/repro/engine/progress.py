@@ -1,11 +1,15 @@
 """Engine progress/telemetry hooks.
 
 Executors report shard lifecycle events through an :class:`EngineTelemetry`
-instance; consumers (CLI, benches, tests, the trace exporter) receive
-:class:`ProgressEvent` snapshots carrying throughput (cycles/sec) and an
-ETA estimate.  The hook is a plain callable, so tests can collect events
-into a list, the CLI can render them as console lines, and
-:class:`repro.engine.trace.TraceWriter` can persist them as JSONL.
+instance; consumers (CLI, benches, tests, the trace writer) receive
+:class:`ProgressEvent` values carrying capture timestamps, throughput
+(cycles/sec) and an ETA estimate.  A :class:`ProgressEvent` is the one
+record of an engine event: the hook gets it, the trace writer
+(:class:`repro.engine.trace.TraceWriter`) encodes it as one JSONL line,
+and every reader (:func:`repro.engine.trace.read_trace`, the live
+follower, the campaign service's stream) decodes that line back into an
+equal value.  The hook is a plain callable, so tests can collect events
+into a list and the CLI can render them as console lines.
 
 Throughput accounting distinguishes *executed* cycles from cycles loaded
 out of a checkpoint journal: skipped shards count toward progress totals
@@ -42,32 +46,40 @@ class ProgressEvent:
     the journal), or ``plan-finished`` (whose ``shard_index`` is the
     :data:`PLAN_EVENT_INDEX` sentinel, never a real shard).
 
-    ``attempt`` is the attempt number the event describes (``None`` when
-    not applicable); ``worker_pid`` identifies the executing worker when
-    the emitter knows it — a bare pid for local execution (this process
-    for ``jobs=1``, the forked worker otherwise), or a ``"host:pid"``
-    string for distributed workers, so trace reports can attribute
-    stragglers to machines;
-    ``commit_lag_s`` (checkpoint-written only) is how long a finished
-    shard result waited before being durably journaled.
+    ``wall_time_s`` and ``mono_time_s`` are the wall-clock and monotonic
+    capture timestamps :class:`EngineTelemetry` stamps when it emits the
+    event.  ``attempt`` is the attempt number the event describes
+    (``None`` when not applicable); ``worker_pid`` identifies the
+    executing worker when the emitter knows it — a bare pid for local
+    execution (this process for ``jobs=1``, the forked worker otherwise),
+    or a ``"host:pid"`` string for distributed workers, so trace reports
+    can attribute stragglers to machines; ``commit_lag_s``
+    (checkpoint-written only) is how long a finished shard result waited
+    before being durably journaled.
+
+    The fields are in trace-line key order, and the ones without a
+    default are the ones every trace line must carry
+    (:data:`repro.engine.trace.TRACE_FIELDS`).
     """
 
     kind: str
     plan_label: str
     shard_index: int
     shard_count: int
+    wall_time_s: float
+    mono_time_s: float
     shards_done: int
     shards_total: int
     cycles_done: int
     cycles_total: int
+    cycles_skipped: int
     elapsed_s: float
     cycles_per_sec: float
-    eta_s: Optional[float]
-    detail: str = ""
-    cycles_skipped: int = 0
+    eta_s: Optional[float] = None
     attempt: Optional[int] = None
     worker_pid: Optional[Union[int, str]] = None
     commit_lag_s: Optional[float] = None
+    detail: str = ""
 
 
 ProgressHook = Callable[[ProgressEvent], None]
@@ -101,7 +113,8 @@ class EngineTelemetry:
     """Aggregates shard events into throughput/ETA snapshots.
 
     Executors call the ``shard_*``/``plan_finished`` methods; each call
-    builds a :class:`ProgressEvent` and forwards it to the hook (if any).
+    builds a :class:`ProgressEvent`, stamped with ``clock()`` (monotonic)
+    and :func:`time.time` (wall), and forwards it to the hook (if any).
 
     Event entry points are serialized by a mutex: the asyncio coordinator
     emits worker-driven events from its event-loop thread while the
@@ -123,10 +136,6 @@ class EngineTelemetry:
         self.shards_done = 0
         self.cycles_done = 0
         self.cycles_skipped = 0
-        self.retries = 0
-        self.skipped = 0
-        self.quarantined = 0
-        self.checkpoints = 0
         self._hook = hook
         self._clock = clock
         self._start = clock()
@@ -221,16 +230,14 @@ class EngineTelemetry:
         attempt: Optional[int] = None,
     ) -> None:
         """A shard failed or timed out and is being retried in-process."""
-        with self._mutex:
-            self.retries += 1
-            self._emit(
-                "shard-retried",
-                plan_label,
-                index,
-                count,
-                detail=reason,
-                attempt=attempt,
-            )
+        self._emit(
+            "shard-retried",
+            plan_label,
+            index,
+            count,
+            detail=reason,
+            attempt=attempt,
+        )
 
     def shard_skipped(
         self, plan_label: str, index: int, count: int, cycles: int
@@ -244,7 +251,6 @@ class EngineTelemetry:
             self.shards_done += 1
             self.cycles_done += cycles
             self.cycles_skipped += cycles
-            self.skipped += 1
             self._emit(
                 "shard-skipped", plan_label, index, count, detail="from checkpoint"
             )
@@ -260,7 +266,6 @@ class EngineTelemetry:
         """A shard exhausted its retry budget and was quarantined."""
         with self._mutex:
             self.shards_done += 1
-            self.quarantined += 1
             self._emit(
                 "shard-quarantined",
                 plan_label,
@@ -278,15 +283,13 @@ class EngineTelemetry:
         commit_lag_s: Optional[float] = None,
     ) -> None:
         """A shard result was durably committed to the journal."""
-        with self._mutex:
-            self.checkpoints += 1
-            self._emit(
-                "checkpoint-written",
-                plan_label,
-                index,
-                count,
-                commit_lag_s=commit_lag_s,
-            )
+        self._emit(
+            "checkpoint-written",
+            plan_label,
+            index,
+            count,
+            commit_lag_s=commit_lag_s,
+        )
 
     def plan_finished(self, plan_label: str, shard_count: int) -> None:
         """Every shard of one plan has merged (shard index is the sentinel)."""
@@ -314,18 +317,20 @@ class EngineTelemetry:
                     plan_label=plan_label,
                     shard_index=index,
                     shard_count=count,
+                    wall_time_s=time.time(),
+                    mono_time_s=self._clock(),
                     shards_done=self.shards_done,
                     shards_total=self.shards_total,
                     cycles_done=self.cycles_done,
                     cycles_total=self.cycles_total,
+                    cycles_skipped=self.cycles_skipped,
                     elapsed_s=self.elapsed_s,
                     cycles_per_sec=self.cycles_per_sec,
                     eta_s=self.eta_s,
-                    detail=detail,
-                    cycles_skipped=self.cycles_skipped,
                     attempt=attempt,
                     worker_pid=worker_pid,
                     commit_lag_s=commit_lag_s,
+                    detail=detail,
                 )
             )
 

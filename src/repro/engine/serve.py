@@ -94,7 +94,7 @@ from repro.engine.supervisor import (
     RetryPolicy,
     ShardRun,
 )
-from repro.engine.trace import record_from_dict, TraceRecord, TraceWriter
+from repro.engine.trace import record_from_dict, TraceWriter
 from repro.engine.wire import (
     connect_with_retry,
     DEFAULT_LEASE_TIMEOUT_S,
@@ -840,7 +840,7 @@ class SubmissionOutcome:
     executed: int
     cas_hits: int
     coalesced: bool
-    records: List[TraceRecord] = field(default_factory=list)
+    records: List[ProgressEvent] = field(default_factory=list)
 
 
 def _open_service_connection(
@@ -852,7 +852,7 @@ def _open_service_connection(
 
 def _consume_stream(sock: socket.socket, on_record) -> Dict:
     """Read event frames until the terminal ``summary`` (or raise)."""
-    records_seen: List[TraceRecord] = []
+    records_seen: List[ProgressEvent] = []
     while True:
         frame = recv_frame(sock)
         if frame is None:
@@ -890,7 +890,8 @@ def submit_campaign(
     so ``submit_campaign(...).results[i].summary()`` is bit-identical to
     a local ``run_plan`` of the same plan, whether the shards executed on
     workers or came from the service's result cache.  ``on_record`` (if
-    given) receives every live :class:`TraceRecord`.
+    given) receives every live :class:`ProgressEvent`, decoded from its
+    trace line; :attr:`SubmissionOutcome.records` holds them all.
     """
     plans = list(plans)
     sock = _open_service_connection(address, connect_timeout_s)

@@ -7,21 +7,28 @@ This module persists it, the same way the paper's platform persists raw
 blktrace/btt event streams so the Analyzer can classify failures *after*
 the fact, never depending on in-memory state:
 
+A trace line is one :class:`~repro.engine.progress.ProgressEvent`, the
+same value the engine's hooks receive: :data:`TRACE_FIELDS` lists each
+JSON key with the event attribute it holds, the coercion a reader
+applies and whether every line must carry it.  The writer encodes an
+event through that table and every reader decodes a line through it, so
+``read_trace(path)`` equals the list of events a hook collected.
+
 - :class:`TraceWriter` is a plain :data:`~repro.engine.progress.ProgressHook`
-  that appends one JSONL record per event (kind, plan label, shard index,
-  attempt, retry reason, wall + monotonic timestamps, cycle counters,
-  worker pid when known, checkpoint commit lag).  Appends are **batched
-  between fsyncs** (``flush_every`` records) so tracing a thousand-shard
-  sweep doesn't serialise on the disk; failure-relevant kinds (retry,
-  quarantine, plan-finished) force an immediate fsync so forensic records
-  survive a crash.
+  that appends one JSONL line per event (kind, plan label, shard index,
+  wall + monotonic capture timestamps, cycle counters, attempt, worker
+  pid when known, checkpoint commit lag, retry reason).  Appends are
+  **batched between fsyncs** (``flush_every`` records) so tracing a
+  thousand-shard sweep doesn't serialise on the disk; failure-relevant
+  kinds (retry, quarantine, plan-finished) force an immediate fsync so
+  forensic records survive a crash.
 - :class:`TraceCursor` incrementally tails a trace — it remembers its
   byte offset, *retains* a partial final line until the writer completes
   it, and detects truncation/rotation — so a live follower and the
   post-hoc replay share one parsing path.  :func:`read_trace` is a single
   cursor poll, parameterized by whether the writer is presumed alive.
-- :class:`TraceReportBuilder` folds records into report state in O(1)
-  per record; :func:`build_trace_report` / :class:`TraceReport`
+- :class:`TraceReportBuilder` folds events into report state in O(1)
+  per event; :func:`build_trace_report` / :class:`TraceReport`
   reconstruct per-shard execution from the event stream and compute the
   straggler story: p50/p95/max shard duration, the slowest-N shards,
   retry and quarantine timelines, and checkpoint-commit lag.
@@ -36,10 +43,20 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    IO,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.engine.progress import PLAN_EVENT_INDEX, ProgressEvent
 from repro.errors import EngineTraceError
@@ -60,146 +77,8 @@ EVENT_KINDS = frozenset(
     }
 )
 
-REQUIRED_FIELDS = (
-    "v",
-    "kind",
-    "plan",
-    "shard",
-    "shard_count",
-    "wall_time_s",
-    "mono_time_s",
-    "shards_done",
-    "shards_total",
-    "cycles_done",
-    "cycles_total",
-    "cycles_skipped",
-    "elapsed_s",
-    "cycles_per_sec",
-)
-"""Fields every trace record must carry (schema sanity checks key off this)."""
 
-_FSYNC_NOW_KINDS = frozenset(
-    {"shard-retried", "shard-quarantined", "plan-finished"}
-)
-"""Kinds whose records are failure forensics — always fsync'd immediately."""
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One replayed trace line (a ProgressEvent plus capture timestamps)."""
-
-    kind: str
-    plan_label: str
-    shard_index: int
-    shard_count: int
-    wall_time_s: float
-    mono_time_s: float
-    shards_done: int
-    shards_total: int
-    cycles_done: int
-    cycles_total: int
-    cycles_skipped: int
-    elapsed_s: float
-    cycles_per_sec: float
-    eta_s: Optional[float] = None
-    attempt: Optional[int] = None
-    worker_pid: Optional[Union[int, str]] = None
-    commit_lag_s: Optional[float] = None
-    detail: str = ""
-
-    @property
-    def shard_key(self) -> Tuple[str, int]:
-        """Consumer key; plan-level events use the sentinel index."""
-        return (self.plan_label, self.shard_index)
-
-
-class TraceWriter:
-    """Progress hook persisting every engine event as one JSONL record.
-
-    Opens lazily on the first event (a traced run that dies before any
-    event leaves no empty litter).  Records are buffered and fsync'd every
-    ``flush_every`` appends — plus immediately for retry/quarantine/
-    plan-finished records — so the trace of a crashed run is complete up
-    to at most ``flush_every - 1`` routine events.
-    """
-
-    def __init__(
-        self,
-        path: PathLike,
-        flush_every: int = 16,
-        wall_clock: Callable[[], float] = time.time,
-        mono_clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.path = Path(path)
-        self.flush_every = max(1, flush_every)
-        self.records_written = 0
-        self._wall_clock = wall_clock
-        self._mono_clock = mono_clock
-        self._handle: Optional[IO[str]] = None
-        self._unsynced = 0
-
-    # -- hook entry ---------------------------------------------------------------
-
-    def __call__(self, event: ProgressEvent) -> None:
-        self.write_event(event)
-
-    def write_event(self, event: ProgressEvent) -> Dict:
-        """Append one event, fsync per the batching policy; return the record."""
-        record = {
-            "v": TRACE_VERSION,
-            "kind": event.kind,
-            "plan": event.plan_label,
-            "shard": event.shard_index,
-            "shard_count": event.shard_count,
-            "wall_time_s": self._wall_clock(),
-            "mono_time_s": self._mono_clock(),
-            "shards_done": event.shards_done,
-            "shards_total": event.shards_total,
-            "cycles_done": event.cycles_done,
-            "cycles_total": event.cycles_total,
-            "cycles_skipped": event.cycles_skipped,
-            "elapsed_s": event.elapsed_s,
-            "cycles_per_sec": event.cycles_per_sec,
-            "eta_s": event.eta_s,
-            "attempt": event.attempt,
-            "worker_pid": event.worker_pid,
-            "commit_lag_s": event.commit_lag_s,
-            "detail": event.detail,
-        }
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a", encoding="utf-8")
-        self._handle.write(json.dumps(record, separators=(",", ":")) + "\n")
-        self.records_written += 1
-        self._unsynced += 1
-        if self._unsynced >= self.flush_every or event.kind in _FSYNC_NOW_KINDS:
-            self.flush()
-        return record
-
-    # -- durability ---------------------------------------------------------------
-
-    def flush(self) -> None:
-        """Flush and fsync everything appended so far."""
-        if self._handle is not None and self._unsynced:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-            self._unsynced = 0
-
-    def close(self) -> None:
-        """Fsync the tail and release the file handle."""
-        if self._handle is not None:
-            self.flush()
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "TraceWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-# -- reading ------------------------------------------------------------------------
+# -- the field table ----------------------------------------------------------------
 
 
 def _coerce_float(name: str, value, optional: bool = False) -> Optional[float]:
@@ -231,52 +110,167 @@ def _coerce_int(name: str, value, optional: bool = False) -> Optional[int]:
     return int(number)
 
 
-def record_from_dict(payload: Dict) -> TraceRecord:
-    """Build a :class:`TraceRecord` from one decoded JSON object.
+def _coerce_label(name: str, value, optional: bool) -> str:
+    """``kind`` and ``plan``: JSON strings."""
+    if not isinstance(value, str):
+        raise EngineTraceError("trace record kind/plan must be strings")
+    return value
 
-    Numeric fields are type-checked and coerced (ints where counts are
-    expected, floats for timings — including the optional ``eta_s`` /
-    ``commit_lag_s`` / ``attempt``); wrong-typed values raise
+
+def _coerce_worker(name: str, value, optional: bool) -> Union[int, str, None]:
+    """A bare pid or a ``host:pid`` string, when the emitter knew it."""
+    if value is not None and not isinstance(value, (int, str)):
+        raise EngineTraceError(
+            f"trace field {name!r} must be an int or string, "
+            f"got {type(value).__name__}"
+        )
+    return value
+
+
+def _coerce_detail(name: str, value, optional: bool) -> str:
+    """Free text; an absent or empty value reads as ``""``."""
+    value = value or ""
+    if not isinstance(value, str):
+        raise EngineTraceError(f"trace field {name!r} must be a string")
+    return value
+
+
+class TraceField(NamedTuple):
+    """One JSON key of a trace line.
+
+    ``attr`` names the :class:`~repro.engine.progress.ProgressEvent`
+    attribute the key holds (empty for ``v``, which the writer fills with
+    :data:`TRACE_VERSION`); ``coerce(key, value, optional)`` checks and
+    converts a decoded value; a ``required`` key must be on every line,
+    and an optional one may be absent or null.
+    """
+
+    key: str
+    attr: str
+    coerce: Optional[Callable[[str, Any, bool], Any]]
+    required: bool
+
+
+TRACE_FIELDS: Tuple[TraceField, ...] = (
+    TraceField("v", "", None, True),
+    TraceField("kind", "kind", _coerce_label, True),
+    TraceField("plan", "plan_label", _coerce_label, True),
+    TraceField("shard", "shard_index", _coerce_int, True),
+    TraceField("shard_count", "shard_count", _coerce_int, True),
+    TraceField("wall_time_s", "wall_time_s", _coerce_float, True),
+    TraceField("mono_time_s", "mono_time_s", _coerce_float, True),
+    TraceField("shards_done", "shards_done", _coerce_int, True),
+    TraceField("shards_total", "shards_total", _coerce_int, True),
+    TraceField("cycles_done", "cycles_done", _coerce_int, True),
+    TraceField("cycles_total", "cycles_total", _coerce_int, True),
+    TraceField("cycles_skipped", "cycles_skipped", _coerce_int, True),
+    TraceField("elapsed_s", "elapsed_s", _coerce_float, True),
+    TraceField("cycles_per_sec", "cycles_per_sec", _coerce_float, True),
+    TraceField("eta_s", "eta_s", _coerce_float, False),
+    TraceField("attempt", "attempt", _coerce_int, False),
+    TraceField("worker_pid", "worker_pid", _coerce_worker, False),
+    TraceField("commit_lag_s", "commit_lag_s", _coerce_float, False),
+    TraceField("detail", "detail", _coerce_detail, False),
+)
+"""Every key of a trace line, in the order the writer emits them."""
+
+REQUIRED_FIELDS = tuple(row.key for row in TRACE_FIELDS if row.required)
+"""Fields every trace record must carry (schema sanity checks key off this)."""
+
+_READ_ORDER = sorted(
+    (row for row in TRACE_FIELDS if row.attr),
+    key=lambda row: row.coerce in (_coerce_float, _coerce_int),
+)
+"""The rows a reader coerces: text fields, then numbers, each in key order.
+A line with several bad fields reports the first of them in this order."""
+
+_FSYNC_NOW_KINDS = frozenset(
+    {"shard-retried", "shard-quarantined", "plan-finished"}
+)
+"""Kinds whose records are failure forensics — always fsync'd immediately."""
+
+
+class TraceWriter:
+    """Progress hook persisting every engine event as one JSONL record.
+
+    Opens lazily on the first event (a traced run that dies before any
+    event leaves no empty litter).  Records are buffered and fsync'd every
+    ``flush_every`` appends — plus immediately for retry/quarantine/
+    plan-finished records — so the trace of a crashed run is complete up
+    to at most ``flush_every - 1`` routine events.
+    """
+
+    def __init__(self, path: PathLike, flush_every: int = 16) -> None:
+        self.path = Path(path)
+        self.flush_every = max(1, flush_every)
+        self._handle: Optional[IO[str]] = None
+        self._unsynced = 0
+
+    # -- hook entry ---------------------------------------------------------------
+
+    def __call__(self, event: ProgressEvent) -> None:
+        self.write_event(event)
+
+    def write_event(self, event: ProgressEvent) -> Dict:
+        """Append one event, fsync per the batching policy; return the record."""
+        record = {
+            row.key: getattr(event, row.attr) if row.attr else TRACE_VERSION
+            for row in TRACE_FIELDS
+        }
+        if self._handle is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._handle = self.path.open("a", encoding="utf-8")
+        self._handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+        self._unsynced += 1
+        if self._unsynced >= self.flush_every or event.kind in _FSYNC_NOW_KINDS:
+            self.flush()
+        return record
+
+    # -- durability ---------------------------------------------------------------
+
+    def flush(self) -> None:
+        """Flush and fsync everything appended so far."""
+        if self._handle is not None and self._unsynced:
+            self._handle.flush()
+            os.fsync(self._handle.fileno())
+            self._unsynced = 0
+
+    def close(self) -> None:
+        """Fsync the tail and release the file handle."""
+        if self._handle is not None:
+            self.flush()
+            self._handle.close()
+            self._handle = None
+
+    def __enter__(self) -> "TraceWriter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+# -- reading ------------------------------------------------------------------------
+
+
+def record_from_dict(payload: Dict) -> ProgressEvent:
+    """Decode one trace line's JSON object into its :class:`ProgressEvent`.
+
+    Every :data:`REQUIRED_FIELDS` key must be present, and each value goes
+    through its :data:`TRACE_FIELDS` coercion: numeric fields are
+    type-checked and coerced (ints where counts are expected, floats for
+    timings — including the optional ``eta_s`` / ``commit_lag_s`` /
+    ``attempt``); wrong-typed values raise
     :class:`~repro.errors.EngineTraceError` instead of flowing raw JSON
     into report math.
     """
-    missing = [name for name in REQUIRED_FIELDS if name not in payload]
+    missing = [key for key in REQUIRED_FIELDS if key not in payload]
     if missing:
         raise EngineTraceError(f"trace record missing fields {missing}")
-    kind = payload["kind"]
-    plan = payload["plan"]
-    if not isinstance(kind, str) or not isinstance(plan, str):
-        raise EngineTraceError("trace record kind/plan must be strings")
-    worker_pid = payload.get("worker_pid")
-    if worker_pid is not None and not isinstance(worker_pid, (int, str)):
-        raise EngineTraceError(
-            f"trace field 'worker_pid' must be an int or string, "
-            f"got {type(worker_pid).__name__}"
-        )
-    detail = payload.get("detail", "") or ""
-    if not isinstance(detail, str):
-        raise EngineTraceError("trace field 'detail' must be a string")
-    return TraceRecord(
-        kind=kind,
-        plan_label=plan,
-        shard_index=_coerce_int("shard", payload["shard"]),
-        shard_count=_coerce_int("shard_count", payload["shard_count"]),
-        wall_time_s=_coerce_float("wall_time_s", payload["wall_time_s"]),
-        mono_time_s=_coerce_float("mono_time_s", payload["mono_time_s"]),
-        shards_done=_coerce_int("shards_done", payload["shards_done"]),
-        shards_total=_coerce_int("shards_total", payload["shards_total"]),
-        cycles_done=_coerce_int("cycles_done", payload["cycles_done"]),
-        cycles_total=_coerce_int("cycles_total", payload["cycles_total"]),
-        cycles_skipped=_coerce_int("cycles_skipped", payload["cycles_skipped"]),
-        elapsed_s=_coerce_float("elapsed_s", payload["elapsed_s"]),
-        cycles_per_sec=_coerce_float("cycles_per_sec", payload["cycles_per_sec"]),
-        eta_s=_coerce_float("eta_s", payload.get("eta_s"), optional=True),
-        attempt=_coerce_int("attempt", payload.get("attempt"), optional=True),
-        worker_pid=worker_pid,
-        commit_lag_s=_coerce_float(
-            "commit_lag_s", payload.get("commit_lag_s"), optional=True
-        ),
-        detail=detail,
+    return ProgressEvent(
+        **{
+            row.attr: row.coerce(row.key, payload.get(row.key), not row.required)
+            for row in _READ_ORDER
+        }
     )
 
 
@@ -328,7 +322,7 @@ class TraceCursor:
             return False
         return all(not piece.strip() for piece in pieces[position + 1 :])
 
-    def poll(self) -> List[TraceRecord]:
+    def poll(self) -> List[ProgressEvent]:
         """Consume newly-appended records (empty list when nothing new)."""
         try:
             stat = self.path.stat()
@@ -354,7 +348,7 @@ class TraceCursor:
         self.consumed_bytes += len(chunk)
         pieces = (self._tail + chunk).split(b"\n")
         self._tail = pieces.pop()  # bytes after the last newline, if any
-        records: List[TraceRecord] = []
+        records: List[ProgressEvent] = []
         for position, raw in enumerate(pieces):
             self.line_number += 1
             try:
@@ -375,7 +369,7 @@ class TraceCursor:
         return records
 
 
-def read_trace(path: PathLike, live: bool = False) -> List[TraceRecord]:
+def read_trace(path: PathLike, live: bool = False) -> List[ProgressEvent]:
     """Replay a trace file, tolerating a torn tail (one cursor poll).
 
     With ``live=False`` (the default — writer known dead) a final line
@@ -540,17 +534,17 @@ class TraceReportBuilder:
         self.workers: Dict[str, int] = {}
         self.events = 0
         self.base_mono: Optional[float] = None
-        self.last_record: Optional[TraceRecord] = None
+        self.last_record: Optional[ProgressEvent] = None
 
-    def _profile(self, record: TraceRecord) -> ShardProfile:
-        key = record.shard_key
+    def _profile(self, record: ProgressEvent) -> ShardProfile:
+        key = (record.plan_label, record.shard_index)
         if key not in self.profiles:
             self.profiles[key] = ShardProfile(
                 plan_label=record.plan_label, shard_index=record.shard_index
             )
         return self.profiles[key]
 
-    def add(self, record: TraceRecord) -> None:
+    def add(self, record: ProgressEvent) -> None:
         """Fold one record into the running per-shard state."""
         self.events += 1
         if self.base_mono is None:
@@ -621,7 +615,7 @@ class TraceReportBuilder:
             if record.commit_lag_s is not None:
                 self._profile(record).commit_lag_s = record.commit_lag_s
 
-    def add_all(self, records: Sequence[TraceRecord]) -> None:
+    def add_all(self, records: Sequence[ProgressEvent]) -> None:
         for record in records:
             self.add(record)
 
@@ -686,7 +680,7 @@ class TraceReportBuilder:
 
 
 def build_trace_report(
-    records: Sequence[TraceRecord], slowest: int = 5
+    records: Sequence[ProgressEvent], slowest: int = 5
 ) -> TraceReport:
     """Reconstruct per-shard execution and the straggler story from a trace."""
     if not records:
@@ -695,7 +689,3 @@ def build_trace_report(
     builder.add_all(records)
     return builder.report(slowest=slowest)
 
-
-def load_trace_report(path: PathLike, slowest: int = 5) -> TraceReport:
-    """Convenience wrapper: :func:`read_trace` then :func:`build_trace_report`."""
-    return build_trace_report(read_trace(path), slowest=slowest)

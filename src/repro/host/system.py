@@ -9,12 +9,13 @@ mirror (:mod:`repro.raid.mirror`) build one per leg on a shared kernel.
 
 Every power-cycle wait in the package reads the two deadlines defined
 here, :data:`READY_TIMEOUT_US` and :data:`BROWNOUT_TIMEOUT_US`.  A
-deadline fires only on a run that has already gone wrong.
+deadline fires only on a run that has already gone wrong.  Stacks that
+share a kernel come up together through :func:`power_on_together`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.host.block_layer import BlockLayer, BlockRequest
 from repro.power.controller import PowerController
@@ -145,3 +146,24 @@ class HostSystem:
         self.kernel.pump_until(
             lambda: self.ssd.is_ready, READY_TIMEOUT_US, "device ready"
         )
+
+
+def power_on_together(
+    hosts: Sequence[HostSystem], *others: PowerController
+) -> None:
+    """Switch a group of stacks that share a kernel on, and wait for them.
+
+    Sends one On command per distinct controller, in order: the hosts'
+    controllers, then ``others`` (a backing store's, say), so a shared
+    PDU is switched once.  Then runs until every host's drive is READY.
+    """
+    controllers: Dict[int, PowerController] = {}
+    for controller in [host.power for host in hosts] + list(others):
+        controllers.setdefault(id(controller), controller)
+    for controller in controllers.values():
+        controller.power_on()
+    hosts[0].kernel.pump_until(
+        lambda: all(host.ssd.is_ready for host in hosts),
+        READY_TIMEOUT_US,
+        "every drive ready",
+    )

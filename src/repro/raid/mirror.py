@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.host.block_layer import BlockRequest
-from repro.host.system import READY_TIMEOUT_US, HostSystem
+from repro.host.system import HostSystem, power_on_together
 from repro.power.controller import PowerController
 from repro.sim import Kernel
 from repro.ssd.device import CORRUPT_TOKEN, SsdConfig
@@ -91,16 +91,7 @@ class MirrorPair:
         This is both the first boot and the restore after
         :meth:`fault_domain`; each distinct controller gets one On command.
         """
-        seen = set()
-        for replica in self.replicas:
-            if id(replica.power) not in seen:
-                replica.power.power_on()
-                seen.add(id(replica.power))
-        self.kernel.pump_until(
-            lambda: all(r.ssd.is_ready for r in self.replicas),
-            READY_TIMEOUT_US,
-            "both mirror drives ready",
-        )
+        power_on_together(self.replicas)
 
     def run_for_ms(self, milliseconds: float) -> None:
         """Advance simulated time."""

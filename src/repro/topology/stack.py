@@ -41,7 +41,12 @@ from typing import Dict, List, Optional, Tuple
 from repro.cache.flush import FlushPolicy
 from repro.errors import ConfigurationError
 from repro.host.block_layer import BlockRequest
-from repro.host.system import BROWNOUT_TIMEOUT_US, READY_TIMEOUT_US, HostSystem
+from repro.host.system import (
+    BROWNOUT_TIMEOUT_US,
+    READY_TIMEOUT_US,
+    HostSystem,
+    power_on_together,
+)
 from repro.power.controller import PowerController
 from repro.rand import RandomStreams
 from repro.sim import Kernel
@@ -126,12 +131,6 @@ class CacheTopology:
         self.pages_destaged = 0
 
     # -- lifecycle ---------------------------------------------------------------------
-
-    def _controllers(self) -> List[PowerController]:
-        seen: Dict[int, PowerController] = {}
-        for controller in [leg.power for leg in self.legs] + [self.backing.power]:
-            seen.setdefault(id(controller), controller)
-        return list(seen.values())
 
     def boot(self) -> None:
         """Power every domain on and wait for all cache legs."""
@@ -265,13 +264,7 @@ class CacheTopology:
 
     def restore(self) -> None:
         """Power every domain (back) on and wait for all legs to be READY."""
-        for controller in self._controllers():
-            controller.power_on()
-        self.kernel.pump_until(
-            lambda: all(leg.ssd.is_ready for leg in self.legs),
-            READY_TIMEOUT_US,
-            "every cache leg ready",
-        )
+        power_on_together(self.legs, self.backing.power)
 
     def quiesce(self) -> None:
         """Wait until every host write and destage batch has resolved."""

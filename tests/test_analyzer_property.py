@@ -94,7 +94,7 @@ class TestAnalyzerAgainstOracle:
     @given(scenario())
     def test_verdicts_match_oracle(self, data):
         packets, contents, expected = data
-        analyzer = Analyzer.from_peek(_FakeDevice(contents).peek)
+        analyzer = Analyzer(_FakeDevice(contents).peek)
         outcome = analyzer.verify_cycle(0, packets, [])
         got: Dict[int, Optional[FailureKind]] = {p.packet_id: None for p in packets}
         for record in outcome.records:
@@ -105,7 +105,7 @@ class TestAnalyzerAgainstOracle:
     @given(scenario())
     def test_record_count_bounded_by_packets(self, data):
         packets, contents, _ = data
-        analyzer = Analyzer.from_peek(_FakeDevice(contents).peek)
+        analyzer = Analyzer(_FakeDevice(contents).peek)
         outcome = analyzer.verify_cycle(0, packets, [])
         assert len(outcome.records) <= len(packets)
         # At most one record per packet.
@@ -116,7 +116,7 @@ class TestAnalyzerAgainstOracle:
     @given(scenario())
     def test_ledger_reconciles_to_observation(self, data):
         packets, contents, _ = data
-        analyzer = Analyzer.from_peek(_FakeDevice(contents).peek)
+        analyzer = Analyzer(_FakeDevice(contents).peek)
         analyzer.verify_cycle(0, packets, [])
         for lpn, observed in contents.items():
             expected_token = TOKEN_ZERO if observed is None else observed

@@ -65,8 +65,8 @@ class TestResultCodec:
         assert thawed.summary() == original.summary()
 
     def test_codec_carries_every_cycle_field(self):
-        # Field-driven serialisation: collateral/supercap counters (absent
-        # from the analysis export) must survive the journal.
+        # Field-driven serialisation: collateral/supercap counters must
+        # survive the journal.
         thawed = result_from_record(result_to_record(make_result()))
         assert thawed.cycles[0].collateral_pages == 4
         assert thawed.cycles[0].supercap_pages_saved == 5

@@ -35,13 +35,8 @@ from repro.errors import EngineTraceError
 
 def write_synthetic_trace(path, shards=3, plan="live-test", start_mono=0.0):
     """A complete small run (started/finished per shard + plan-finished)."""
-    now = {"wall": 1000.0, "mono": start_mono}
-    writer = TraceWriter(
-        path,
-        flush_every=1,
-        wall_clock=lambda: now["wall"],
-        mono_clock=lambda: now["mono"],
-    )
+    now = {"mono": start_mono}
+    writer = TraceWriter(path, flush_every=1)
     telemetry = EngineTelemetry(
         shards_total=shards,
         cycles_total=shards,
@@ -50,7 +45,6 @@ def write_synthetic_trace(path, shards=3, plan="live-test", start_mono=0.0):
     )
     for shard in range(shards):
         telemetry.shard_started(plan, shard, shards, worker_pid=100 + shard)
-        now["wall"] += 1.0 + shard
         now["mono"] += 1.0 + shard
         telemetry.shard_finished(plan, shard, shards, 1, worker_pid=100 + shard)
     telemetry.plan_finished(plan, shards)
@@ -106,13 +100,8 @@ class TestTraceCursor:
         # flush_every batches fsync, not the OS write: a cursor polling a
         # live writer with a large batch still sees every record.
         path = tmp_path / "batched.jsonl"
-        now = {"wall": 0.0, "mono": 0.0}
-        writer = TraceWriter(
-            path,
-            flush_every=64,
-            wall_clock=lambda: now["wall"],
-            mono_clock=lambda: now["mono"],
-        )
+        now = {"mono": 0.0}
+        writer = TraceWriter(path, flush_every=64)
         telemetry = EngineTelemetry(
             shards_total=4, cycles_total=4, hook=writer.write_event,
             clock=lambda: now["mono"],

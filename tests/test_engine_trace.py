@@ -24,6 +24,7 @@ from repro.engine import (
     run_plan,
 )
 from repro.engine.executors import TEST_FAULT_ENV
+from repro.engine.trace import EVENT_KINDS, record_from_dict
 from repro.errors import EngineTraceError
 from repro.ssd.device import SsdConfig
 from repro.units import GIB, MSEC
@@ -153,8 +154,9 @@ class TestTraceFileRobustness:
         path = tmp_path / "batched.jsonl"
         event = ProgressEvent(
             kind="shard-started", plan_label="p", shard_index=0, shard_count=8,
+            wall_time_s=1000.0, mono_time_s=0.0,
             shards_done=0, shards_total=8, cycles_done=0, cycles_total=8,
-            elapsed_s=0.0, cycles_per_sec=0.0, eta_s=None,
+            cycles_skipped=0, elapsed_s=0.0, cycles_per_sec=0.0, eta_s=None,
         )
         writer = TraceWriter(path, flush_every=4)
         for _ in range(3):
@@ -169,8 +171,10 @@ class TestTraceFileRobustness:
         path = tmp_path / "forensic.jsonl"
         event = ProgressEvent(
             kind="shard-retried", plan_label="p", shard_index=0, shard_count=8,
+            wall_time_s=1000.0, mono_time_s=0.0,
             shards_done=0, shards_total=8, cycles_done=0, cycles_total=8,
-            elapsed_s=0.0, cycles_per_sec=0.0, eta_s=None, detail="boom",
+            cycles_skipped=0, elapsed_s=0.0, cycles_per_sec=0.0, eta_s=None,
+            detail="boom",
         )
         writer = TraceWriter(path, flush_every=100)
         writer.write_event(event)
@@ -221,9 +225,7 @@ class TestTraceReport:
 
 
 def trace_record(kind, shard, mono, plan="p", **overrides):
-    """One synthetic TraceRecord for report edge-case tests."""
-    from repro.engine.trace import TraceRecord
-
+    """One synthetic ProgressEvent for report edge-case tests."""
     fields = dict(
         kind=kind,
         plan_label=plan,
@@ -240,7 +242,7 @@ def trace_record(kind, shard, mono, plan="p", **overrides):
         cycles_per_sec=0.0,
     )
     fields.update(overrides)
-    return TraceRecord(**fields)
+    return ProgressEvent(**fields)
 
 
 class TestTraceReportEdgeCases:
@@ -432,8 +434,9 @@ class TestPlanFinishedSentinel:
         hook(
             ProgressEvent(
                 kind="plan-finished", plan_label="p", shard_index=PLAN_EVENT_INDEX,
-                shard_count=4, shards_done=4, shards_total=4, cycles_done=4,
-                cycles_total=4, elapsed_s=1.0, cycles_per_sec=4.0, eta_s=0.0,
+                shard_count=4, wall_time_s=1001.0, mono_time_s=1.0,
+                shards_done=4, shards_total=4, cycles_done=4, cycles_total=4,
+                cycles_skipped=0, elapsed_s=1.0, cycles_per_sec=4.0, eta_s=0.0,
             )
         )
         line = stream.getvalue()
@@ -485,8 +488,9 @@ class TestHookFanout:
         hook = fanout_hooks(hook_a, None, seen_b.append)
         event = ProgressEvent(
             kind="shard-started", plan_label="p", shard_index=0, shard_count=1,
+            wall_time_s=1000.0, mono_time_s=0.0,
             shards_done=0, shards_total=1, cycles_done=0, cycles_total=1,
-            elapsed_s=0.0, cycles_per_sec=0.0, eta_s=None,
+            cycles_skipped=0, elapsed_s=0.0, cycles_per_sec=0.0, eta_s=None,
         )
         hook(event)
         assert seen_a == [event] and seen_b == [event]
@@ -503,3 +507,98 @@ class TestTraceSchema:
             assert payload["v"] == TRACE_VERSION
             for name in REQUIRED_FIELDS:
                 assert name in payload, f"missing {name}"
+
+
+# Seven hand-built events, one of each kind, with fixed capture stamps.  The
+# lines below are what the writer produced for them before events carried
+# their own stamps (it stamped each line from its own clocks); the format,
+# key order and JSON bytes must never drift.
+GOLDEN_EVENTS = [
+    dict(kind="shard-started", plan_label="golden ssd-a", shard_index=0,
+         shard_count=2, shards_done=0, shards_total=2, cycles_done=0,
+         cycles_total=5, cycles_skipped=0, elapsed_s=0.0, cycles_per_sec=0.0,
+         eta_s=None, attempt=1, worker_pid=4242),
+    dict(kind="shard-finished", plan_label="golden ssd-a", shard_index=0,
+         shard_count=2, shards_done=1, shards_total=2, cycles_done=3,
+         cycles_total=5, cycles_skipped=0, elapsed_s=10.000000000000002,
+         cycles_per_sec=0.1 + 0.2, eta_s=6.666666666666667, attempt=1,
+         worker_pid="node-a:4242"),
+    dict(kind="shard-retried", plan_label="golden ssd-a", shard_index=1,
+         shard_count=2, shards_done=1, shards_total=2, cycles_done=3,
+         cycles_total=5, cycles_skipped=0, elapsed_s=11.25,
+         cycles_per_sec=0.26666666666666666, eta_s=7.5, attempt=1,
+         detail="worker lost: \u201cEOF\u201d (shard 1, attempt 1)"),
+    dict(kind="shard-skipped", plan_label="golden ssd-b", shard_index=0,
+         shard_count=1, shards_done=2, shards_total=4, cycles_done=5,
+         cycles_total=8, cycles_skipped=2, elapsed_s=12.0, cycles_per_sec=0.25,
+         eta_s=12.0, detail="from checkpoint"),
+    dict(kind="shard-quarantined", plan_label="golden ssd-a", shard_index=1,
+         shard_count=2, shards_done=3, shards_total=4, cycles_done=5,
+         cycles_total=8, cycles_skipped=2, elapsed_s=20.5,
+         cycles_per_sec=0.14634146341463414, eta_s=20.5, attempt=3,
+         detail="injected crash (shard 1, attempt 3)"),
+    dict(kind="checkpoint-written", plan_label="golden ssd-a", shard_index=0,
+         shard_count=2, shards_done=3, shards_total=4, cycles_done=5,
+         cycles_total=8, cycles_skipped=2, elapsed_s=20.75,
+         cycles_per_sec=0.14457831325301204, eta_s=20.75, commit_lag_s=0.0125),
+    dict(kind="plan-finished", plan_label="golden ssd-a",
+         shard_index=PLAN_EVENT_INDEX, shard_count=2, shards_done=4,
+         shards_total=4, cycles_done=8, cycles_total=8, cycles_skipped=2,
+         elapsed_s=31.0, cycles_per_sec=0.1935483870967742, eta_s=0.0),
+]
+
+GOLDEN_LINES = [
+    '{"v":1,"kind":"shard-started","plan":"golden ssd-a","shard":0,"shard_count":2,"wall_time_s":1760000000.125,"mono_time_s":86400.0625,"shards_done":0,"shards_total":2,"cycles_done":0,"cycles_total":5,"cycles_skipped":0,"elapsed_s":0.0,"cycles_per_sec":0.0,"eta_s":null,"attempt":1,"worker_pid":4242,"commit_lag_s":null,"detail":""}',
+    '{"v":1,"kind":"shard-finished","plan":"golden ssd-a","shard":0,"shard_count":2,"wall_time_s":1760000001.625,"mono_time_s":86401.5625,"shards_done":1,"shards_total":2,"cycles_done":3,"cycles_total":5,"cycles_skipped":0,"elapsed_s":10.000000000000002,"cycles_per_sec":0.30000000000000004,"eta_s":6.666666666666667,"attempt":1,"worker_pid":"node-a:4242","commit_lag_s":null,"detail":""}',
+    '{"v":1,"kind":"shard-retried","plan":"golden ssd-a","shard":1,"shard_count":2,"wall_time_s":1760000003.125,"mono_time_s":86403.0625,"shards_done":1,"shards_total":2,"cycles_done":3,"cycles_total":5,"cycles_skipped":0,"elapsed_s":11.25,"cycles_per_sec":0.26666666666666666,"eta_s":7.5,"attempt":1,"worker_pid":null,"commit_lag_s":null,"detail":"worker lost: \\u201cEOF\\u201d (shard 1, attempt 1)"}',
+    '{"v":1,"kind":"shard-skipped","plan":"golden ssd-b","shard":0,"shard_count":1,"wall_time_s":1760000004.625,"mono_time_s":86404.5625,"shards_done":2,"shards_total":4,"cycles_done":5,"cycles_total":8,"cycles_skipped":2,"elapsed_s":12.0,"cycles_per_sec":0.25,"eta_s":12.0,"attempt":null,"worker_pid":null,"commit_lag_s":null,"detail":"from checkpoint"}',
+    '{"v":1,"kind":"shard-quarantined","plan":"golden ssd-a","shard":1,"shard_count":2,"wall_time_s":1760000006.125,"mono_time_s":86406.0625,"shards_done":3,"shards_total":4,"cycles_done":5,"cycles_total":8,"cycles_skipped":2,"elapsed_s":20.5,"cycles_per_sec":0.14634146341463414,"eta_s":20.5,"attempt":3,"worker_pid":null,"commit_lag_s":null,"detail":"injected crash (shard 1, attempt 3)"}',
+    '{"v":1,"kind":"checkpoint-written","plan":"golden ssd-a","shard":0,"shard_count":2,"wall_time_s":1760000007.625,"mono_time_s":86407.5625,"shards_done":3,"shards_total":4,"cycles_done":5,"cycles_total":8,"cycles_skipped":2,"elapsed_s":20.75,"cycles_per_sec":0.14457831325301204,"eta_s":20.75,"attempt":null,"worker_pid":null,"commit_lag_s":0.0125,"detail":""}',
+    '{"v":1,"kind":"plan-finished","plan":"golden ssd-a","shard":-1,"shard_count":2,"wall_time_s":1760000009.125,"mono_time_s":86409.0625,"shards_done":4,"shards_total":4,"cycles_done":8,"cycles_total":8,"cycles_skipped":2,"elapsed_s":31.0,"cycles_per_sec":0.1935483870967742,"eta_s":0.0,"attempt":null,"worker_pid":null,"commit_lag_s":null,"detail":""}',
+]
+
+
+def golden_events():
+    return [
+        ProgressEvent(
+            wall_time_s=1760000000.125 + 1.5 * index,
+            mono_time_s=86400.0625 + 1.5 * index,
+            **fields,
+        )
+        for index, fields in enumerate(GOLDEN_EVENTS)
+    ]
+
+
+class TestOneRecord:
+    """A ProgressEvent is the trace record: written, read back, equal."""
+
+    def test_golden_lines(self, tmp_path):
+        path = tmp_path / "golden.jsonl"
+        with TraceWriter(path) as writer:
+            for event in golden_events():
+                writer(event)
+        assert {event.kind for event in golden_events()} == EVENT_KINDS
+        assert path.read_text(encoding="utf-8").splitlines() == GOLDEN_LINES
+
+    def test_golden_lines_read_back_as_the_events(self, tmp_path):
+        path = tmp_path / "golden.jsonl"
+        path.write_text("\n".join(GOLDEN_LINES) + "\n", encoding="utf-8")
+        assert read_trace(path) == golden_events()
+
+    def test_hook_events_equal_the_trace_read_back(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(TEST_FAULT_ENV, "crash:1:1")
+        path = tmp_path / "run.trace.jsonl"
+        events = []
+        with TraceWriter(path) as writer:
+            run_plan(
+                small_plan(), jobs=1, retry_policy=FAST,
+                progress=fanout_hooks(events.append, writer),
+            )
+        assert [e.kind for e in events].count("shard-retried") == 1
+        assert read_trace(path) == events
+
+    def test_text_fields_are_checked_before_numbers(self):
+        payload = json.loads(GOLDEN_LINES[1])
+        payload.update(shard="0", worker_pid=[4242])
+        with pytest.raises(EngineTraceError, match="worker_pid"):
+            record_from_dict(payload)
