@@ -20,7 +20,7 @@ attached.  The report then chains three views of the same fault:
 from __future__ import annotations
 
 from itertools import islice
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.apps.base import AppRecorder, Promise
 from repro.apps.kv import SEG_PREFIX, SEG_SUFFIX

@@ -24,7 +24,7 @@ files newest-first.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.apps.audit import Observation
 from repro.apps.base import (

@@ -39,11 +39,11 @@ from repro.engine import (
     ConsoleProgress,
     DEFAULT_SHARD_FAULTS,
     fanout_hooks,
-    format_eta,
     RetryPolicy,
     run_plan,
     TraceWriter,
 )
+from repro.engine.progress import event_line
 from repro.engine.wire import DEFAULT_LEASE_TIMEOUT_S
 from repro.errors import (
     CampaignError,
@@ -995,19 +995,7 @@ def _render_streamed_record(record) -> None:
     ``record`` is the :class:`~repro.engine.progress.ProgressEvent` that
     :func:`~repro.engine.serve.submit_campaign` decoded from its trace line.
     """
-    eta = format_eta(record.eta_s)
-    if record.shard_index < 0:
-        scope = f"all {record.shard_count} shards"
-    else:
-        scope = f"shard {record.shard_index + 1}/{record.shard_count}"
-    line = (
-        f"[serve] {record.kind:<14} {record.plan_label} {scope} | "
-        f"shards {record.shards_done}/{record.shards_total} | "
-        f"cycles {record.cycles_done}/{record.cycles_total} | ETA {eta}"
-    )
-    if record.detail:
-        line += f" | {record.detail}"
-    print(line, file=sys.stderr)
+    print(event_line(record, "serve", rate=False), file=sys.stderr)
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:

@@ -7,8 +7,9 @@ this layer:
    policy + label);
 2. the plan splits its fault budget into deterministic shards
    (:meth:`CampaignPlan.shards`);
-3. :func:`~repro.engine.supervisor.execute_local` runs the shards
-   in-process or on forked workers (bounded retries with backoff,
+3. :func:`~repro.engine.supervisor.execute_shards`, the one shard
+   driver, runs the shards in-process, on forked workers, or on ``repro
+   worker`` processes it serves over TCP (bounded retries with backoff,
    per-shard timeouts that kill the wedged worker, poison-shard
    quarantine, optional write-ahead checkpoint journal with resume,
    graceful SIGINT/SIGTERM);
@@ -70,7 +71,7 @@ from repro.engine.progress import (
     ProgressEvent,
     ProgressHook,
 )
-from repro.engine.remote import RemoteExecutor, run_worker
+from repro.engine.remote import run_worker
 from repro.engine.serve import (
     CampaignService,
     follow_campaign,
@@ -79,7 +80,7 @@ from repro.engine.serve import (
     submit_campaign,
 )
 from repro.engine.supervisor import (
-    execute_local,
+    execute_shards,
     merge_plan_runs,
     RetryPolicy,
     ShardRun,
@@ -98,7 +99,7 @@ from repro.engine.live import (
     LiveRenderer,
     TraceSource,
 )
-from repro.engine.wire import DEFAULT_LEASE_TIMEOUT_S, parse_address, worker_identity
+from repro.engine.wire import parse_address, worker_identity
 from repro.errors import CampaignError
 
 PlanDoneHook = Callable[[int, CampaignResult], None]
@@ -126,11 +127,12 @@ def run_plans(
     six workers busy).  Results come back in plan order; ``on_plan_done``
     fires as soon as each plan's last shard has merged.
 
-    Fault tolerance: shards are executed by :func:`execute_local` with
+    Fault tolerance: shards are executed by :func:`execute_shards` with
     ``retry_policy``'s bounded retries and exponential backoff (the
     :class:`RetryPolicy` defaults when ``None``), per-shard
-    ``shard_timeout_s`` enforcement (``jobs > 1`` only: the wedged worker
-    is killed), and — with ``quarantine=True`` — poison-shard quarantine
+    ``shard_timeout_s`` enforcement (``jobs > 1`` kills the wedged
+    worker, ``listen`` requeues its shard, ``jobs=1`` cannot preempt
+    itself), and — with ``quarantine=True`` — poison-shard quarantine
     instead of :class:`~repro.errors.ShardFailureError`.
     ``checkpoint`` names a write-ahead journal file; with ``resume=True``
     shards already journaled for this exact plan batch are loaded instead
@@ -138,9 +140,9 @@ def run_plans(
     uninterrupted run.
 
     Distributed execution: ``listen="HOST:PORT"`` serves the shard queue
-    over TCP via :class:`~repro.engine.remote.RemoteExecutor` (an
-    ephemeral :class:`~repro.engine.serve.CampaignService`) instead of
-    running shards locally — start ``repro worker --connect HOST:PORT``
+    over TCP from an ephemeral
+    :class:`~repro.engine.serve.CampaignService` instead of running
+    shards locally — start ``repro worker --connect HOST:PORT``
     processes (any machine that can reach the coordinator) to execute
     them.  ``lease_timeout_s`` bounds how long a silent worker holds a
     shard before it is requeued.  Retries, quarantine, checkpoint and
@@ -168,29 +170,18 @@ def run_plans(
         cycles_total=sum(shard.faults for _, _, shard in tasks),
         hook=progress,
     )
-    if listen is not None:
-        runs = RemoteExecutor(
-            listen=listen,
-            policy=retry_policy,
-            journal=journal,
-            resume=resume_state,
-            quarantine_enabled=quarantine,
-            shard_timeout_s=shard_timeout_s,
-            lease_timeout_s=(
-                DEFAULT_LEASE_TIMEOUT_S if lease_timeout_s is None else lease_timeout_s
-            ),
-        ).execute(tasks, telemetry)
-    else:
-        runs = execute_local(
-            tasks,
-            telemetry,
-            jobs=jobs if jobs else 1,
-            policy=retry_policy,
-            journal=journal,
-            resume=resume_state,
-            quarantine_enabled=quarantine,
-            shard_timeout_s=shard_timeout_s,
-        )
+    runs = execute_shards(
+        tasks,
+        telemetry,
+        jobs=jobs if jobs else 1,
+        policy=retry_policy,
+        journal=journal,
+        resume=resume_state,
+        quarantine_enabled=quarantine,
+        shard_timeout_s=shard_timeout_s,
+        listen=listen,
+        lease_timeout_s=lease_timeout_s,
+    )
     shard_runs: List[dict] = [{} for _ in plans]
     merged: List[Optional[CampaignResult]] = [None for _ in plans]
     try:
@@ -255,7 +246,6 @@ __all__ = [
     "PLAN_EVENT_INDEX",
     "ProgressEvent",
     "ProgressHook",
-    "RemoteExecutor",
     "ResultCAS",
     "ResumeState",
     "RetryPolicy",

@@ -1,19 +1,20 @@
 """Asyncio coordinator core of the campaign service.
 
 The coordinator (:class:`~repro.engine.serve.CampaignService`, which
-also runs ``campaign --listen`` through
-:class:`~repro.engine.remote.RemoteExecutor`) multiplexes every worker
-connection on one asyncio event loop.  This module holds the parts that
-do not depend on the service's submission bookkeeping:
+also serves ``campaign --listen``) multiplexes every worker connection on
+one asyncio event loop.  This module holds the parts that do not depend
+on the service's submission bookkeeping:
 
 - :func:`read_frame` / :func:`write_frame` — the asyncio frame codec.
   Byte-for-byte the protocol of :func:`repro.engine.wire.send_frame` /
   :func:`~repro.engine.wire.recv_frame`, so a worker cannot tell which
   side of a socket pair it is talking to.
 - :class:`CoordinatorCore` — the lease/retry/checkpoint state machine for
-  one plan batch, and the engine's only one: the service drives it from
-  its event loop, :func:`~repro.engine.supervisor.execute_local` from
-  every local run.  Single-threaded by construction: every method runs on
+  one plan batch, and the engine's only one: the engine's shard driver,
+  :func:`~repro.engine.supervisor.execute_shards`, builds one for every
+  run and drives it inline or over forked workers, or hands it to the
+  service's event loop for ``--listen``; a ``repro serve`` submission
+  builds its own.  Single-threaded by construction: every method runs on
   its owner's thread, so no lock/condition choreography is needed.
 
 The service owns one core per active submission and adds fair-share
@@ -156,13 +157,17 @@ class CoordinatorCore:
     def prefill(self, key: ShardKey, run: ShardRun) -> None:
         """Mark a shard done before serving starts (resume or CAS hit).
 
-        Prefilled shards never lease and never fire the completion
-        callbacks — the owner already accounted for them.
+        Reports the shard ``shard-skipped``.  Prefilled shards never lease
+        and never fire the completion callbacks.
         """
         self.ready.pop(key, None)
         self.ready_since.pop(key, None)
         self.attempts.pop(key, None)
         self.done[key] = run
+        _plan_index, plan, shard = self.by_key[key]
+        self.telemetry.shard_skipped(
+            plan.display_label(), shard.index, shard.count, shard.faults
+        )
 
     # -- queries --------------------------------------------------------------------
 

@@ -193,7 +193,6 @@ class CheckpointJournal:
     def __init__(self, path: PathLike, fingerprint: str) -> None:
         self.path = Path(path)
         self.fingerprint = fingerprint
-        self.records_written = 0
         self._handle: Optional[IO[str]] = None
 
     def _append(self, payload: Dict) -> None:
@@ -203,7 +202,6 @@ class CheckpointJournal:
         self._handle.write(encode_line(payload) + "\n")
         self._handle.flush()
         os.fsync(self._handle.fileno())
-        self.records_written += 1
 
     def append_shard(
         self,

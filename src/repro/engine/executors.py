@@ -1,6 +1,6 @@
 """Shard-execution plumbing shared by local runs and the remote workers.
 
-Every execution path — :func:`~repro.engine.supervisor.execute_local`
+Every execution path — :func:`~repro.engine.supervisor.execute_shards`
 in-process or on its forked workers, and ``repro worker`` processes
 serving a :class:`~repro.engine.serve.CampaignService` — consumes the same
 ordered ``(plan ordinal, plan, shard)`` tasks and runs each one through

@@ -88,10 +88,34 @@ ProgressHook = Callable[[ProgressEvent], None]
 def format_eta(eta_s: Optional[float]) -> str:
     """Render an ETA estimate (``"?"`` until throughput is known).
 
-    Shared by :class:`ConsoleProgress` and the live follow dashboard
+    Shared by :func:`event_line` and the live follow dashboard
     (:mod:`repro.engine.live`) so the two surfaces can't disagree.
     """
     return f"{eta_s:.0f}s" if eta_s is not None else "?"
+
+
+def event_line(event: ProgressEvent, source: str, rate: bool) -> str:
+    """One console line for ``event``, tagged ``[source]``.
+
+    The ``[engine]`` lines of :class:`ConsoleProgress` carry the
+    executed-cycle ``rate``; the ``[serve]`` lines that ``repro submit
+    --progress`` and ``repro follow`` print do not.
+    """
+    if event.shard_index == PLAN_EVENT_INDEX:
+        scope = f"all {event.shard_count} shards"
+    else:
+        scope = f"shard {event.shard_index + 1}/{event.shard_count}"
+    fields = [
+        f"[{source}] {event.kind:<14} {event.plan_label} {scope}",
+        f"shards {event.shards_done}/{event.shards_total}",
+        f"cycles {event.cycles_done}/{event.cycles_total}",
+    ]
+    if rate:
+        fields.append(f"{event.cycles_per_sec:.2f} cycles/s")
+    fields.append(f"ETA {format_eta(event.eta_s)}")
+    if event.detail:
+        fields.append(event.detail)
+    return " | ".join(fields)
 
 
 def fanout_hooks(*hooks: Optional[ProgressHook]) -> Optional[ProgressHook]:
@@ -161,10 +185,7 @@ class EngineTelemetry:
         work this run, and folding them in made a resumed run's rate (and
         therefore its ETA) wildly optimistic.
         """
-        elapsed = self.elapsed_s
-        if elapsed <= 0.0 or self.cycles_executed <= 0:
-            return 0.0
-        return self.cycles_executed / elapsed
+        return self._rate(self.elapsed_s)
 
     @property
     def eta_s(self) -> Optional[float]:
@@ -174,7 +195,14 @@ class EngineTelemetry:
         count as done — they need no further time); the rate it is divided
         by comes from executed cycles only.
         """
-        rate = self.cycles_per_sec
+        return self._eta(self.cycles_per_sec)
+
+    def _rate(self, elapsed: float) -> float:
+        if elapsed <= 0.0 or self.cycles_executed <= 0:
+            return 0.0
+        return self.cycles_executed / elapsed
+
+    def _eta(self, rate: float) -> Optional[float]:
         if rate <= 0.0:
             return None
         return max(0.0, (self.cycles_total - self.cycles_done) / rate)
@@ -311,6 +339,10 @@ class EngineTelemetry:
         if self._hook is None:
             return
         with self._mutex:
+            # One clock reading, so every field describes the same instant.
+            now = self._clock()
+            elapsed = now - self._start
+            rate = self._rate(elapsed)
             self._hook(
                 ProgressEvent(
                     kind=kind,
@@ -318,15 +350,15 @@ class EngineTelemetry:
                     shard_index=index,
                     shard_count=count,
                     wall_time_s=time.time(),
-                    mono_time_s=self._clock(),
+                    mono_time_s=now,
                     shards_done=self.shards_done,
                     shards_total=self.shards_total,
                     cycles_done=self.cycles_done,
                     cycles_total=self.cycles_total,
                     cycles_skipped=self.cycles_skipped,
-                    elapsed_s=self.elapsed_s,
-                    cycles_per_sec=self.cycles_per_sec,
-                    eta_s=self.eta_s,
+                    elapsed_s=elapsed,
+                    cycles_per_sec=rate,
+                    eta_s=self._eta(rate),
                     attempt=attempt,
                     worker_pid=worker_pid,
                     commit_lag_s=commit_lag_s,
@@ -351,19 +383,5 @@ class ConsoleProgress:
     def __call__(self, event: ProgressEvent) -> None:
         if event.kind in self.QUIET_KINDS:
             return
-        eta = format_eta(event.eta_s)
-        if event.shard_index == PLAN_EVENT_INDEX:
-            scope = f"all {event.shard_count} shards"
-        else:
-            scope = f"shard {event.shard_index + 1}/{event.shard_count}"
-        line = (
-            f"[engine] {event.kind:<14} {event.plan_label} "
-            f"{scope} | "
-            f"shards {event.shards_done}/{event.shards_total} | "
-            f"cycles {event.cycles_done}/{event.cycles_total} | "
-            f"{event.cycles_per_sec:.2f} cycles/s | ETA {eta}"
-        )
-        if event.detail:
-            line += f" | {event.detail}"
-        print(line, file=self.stream)
+        print(event_line(event, "engine", rate=True), file=self.stream)
         self.stream.flush()

@@ -1,16 +1,15 @@
-"""Distributed shard execution over TCP: ``campaign --listen`` and ``repro worker``.
+"""The worker side of distributed execution: ``repro worker``.
 
 The paper's testbed runs thousands of power-cut experiments per drive;
-one host's worker processes are the wrong ceiling for that.  This module takes
-the engine's executor protocol — ``execute(tasks, telemetry) -> (key,
-ShardRun)`` — across machine boundaries while changing nothing above it:
-merge order, checkpoint journal, resume, retry/quarantine policy and the
-trace vocabulary are exactly the single-host ones.
+one host's worker processes are the wrong ceiling for that.  A ``repro
+worker`` runs shards for a coordinator on another machine — ``campaign
+--listen`` or a ``repro serve`` daemon, both a
+:class:`~repro.engine.serve.CampaignService` — while nothing above the
+engine's shard driver (:func:`~repro.engine.supervisor.execute_shards`)
+changes: merge order, checkpoint journal, resume, retry/quarantine policy
+and the trace vocabulary are exactly the single-host ones.
 
-There is one coordinator, :class:`~repro.engine.serve.CampaignService`.
-:class:`RemoteExecutor` adapts the executor protocol to it: each
-``--listen`` run starts an ephemeral service holding one in-process
-submission.  The wire protocol (framing, handshake, plan transport) is
+The wire protocol (framing, handshake, plan transport) is
 :mod:`repro.engine.wire`'s; the lease/retry state machine is
 :class:`~repro.engine.aiocoord.CoordinatorCore`.  In short:
 ``hello``/``welcome`` (fingerprint-gated, versioned), then a work loop of
@@ -30,7 +29,7 @@ shard re-executed by a different machine returns a bit-identical result —
 which is what makes the merged summary of a distributed, worker-killed
 run equal the serial run's, byte for byte.
 
-Commits all flow through the caller's single
+Commits all flow through the coordinator's single
 :class:`~repro.engine.checkpoint.CheckpointJournal`, so ``--resume``
 works identically for local and distributed runs (and a journal written
 by one can resume the other).
@@ -42,23 +41,10 @@ import socket
 import sys
 import threading
 import time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
-from repro.engine.checkpoint import (
-    CheckpointJournal,
-    plans_fingerprint,
-    result_to_record,
-    ResumeState,
-)
-from repro.engine.executors import ShardKey, ShardTask, _run_shard_task
-from repro.engine.progress import EngineTelemetry
-from repro.engine.serve import CampaignService
-from repro.engine.supervisor import (
-    InterruptFlag,
-    interrupt_flag_guard,
-    RetryPolicy,
-    ShardRun,
-)
+from repro.engine.checkpoint import plans_fingerprint, result_to_record
+from repro.engine.executors import _run_shard_task
 from repro.engine.wire import (
     connect_with_retry,
     decode_plans,
@@ -69,126 +55,7 @@ from repro.engine.wire import (
     send_frame,
     worker_identity,
 )
-from repro.errors import (
-    CampaignError,
-    CampaignInterrupted,
-    RemoteProtocolError,
-)
-
-
-# -- coordinator --------------------------------------------------------------------
-
-
-class RemoteExecutor:
-    """Serves the shard task queue to ``repro worker`` processes over TCP.
-
-    The distributed twin of :func:`~repro.engine.supervisor.execute_local`:
-    ``execute(tasks, telemetry)`` yields ``(key, ShardRun)`` in task
-    order.  Each call runs an ephemeral
-    :class:`~repro.engine.serve.CampaignService` on the listen address,
-    holding one in-process submission of the tasks' plans.  That
-    submission reports through ``telemetry``, commits to the checkpoint
-    journal and prefills the resumed shards on the same
-    :class:`~repro.engine.aiocoord.CoordinatorCore` a local run drives, so
-    retries/backoff (:class:`RetryPolicy`), poison quarantine, the
-    write-ahead journal and ``--resume`` behave exactly as they do
-    locally; retried shards stay bit-deterministic because only the
-    plan's shard seeds feed the simulation.  A coordinator object is
-    single-use.
-    """
-
-    def __init__(
-        self,
-        listen: Union[str, Tuple[str, int]] = ("127.0.0.1", 0),
-        policy: Optional[RetryPolicy] = None,
-        journal: Optional[CheckpointJournal] = None,
-        resume: Optional[ResumeState] = None,
-        quarantine_enabled: bool = False,
-        shard_timeout_s: Optional[float] = None,
-        lease_timeout_s: float = DEFAULT_LEASE_TIMEOUT_S,
-        announce=None,
-    ) -> None:
-        self.listen = listen
-        self.policy = policy if policy is not None else RetryPolicy()
-        self.journal = journal
-        self.resume = resume if resume is not None else ResumeState()
-        self.quarantine_enabled = quarantine_enabled
-        self.shard_timeout_s = shard_timeout_s
-        self.lease_timeout_s = lease_timeout_s
-        self.announce = announce if announce is not None else sys.stderr
-        self._started = False
-
-    def execute(
-        self, tasks: Sequence[ShardTask], telemetry: EngineTelemetry
-    ) -> Iterator[Tuple[ShardKey, ShardRun]]:
-        """Yield ``(key, ShardRun)`` in task order as the service settles them."""
-        if self._started:
-            raise CampaignError("a RemoteExecutor coordinator is single-use")
-        self._started = True
-        plans: List = []
-        for plan_index, plan, _ in tasks:
-            if plan_index == len(plans):
-                plans.append(plan)
-        resumed = {
-            key: ShardRun(
-                result=result,
-                attempts=self.resume.attempts.get(key, 1),
-                status="resumed",
-            )
-            for key, result in self.resume.results.items()
-        }
-        # A local submission neither caches results nor writes a trace, so
-        # the service's CAS root is never created.
-        service = CampaignService(
-            listen=self.listen,
-            policy=self.policy,
-            quarantine=self.quarantine_enabled,
-            shard_timeout_s=self.shard_timeout_s,
-            lease_timeout_s=self.lease_timeout_s,
-            announce=self.announce,
-        )
-        submission = service.submit_local(plans, telemetry, self.journal, resumed)
-        address = f"{service.host}:{service.port}"
-        print(
-            f"[engine] coordinator listening on {address} "
-            f"(fingerprint {submission.fingerprint}, "
-            f"{len(submission.core.ready)} shard(s) to lease) — start "
-            f"workers with: repro worker --connect {address}",
-            file=self.announce,
-            flush=True,
-        )
-        with interrupt_flag_guard() as flag:
-            service.start()
-            try:
-                for plan_index, _plan, shard in tasks:
-                    key = (plan_index, shard.index)
-                    yield key, _await_run(submission, key, flag)
-            finally:
-                service.stop()
-
-
-def _await_run(submission, key: ShardKey, interrupt: InterruptFlag) -> ShardRun:
-    """Block until the service loop settles ``key``, the batch fails, or a signal lands.
-
-    An interrupt leaves the journal as the loop left it: every commit
-    was fsync'd before its shard was reported.
-    """
-    with submission.settled:
-        while True:
-            if interrupt:
-                raise CampaignInterrupted(
-                    f"campaign interrupted by {interrupt.signal_name}; "
-                    "checkpoint journal is flushed — restart with resume to continue"
-                )
-            run = submission.core.done.get(key)
-            if run is not None:
-                return run
-            if submission.core.fatal is not None:
-                raise submission.core.fatal
-            submission.settled.wait(timeout=0.1)
-
-
-# -- worker -------------------------------------------------------------------------
+from repro.errors import CampaignError, RemoteProtocolError
 
 
 class _Heartbeat(threading.Thread):

@@ -6,9 +6,9 @@ over weeks, and this module is that shape: one service that accepts
 campaign submissions over TCP, schedules their shards across a shared
 persistent worker fleet, and remembers every shard it has ever
 completed.  It is also the only coordinator: ``campaign --listen`` runs
-an ephemeral instance holding one in-process submission, which serves
-workers only (see :meth:`CampaignService.submit_local` and
-:class:`~repro.engine.remote.RemoteExecutor`).
+an ephemeral instance that serves the engine driver's own coordinator
+core to workers only (see :meth:`CampaignService.submit_local` and
+:func:`~repro.engine.supervisor.execute_shards`).
 
 Three client roles share one listening socket, distinguished by their
 first frame (the framing itself is :mod:`repro.engine.wire`'s):
@@ -80,7 +80,6 @@ from repro.engine.aiocoord import (
 )
 from repro.engine.cas import ResultCAS
 from repro.engine.checkpoint import (
-    CheckpointJournal,
     plans_fingerprint,
     result_from_record,
     result_to_record,
@@ -117,21 +116,22 @@ pushed ``shutdown`` frame, subscribers once they have sent the stop error."""
 
 
 class _Submission:
-    """One active plan batch: its coordinator core, telemetry and records.
+    """One active plan batch: its coordinator core and records.
 
     Lives on the service's event loop; every method runs there, except
-    that a local submission is built and prefilled before the loop
-    starts, and its caller waits on :attr:`settled`.  A wire
-    submission (``repro submit``) owns its telemetry, whose hook writes
-    each record to the submission's trace file (fsync'd, the durable
-    history ``repro trace report`` reads), keeps the written record in
-    :attr:`records` and notifies the service.  Every subscriber streams
-    from that list, so each one, a follower attaching mid-run included,
-    is sent exactly the trace file's lines.  A local submission
-    (:meth:`CampaignService.submit_local`) reports through its caller's
-    telemetry and commits to its caller's checkpoint journal instead; it
-    has no trace, no subscribers and no result-cache entries, and its
-    caller reports each plan's ``plan-finished`` as it merges it.
+    that a local submission is built before the loop starts, and its
+    caller waits on :attr:`settled`.  A wire submission (``repro
+    submit``) builds its core, whose telemetry hook writes each record to
+    the submission's trace file (fsync'd, the durable history ``repro
+    trace report`` reads), keeps the written record in :attr:`records`
+    and notifies the service.  Every subscriber streams from that list,
+    so each one, a follower attaching mid-run included, is sent exactly
+    the trace file's lines.  A local submission
+    (:meth:`CampaignService.submit_local`) serves its caller's core,
+    which reports through the caller's telemetry and commits to the
+    caller's checkpoint journal; it has no trace, no subscribers and no
+    result-cache entries, and its caller reports each plan's
+    ``plan-finished`` as it merges it.
     """
 
     def __init__(
@@ -140,24 +140,18 @@ class _Submission:
         serial: int,
         fingerprint: str,
         plans: List,
-        telemetry: Optional[EngineTelemetry] = None,
-        journal: Optional[CheckpointJournal] = None,
+        core: Optional[CoordinatorCore] = None,
     ) -> None:
         self.service = service
         self.serial = serial
         self.fingerprint = fingerprint
         self.plans = plans
         self.plans_blob = encode_plans(plans)
-        self.tasks: List[ShardTask] = [
-            (plan_index, plan, shard)
-            for plan_index, plan in enumerate(plans)
-            for shard in plan.shards()
-        ]
-        self.local = telemetry is not None
+        self.local = core is not None
         self.trace: Optional[TraceWriter] = None
         self.records: List[Dict] = []
         """Every record the trace writer has written, in order."""
-        if telemetry is None:
+        if core is None:
             # The first suffix with no file: every run gets its own trace,
             # across service restarts too.  An earlier submission of this
             # fingerprint has concluded, so its trace exists.
@@ -169,28 +163,32 @@ class _Submission:
                 next(path for path in trace_paths if not path.exists()),
                 flush_every=1,
             )
-            telemetry = EngineTelemetry(
-                shards_total=len(self.tasks),
-                cycles_total=sum(shard.faults for _, _, shard in self.tasks),
-                hook=self._record,
+            tasks: List[ShardTask] = [
+                (plan_index, plan, shard)
+                for plan_index, plan in enumerate(plans)
+                for shard in plan.shards()
+            ]
+            core = CoordinatorCore(
+                tasks,
+                policy=service.policy,
+                telemetry=EngineTelemetry(
+                    shards_total=len(tasks),
+                    cycles_total=sum(shard.faults for _, _, shard in tasks),
+                    hook=self._record,
+                ),
+                quarantine_enabled=service.quarantine_enabled,
+                shard_timeout_s=service.shard_timeout_s,
+                lease_timeout_s=service.lease_timeout_s,
             )
-        self.telemetry = telemetry
-        self.core = CoordinatorCore(
-            self.tasks,
-            policy=service.policy,
-            telemetry=telemetry,
-            journal=journal,
-            quarantine_enabled=service.quarantine_enabled,
-            shard_timeout_s=service.shard_timeout_s,
-            lease_timeout_s=service.lease_timeout_s,
-        )
-        self.core.on_done = self._note_done
-        self.core.on_fatal = self._note_fatal
+        self.core = core
+        self.tasks: List[ShardTask] = [core.by_key[key] for key in core.order]
+        core.on_done = self._note_done
+        core.on_fatal = self._note_fatal
         self.settled = threading.Condition()
         """Notified whenever a shard settles or the batch fails."""
         self.prefilled = 0
-        """Shards settled before any worker saw them: CAS hits of a wire
-        submission, resumed shards of a local one."""
+        """CAS hits: shards a wire submission settled before any worker
+        saw them."""
         self.submitters = 0
         self.last_grant_tick = 0
         self.done = False
@@ -204,15 +202,12 @@ class _Submission:
 
         Prefilled shards report ``shard-skipped`` and never lease.
         """
-        for plan_index, plan, shard in self.tasks:
+        for plan_index, _plan, shard in self.tasks:
             run = cached(plan_index, shard)
             if run is None:
                 continue
             self.core.prefill((plan_index, shard.index), run)
             self.prefilled += 1
-            self.telemetry.shard_skipped(
-                plan.display_label(), shard.index, shard.count, shard.faults
-            )
             self._shard_settled(plan_index)
         if self.core.complete:
             self._conclude()
@@ -279,7 +274,7 @@ class _Submission:
         self._plan_remaining[plan_index] -= 1
         if self._plan_remaining[plan_index] == 0:
             plan = self.plans[plan_index]
-            self.telemetry.plan_finished(plan.display_label(), plan.shard_count())
+            self.core.telemetry.plan_finished(plan.display_label(), plan.shard_count())
 
     def _conclude(self, error: Optional[str] = None) -> None:
         if self.done:
@@ -358,37 +353,23 @@ class CampaignService:
 
     # -- running --------------------------------------------------------------------
 
-    def submit_local(
-        self,
-        plans: Sequence,
-        telemetry: EngineTelemetry,
-        journal: Optional[CheckpointJournal] = None,
-        resumed: Optional[Dict[ShardKey, ShardRun]] = None,
-    ) -> _Submission:
-        """Register this service's one in-process submission; call before :meth:`start`.
+    def submit_local(self, core: CoordinatorCore) -> _Submission:
+        """Serve ``core`` as this service's one in-process submission.
 
-        This is how ``campaign --listen`` runs (see
-        :class:`~repro.engine.remote.RemoteExecutor`).  The submission
-        reports through ``telemetry``, commits every shard to ``journal``
-        before reporting it, and prefills the ``resumed`` runs the way a
-        wire submission prefills CAS hits.  Wire clients can neither
-        submit to nor follow a service holding one.
+        Call before :meth:`start`.  This is how ``campaign --listen`` runs
+        (see :func:`~repro.engine.supervisor.execute_shards`): the
+        driver's core, resumed shards already prefilled, reports through
+        the driver's telemetry and commits every shard to its journal
+        before reporting it.  Wire clients can neither submit to nor
+        follow a service holding one.
         """
-        resumed = resumed or {}
+        plans = list({index: plan for index, plan, _ in core.by_key.values()}.values())
         self._serial += 1
         submission = _Submission(
-            self,
-            self._serial,
-            plans_fingerprint(plans),
-            list(plans),
-            telemetry=telemetry,
-            journal=journal,
+            self, self._serial, plans_fingerprint(plans), plans, core=core
         )
         self._local = submission
         self._active[submission.fingerprint] = submission
-        submission.prefill(
-            lambda plan_index, shard: resumed.get((plan_index, shard.index))
-        )
         return submission
 
     def serve_forever(self) -> None:

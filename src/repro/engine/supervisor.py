@@ -1,11 +1,14 @@
-"""Fault-tolerant local shard execution: retries, backoff, quarantine, resume.
+"""Fault-tolerant shard execution: retries, backoff, quarantine, resume.
 
-:func:`execute_local` runs the shards of every local campaign (behind
-:func:`repro.engine.run_plans`) on the campaign service's state machine,
-:class:`~repro.engine.aiocoord.CoordinatorCore`, so local and distributed
-runs share one retry, quarantine and journal policy.  It treats the
-campaign harness itself as a reliability-critical system — the same
-stance the paper takes toward SSD firmware:
+:func:`execute_shards` is the engine's one shard driver (behind
+:func:`repro.engine.run_plans`).  It runs every campaign on the campaign
+service's state machine, :class:`~repro.engine.aiocoord.CoordinatorCore`,
+and only the step that hands a granted shard to a worker differs between
+inline (``jobs=1``), forked (``jobs > 1``) and TCP (``listen=``)
+execution, so all three share one retry, quarantine, journal, resume and
+interrupt policy.  It treats the campaign harness itself as a
+reliability-critical system — the same stance the paper takes toward SSD
+firmware:
 
 - **bounded retries with exponential backoff** — each failed shard is
   retried up to :attr:`RetryPolicy.max_retries` times with exponentially
@@ -17,9 +20,10 @@ stance the paper takes toward SSD firmware:
   forked worker process holding one shard at a time.  A shard whose
   result has not arrived ``shard_timeout_s`` after its worker received it
   is charged a failed attempt, and the worker is SIGKILLed and replaced.
-- **worker-death recovery** — each worker has its own pipe to the parent,
-  so a worker that dies is charged to the one shard it held; a
-  replacement is forked and the other workers never notice.
+- **worker-death recovery** — each forked worker has its own pipe to the
+  parent, and each TCP worker its own connection and lease, so a worker
+  that dies is charged to the one shard it held; a forked one is
+  replaced, and the other workers never notice.
 - **poison-shard quarantine** — a shard that exhausts its budget is
   quarantined: the campaign completes, the shard is recorded in
   :class:`~repro.core.results.ExecutionStats` (and the journal) instead of
@@ -33,7 +37,8 @@ stance the paper takes toward SSD firmware:
   finished, and a :class:`~repro.engine.checkpoint.ResumeState` lets a
   restarted campaign skip already-journaled shards entirely.
 - **graceful interrupt** — SIGINT/SIGTERM set a flag; at the next safe
-  point the driver kills its workers and raises
+  point the driver kills its forked workers (or stops its service) and
+  raises
   :class:`~repro.errors.CampaignInterrupted`.  Journal appends are
   per-record durable, so everything acknowledged before the signal is
   resumable.
@@ -52,13 +57,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait
 from multiprocessing.process import BaseProcess
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.core.results import CampaignResult, ExecutionStats, ShardTiming
 from repro.engine.checkpoint import CheckpointJournal, ResumeState
 from repro.engine.executors import ShardKey, ShardTask, _run_shard_task
 from repro.engine.plan import merge_shard_results
 from repro.engine.progress import EngineTelemetry
+from repro.engine.wire import DEFAULT_LEASE_TIMEOUT_S
 from repro.errors import CampaignInterrupted
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -80,10 +86,10 @@ def interrupt_flag_guard() -> Iterator[InterruptFlag]:
 
     Handlers only install on the main thread (signal semantics); elsewhere
     the yielded flag simply never trips.  Previous handlers are restored on
-    exit.  Shared by :func:`execute_local` and the remote coordinator so
-    both interpret an interrupt the same way: set a flag, let the execution
-    loop reach a safe point, flush, raise
-    :class:`~repro.errors.CampaignInterrupted`.
+    exit.  :func:`execute_shards` raises
+    :class:`~repro.errors.CampaignInterrupted` at its next safe point once
+    the flag trips, whichever step runs the shards, and ``repro serve``
+    (:func:`~repro.engine.serve.run_serve`) stops its service.
     """
     flag = InterruptFlag()
     previous = {}
@@ -203,7 +209,7 @@ def merge_plan_runs(plan, ordered_runs: Sequence[ShardRun]) -> CampaignResult:
     return merged
 
 
-def execute_local(
+def execute_shards(
     tasks: Sequence[ShardTask],
     telemetry: EngineTelemetry,
     jobs: int = 1,
@@ -212,22 +218,41 @@ def execute_local(
     resume: Optional[ResumeState] = None,
     quarantine_enabled: bool = False,
     shard_timeout_s: Optional[float] = None,
+    listen: Optional[Union[str, Tuple[str, int]]] = None,
+    lease_timeout_s: Optional[float] = None,
 ) -> Iterator[Tuple[ShardKey, ShardRun]]:
-    """Run shard tasks on this host; yield ``(key, ShardRun)`` in task order.
+    """Run shard tasks; yield ``(key, ShardRun)`` in task order.
 
-    A :class:`~repro.engine.aiocoord.CoordinatorCore` grants the shards
-    to ``jobs`` slots.  With ``jobs=1`` the slot is this process, which
-    runs each granted shard inline (and so cannot preempt it:
-    ``shard_timeout_s`` is ignored).  With ``jobs > 1`` each slot is a
-    forked worker on its own pipe (see :func:`_worker_loop`).  A worker
-    that dies or whose pipe closes fails the shard it held; one whose
-    shard overran ``shard_timeout_s`` is SIGKILLed.  Either way a
-    replacement is forked, and every worker is killed and reaped on the
-    way out.
+    One :class:`~repro.engine.aiocoord.CoordinatorCore` grants the
+    shards, and resumed shards are prefilled on it.  Only the step that
+    carries a grant to a worker differs:
+
+    - ``jobs=1``: this process runs each granted shard inline (and so
+      cannot preempt it: ``shard_timeout_s`` is ignored);
+    - ``jobs > 1``: each slot is a forked worker on its own pipe (see
+      :func:`_worker_loop`).  A worker that dies or whose pipe closes
+      fails the shard it held; one whose shard overran
+      ``shard_timeout_s`` is SIGKILLed.  Either way a replacement is
+      forked, and every worker is killed and reaped on the way out;
+    - ``listen="HOST:PORT"``: an ephemeral
+      :class:`~repro.engine.serve.CampaignService` serves the core to
+      ``repro worker`` processes over TCP, and this process waits for
+      their outcomes.  ``lease_timeout_s`` bounds how long a silent
+      worker holds a shard; ``jobs`` is ignored.
     """
-    # Deferred: aiocoord imports RetryPolicy and ShardRun from this module.
+    # Deferred: aiocoord and serve import this module.
     from repro.engine.aiocoord import CoordinatorCore, SWEEP_INTERVAL_CAP_S
+    from repro.engine.serve import CampaignService
 
+    service = None
+    if listen is not None:
+        # Bound before any shard is reported, so a taken port fails first.
+        service = CampaignService(
+            listen=listen,
+            lease_timeout_s=(
+                DEFAULT_LEASE_TIMEOUT_S if lease_timeout_s is None else lease_timeout_s
+            ),
+        )
     resume = resume if resume is not None else ResumeState()
     core = CoordinatorCore(
         tasks,
@@ -236,19 +261,18 @@ def execute_local(
         journal=journal,
         quarantine_enabled=quarantine_enabled,
         shard_timeout_s=shard_timeout_s,
-        lease_timeout_s=math.inf,  # local workers send no heartbeats
+        # Local workers send no heartbeats.
+        lease_timeout_s=math.inf if service is None else service.lease_timeout_s,
     )
-    for plan_index, plan, shard in tasks:
-        key = (plan_index, shard.index)
+    for key in core.order:
         if key in resume.results:
-            run = ShardRun(
-                result=resume.results[key],
-                attempts=resume.attempts.get(key, 1),
-                status="resumed",
-            )
-            core.prefill(key, run)
-            telemetry.shard_skipped(
-                plan.display_label(), shard.index, shard.count, shard.faults
+            core.prefill(
+                key,
+                ShardRun(
+                    result=resume.results[key],
+                    attempts=resume.attempts.get(key, 1),
+                    status="resumed",
+                ),
             )
     workers: Dict[int, Tuple[BaseProcess, Connection]] = {}
 
@@ -312,15 +336,46 @@ def execute_local(
         for pid in busy - {lease.conn_id for lease in core.leases.values()}:
             kill(pid)  # the sweep timed its shard out, so it is wedged
 
+    def step_served() -> None:
+        # The service's loop thread settles shards and then notifies under
+        # this lock, so testing again under it loses no wakeup; the bound
+        # keeps a signal from waiting on the next settle.
+        with submission.settled:
+            if (
+                core.order[position] not in core.done
+                and core.fatal is None
+                and not interrupted
+            ):
+                submission.settled.wait(timeout=0.1)
+
+    if service is not None:
+        submission = service.submit_local(core)
+        address = f"{service.host}:{service.port}"
+        print(
+            f"[engine] coordinator listening on {address} "
+            f"(fingerprint {submission.fingerprint}, "
+            f"{len(core.ready)} shard(s) to lease) — start "
+            f"workers with: repro worker --connect {address}",
+            file=sys.stderr,
+            flush=True,
+        )
+        step = step_served
+    else:
+        step = step_inline if jobs <= 1 else step_forked
     position = 0
     with interrupt_flag_guard() as interrupted:
+        if service is not None:
+            service.start()
         try:
             while True:
                 while position < len(core.order) and core.order[position] in core.done:
                     key = core.order[position]
                     position += 1
                     yield key, core.done[key]
-                if core.complete:
+                # Not ``core.complete``: under ``listen=`` the service's
+                # thread may settle the last shards after the loop above
+                # stopped, and they must still be yielded.
+                if position == len(core.order):
                     return
                 if interrupted:
                     raise CampaignInterrupted(
@@ -329,13 +384,12 @@ def execute_local(
                     )
                 if core.fatal is not None:
                     raise core.fatal
-                if jobs <= 1:
-                    step_inline()
-                else:
-                    step_forked()
+                step()
         finally:
             for pid in list(workers):
                 kill(pid)
+            if service is not None:
+                service.stop()
 
 
 def _worker_loop(conn: Connection, by_key: Dict[ShardKey, ShardTask]) -> None:

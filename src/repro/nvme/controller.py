@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional
 from repro.errors import NvmeQueueError
 from repro.nvme.command import NvmeCommand, NvmeCompletion, NvmeOpcode, NvmeStatus
 from repro.nvme.queue import QueuePair
-from repro.ssd.command import CommandOp, CommandStatus, IoCommand
+from repro.ssd.command import CommandStatus, IoCommand
 from repro.ssd.device import SsdDevice
 from repro.ssd.smart import SmartLog
 from repro.workload.checksum import TOKEN_ZERO, page_token

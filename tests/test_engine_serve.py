@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro.engine import read_trace, run_plan
+from repro.engine.aiocoord import CoordinatorCore
 from repro.engine.cas import QUARANTINE_SUFFIX, ResultCAS
 from repro.engine.checkpoint import plans_fingerprint
 from repro.engine.progress import EngineTelemetry
@@ -474,9 +475,15 @@ class TestLocalSubmission:
         # followers get an error naming the daemon instead.
         plan = small_plan()
         service = CampaignService(cas_root=tmp_path / "cas", policy=FAST)
+        tasks = [(0, plan, shard) for shard in plan.shards()]
         service.submit_local(
-            [plan],
-            EngineTelemetry(shards_total=plan.shard_count(), cycles_total=plan.faults),
+            CoordinatorCore(
+                tasks,
+                policy=FAST,
+                telemetry=EngineTelemetry(
+                    shards_total=plan.shard_count(), cycles_total=plan.faults
+                ),
+            )
         )
         service.start()
         try:

@@ -9,15 +9,22 @@ kills, resumes — the merged result equals a clean serial run.
 
 import multiprocessing
 import os
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from repro.engine import RetryPolicy, run_plan
+from repro.engine import RetryPolicy, aiocoord, run_plan
 from repro.engine.executors import TEST_FAULT_ENV
 from repro.errors import CampaignError, ShardFailureError
-from tests.engine_faults import clean_summary, Events, FAST, small_plan
+from tests.engine_faults import (
+    clean_summary,
+    Events,
+    FAST,
+    run_distributed,
+    small_plan,
+)
 
 
 def child_pids():
@@ -193,20 +200,33 @@ class TestCheckpointResume:
         assert hook.kinds().count("shard-skipped") == 4
         assert "shard-started" not in hook.kinds()
 
-    def test_partial_journal_resumes_missing_shards(self, tmp_path):
+    # jobs=None serves the shards to one `repro worker` over TCP (listen=).
+    @pytest.mark.parametrize("jobs", [1, 2, None], ids=["1", "2", "tcp"])
+    def test_partial_journal_resumes_missing_shards(self, tmp_path, jobs):
         baseline = clean_summary()
         path = tmp_path / "ck.jsonl"
         run_plan(small_plan(), jobs=1, checkpoint=path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:2]) + "\n")  # as if killed after 2 shards
         hook = Events()
-        resumed = run_plan(
-            small_plan(), jobs=2, checkpoint=path, resume=True, progress=hook
-        )
+        if jobs is None:
+            resumed, codes = run_distributed(
+                small_plan(), workers=1, checkpoint=path, resume=True, progress=hook
+            )
+            assert codes == [0]
+        else:
+            resumed = run_plan(
+                small_plan(), jobs=jobs, checkpoint=path, resume=True, progress=hook
+            )
         assert resumed.summary() == baseline
         assert resumed.execution.shards_resumed == 2
         assert resumed.execution.shards_completed == 2
         assert hook.kinds().count("checkpoint-written") == 2
+        # The journal kept shards 0 and 1: each is reported once, in task
+        # order, before any shard runs.
+        assert hook.kinds()[:2] == ["shard-skipped", "shard-skipped"]
+        skipped = [e.shard_index for e in hook.events if e.kind == "shard-skipped"]
+        assert skipped == [0, 1]
 
     def test_checkpoint_written_events(self, tmp_path):
         hook = Events()
@@ -271,3 +291,27 @@ class TestExecutorPlumbing:
         assert last_start > first_finish
         assert kinds.count("shard-started") == 10
         assert result.summary()["faults"] == 10
+
+
+class TestServedStep:
+    def test_shards_settled_after_the_yield_loop_are_still_yielded(self, monkeypatch):
+        # Under listen= the service's thread settles shards while the
+        # driver runs.  This core makes the worst interleaving certain:
+        # asked on the driver's thread whether it is complete, it first
+        # waits until the service's thread has settled every shard, as if
+        # the last ones settled between the driver's yield loop and its
+        # exit test.  The driver must still yield every shard.
+        class LateAnsweringCore(aiocoord.CoordinatorCore):
+            @property
+            def complete(self):
+                if threading.current_thread() is threading.main_thread():
+                    deadline = time.monotonic() + 60
+                    while len(self.done) < len(self.order) and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                return len(self.done) >= len(self.order)
+
+        monkeypatch.setattr(aiocoord, "CoordinatorCore", LateAnsweringCore)
+        result, codes = run_distributed(small_plan(), workers=1)
+        assert codes == [0]
+        assert result.summary() == clean_summary()
+        assert result.execution.shards_completed == 4

@@ -6,6 +6,7 @@ file), torn-tail tolerance, the straggler/retry report, the resumed-run
 throughput/ETA accounting fix, and the plan-finished sentinel index.
 """
 
+import io
 import json
 
 import pytest
@@ -411,6 +412,30 @@ class TestResumedEtaAccounting:
         assert events[-1].cycles_skipped == 50
         assert events[-1].cycles_per_sec == 0.0
 
+    def test_one_clock_reading_per_event(self):
+        # A clock that moves on every read: fields taken from separate
+        # readings would disagree about when the event happened.
+        ticks = iter(range(100, 200))
+        events = []
+        telemetry = EngineTelemetry(
+            shards_total=3, cycles_total=7, hook=events.append,
+            clock=lambda: float(next(ticks)),
+        )
+        telemetry.shard_started("x", 0, 3, attempt=1)
+        telemetry.shard_finished("x", 0, 3, 2, attempt=1)
+        telemetry.checkpoint_written("x", 0, 3, commit_lag_s=0.0)
+        telemetry.shard_skipped("x", 1, 3, 3)
+        telemetry.shard_retried("x", 2, 3, "crash", attempt=1)
+        telemetry.shard_finished("x", 2, 3, 2, attempt=2)
+        telemetry.plan_finished("x", 3)
+        for event in events:
+            assert event.mono_time_s - event.elapsed_s == 100
+            executed = event.cycles_done - event.cycles_skipped
+            assert event.cycles_per_sec == executed / event.elapsed_s
+            if executed:
+                remaining = event.cycles_total - event.cycles_done
+                assert event.eta_s == remaining / event.cycles_per_sec
+
 
 class TestPlanFinishedSentinel:
     def test_plan_finished_does_not_alias_a_real_shard(self):
@@ -567,6 +592,46 @@ def golden_events():
         )
         for index, fields in enumerate(GOLDEN_EVENTS)
     ]
+
+
+ENGINE_LINES = [
+    "[engine] shard-finished golden ssd-a shard 1/2 | shards 1/2 | cycles 3/5 | 0.30 cycles/s | ETA 7s",
+    "[engine] shard-retried  golden ssd-a shard 2/2 | shards 1/2 | cycles 3/5 | 0.27 cycles/s | ETA 8s | worker lost: \u201cEOF\u201d (shard 1, attempt 1)",
+    "[engine] shard-skipped  golden ssd-b shard 1/1 | shards 2/4 | cycles 5/8 | 0.25 cycles/s | ETA 12s | from checkpoint",
+    "[engine] shard-quarantined golden ssd-a shard 2/2 | shards 3/4 | cycles 5/8 | 0.15 cycles/s | ETA 20s | injected crash (shard 1, attempt 3)",
+    "[engine] plan-finished  golden ssd-a all 2 shards | shards 4/4 | cycles 8/8 | 0.19 cycles/s | ETA 0s",
+]
+"""``--progress`` lines of the golden events: shard starts and checkpoint
+writes are not rendered."""
+
+SERVE_LINES = [
+    "[serve] shard-started  golden ssd-a shard 1/2 | shards 0/2 | cycles 0/5 | ETA ?",
+    "[serve] shard-finished golden ssd-a shard 1/2 | shards 1/2 | cycles 3/5 | ETA 7s",
+    "[serve] shard-retried  golden ssd-a shard 2/2 | shards 1/2 | cycles 3/5 | ETA 8s | worker lost: \u201cEOF\u201d (shard 1, attempt 1)",
+    "[serve] shard-skipped  golden ssd-b shard 1/1 | shards 2/4 | cycles 5/8 | ETA 12s | from checkpoint",
+    "[serve] shard-quarantined golden ssd-a shard 2/2 | shards 3/4 | cycles 5/8 | ETA 20s | injected crash (shard 1, attempt 3)",
+    "[serve] checkpoint-written golden ssd-a shard 1/2 | shards 3/4 | cycles 5/8 | ETA 21s",
+    "[serve] plan-finished  golden ssd-a all 2 shards | shards 4/4 | cycles 8/8 | ETA 0s",
+]
+"""``repro submit --progress`` / ``repro follow`` lines of the golden events."""
+
+
+class TestConsoleLines:
+    """The ``[engine]`` and ``[serve]`` lines of every event kind."""
+
+    def test_engine_lines(self):
+        stream = io.StringIO()
+        hook = ConsoleProgress(stream=stream)
+        for event in golden_events():
+            hook(event)
+        assert stream.getvalue().splitlines() == ENGINE_LINES
+
+    def test_serve_lines(self, capsys):
+        from repro.cli import _render_streamed_record
+
+        for event in golden_events():
+            _render_streamed_record(event)
+        assert capsys.readouterr().err.splitlines() == SERVE_LINES
 
 
 class TestOneRecord:

@@ -1,8 +1,10 @@
-"""Public-API integrity: exports, version, and docstring examples."""
+"""Public-API integrity: exports, version, imports and docstring examples."""
 
+import ast
 import doctest
 import importlib
 import inspect
+import pathlib
 import pkgutil
 import typing
 
@@ -59,6 +61,38 @@ class TestEngineAnnotations:
             for value in vars(module).values():
                 if inspect.isfunction(value) and value.__module__ == info.name:
                     typing.get_type_hints(value)
+
+
+def unread_imports(source: str) -> list:
+    """Names bound by a module-level import that the module never reads."""
+    tree = ast.parse(source)
+    bound = [
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, ast.Import)
+        or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+        for alias in node.names
+    ]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in bound if name not in read]
+
+
+class TestUnusedImports:
+    def test_every_module_import_is_read(self):
+        # Package __init__ modules import to re-export; every other module
+        # imports only what it uses.
+        src = pathlib.Path(repro.__file__).parent
+        unread = {}
+        for path in sorted(src.rglob("*.py")):
+            if path.name != "__init__.py":
+                names = unread_imports(path.read_text(encoding="utf-8"))
+                if names:
+                    unread[str(path.relative_to(src))] = names
+        assert unread == {}
 
 
 DOCTEST_MODULES = [
