@@ -29,7 +29,7 @@ from repro.workload import IOGenerator, WorkloadSpec
 def run_drive(config, seed):
     host = HostSystem(config=config, seed=seed)
     host.boot()
-    analyzer = Analyzer(host.ssd.peek)
+    analyzer = Analyzer(host.ssd.peek_run)
     generator = IOGenerator(
         host, WorkloadSpec(wss_bytes=8 * GIB, outstanding=16), RandomStreams(seed)
     )

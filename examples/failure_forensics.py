@@ -21,7 +21,7 @@ from repro.workload.packet import DataPacket
 
 def main() -> None:
     host = HostSystem(config=SsdConfig(capacity_bytes=4 * GIB), seed=77)
-    analyzer = Analyzer(host.ssd.peek)
+    analyzer = Analyzer(host.ssd.peek_run)
     host.boot()
 
     # A burst of small writes: acknowledged fast, durable slowly.

@@ -69,7 +69,7 @@ def main() -> None:
 
     # ---- 4. the standalone checker ---------------------------------------
     print("running the diskchecker-style verification pass ...")
-    outcome = check_ledger(target.ssd.peek, load_ledger(ledger_path))
+    outcome = check_ledger(target.ssd.peek_run, load_ledger(ledger_path))
     print(f"  packets checked : {outcome.packets_checked}")
     for kind in FailureKind:
         print(f"  {kind.value:18s}: {outcome.count(kind)}")

@@ -1139,7 +1139,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         return 2
     host = HostSystem(config=models.by_name(args.device), seed=args.seed)
     host.boot()
-    analyzer = Analyzer(host.ssd.peek)
+    analyzer = Analyzer(host.ssd.peek_run)
     replayer = TraceReplayer(host, trace)
     replayer.start()
     fault_injected = False

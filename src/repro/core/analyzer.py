@@ -26,6 +26,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.ftl.mapping import contiguous_runs
 from repro.ssd.device import CORRUPT_TOKEN
 from repro.workload.checksum import TOKEN_ZERO
 from repro.workload.packet import DataPacket
@@ -70,12 +71,13 @@ class VerificationOutcome:
 
 
 class Analyzer:
-    """Stateful verifier over one ``peek(lpn) -> token|None`` source.
+    """Stateful verifier over one ``peek_run(lpn, count) -> [token|None]`` source.
 
-    The source is usually a simulated drive's ``host.ssd.peek``, bound
-    when the Analyzer is built; it can as well read a real block device
-    (returning per-page checksums), diskchecker-style — the taxonomy logic
-    is identical.
+    The source is usually a simulated drive's ``host.ssd.peek_run``, bound
+    when the Analyzer is built, which reads without side effects; it can as
+    well read a real block device (returning per-page checksums),
+    diskchecker-style — the taxonomy logic is identical.  Each cycle reads
+    every audited page once, one call per run of contiguous LPNs.
 
     Keeps a persistent per-LPN *expected content* ledger across fault
     cycles: after each verification the ledger is reconciled with what the
@@ -83,8 +85,8 @@ class Analyzer:
     request" references (Fig. 2's Initial Checksum) are exact.
     """
 
-    def __init__(self, peek: Callable[[int], Optional[int]]) -> None:
-        self._peek = peek
+    def __init__(self, peek_run: Callable[[int, int], Sequence[Optional[int]]]) -> None:
+        self._peek_run = peek_run
         self._expected: Dict[int, int] = {}  # lpn -> token (TOKEN_ZERO if absent)
         # Statistics.
         self.total_records: int = 0
@@ -124,22 +126,28 @@ class Analyzer:
                     (order, packet, packet.token_for(lpn))
                 )
 
-        observed_cache: Dict[int, Optional[int]] = {}
-
-        def observe(lpn: int) -> Optional[int]:
-            if lpn not in observed_cache:
-                observed_cache[lpn] = self._peek(lpn)
-            return observed_cache[lpn]
-
-        pages_checked = 0
-        failed_page: Dict[int, Tuple[FailureKind, int, Optional[int], int]] = {}
-
-        for lpn, chain in chains.items():
-            observed = observe(lpn)
+        # Read every address once, one call per run of contiguous LPNs, then
+        # reconcile the ledger with observed reality so the next cycle's
+        # Initial Checksums are exact.  Only an address that lacks its last
+        # writer's data can hold a failure.
+        lpns = sorted(chains)
+        observations: List[Optional[int]] = []
+        for start, count in contiguous_runs(lpns):
+            observations.extend(self._peek_run(start, count))
+        lost: Dict[int, Tuple[Optional[int], int]] = {}  # lpn -> (observed, prior)
+        for lpn, observed in zip(lpns, observations):
             observed_token = TOKEN_ZERO if observed is None else observed
-            pages_checked += len(chain)
+            if observed_token != chains[lpn][-1][2]:
+                lost[lpn] = (observed, self.expected_at(lpn))
+            self._expected[lpn] = observed_token
+
+        failed_page: Dict[int, Tuple[FailureKind, int, Optional[int], int]] = {}
+        for lpn, chain in chains.items():
+            if lpn not in lost:
+                continue
+            observed, prior = lost[lpn]
+            observed_token = TOKEN_ZERO if observed is None else observed
             chain_tokens = [token for _, _, token in chain]
-            prior = self.expected_at(lpn)
             for index, (order, packet, token) in enumerate(chain):
                 if observed_token == token:
                     continue  # this write's data is present
@@ -194,16 +202,10 @@ class Analyzer:
                 )
             )
 
-        # Reconcile the ledger with observed reality so next cycle's Initial
-        # Checksums are exact.
-        for lpn in chains:
-            observed = observed_cache[lpn]
-            self._expected[lpn] = TOKEN_ZERO if observed is None else observed
-
         self.total_records += len(records)
         self.packets_verified += len(ordered)
         return VerificationOutcome(
             records=records,
             packets_checked=len(ordered) + len(failed_packets),
-            pages_checked=pages_checked,
+            pages_checked=sum(packet.page_count for packet in ordered),
         )

@@ -8,8 +8,9 @@ the log against the device.  This module gives the platform that workflow:
 - :func:`save_ledger` / :func:`load_ledger` — JSON-lines serialisation of
   :class:`~repro.workload.packet.DataPacket` headers (the Fig. 2 fields);
 - :func:`check_ledger` — replay a saved ledger against any
-  ``peek(lpn) -> token`` source (simulated device or a real-device adapter)
-  using the same §III-B taxonomy the campaign Analyzer applies.
+  ``peek_run(lpn, count) -> [token]`` source (simulated device or a
+  real-device adapter) using the same §III-B taxonomy the campaign
+  Analyzer applies.
 
 The format is line-delimited JSON so a writer can append records durably
 per-ACK, exactly as the hardware workflow requires.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.core.analyzer import Analyzer, VerificationOutcome
 from repro.errors import CampaignError
@@ -97,17 +98,18 @@ def load_ledger(path: Union[str, Path]) -> List[DataPacket]:
 
 
 def check_ledger(
-    peek: Callable[[int], Optional[int]],
+    peek_run: Callable[[int, int], Sequence[Optional[int]]],
     packets: Iterable[DataPacket],
     cycle_index: int = 0,
 ) -> VerificationOutcome:
     """Verify a ledger against a device (the post-reboot checker step).
 
-    ``peek`` maps a logical page number to the data token currently visible
-    there (None = erased/unmapped).  Only acknowledged writes are judged;
-    unacknowledged ones are classified IO errors, as in the campaign path.
+    ``peek_run(lpn, count)`` returns the data tokens currently visible on
+    ``count`` pages from ``lpn`` (None = erased/unmapped).  Only
+    acknowledged writes are judged; unacknowledged ones are classified IO
+    errors, as in the campaign path.
     """
-    analyzer = Analyzer(peek)
+    analyzer = Analyzer(peek_run)
     packets = list(packets)
     acked_writes = [p for p in packets if p.is_write and p.acked]
     unacked = [p for p in packets if p.is_write and not p.acked]

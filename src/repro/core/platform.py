@@ -66,7 +66,7 @@ class TestPlatform:
             self.host.kernel, self.host.power, self.streams.stream("faults")
         )
         self.generator = IOGenerator(self.host, spec, self.streams.fork("workload"))
-        self.analyzer = Analyzer(self.host.ssd.peek)
+        self.analyzer = Analyzer(self.host.ssd.peek_run)
 
     # -- conveniences -------------------------------------------------------------------
 

@@ -104,8 +104,6 @@ from repro.errors import CampaignError
 
 PlanDoneHook = Callable[[int, CampaignResult], None]
 
-_merge_plan_runs = merge_plan_runs
-
 
 def run_plans(
     plans: Sequence[CampaignPlan],
@@ -192,7 +190,7 @@ def run_plans(
                 ordered = [
                     shard_runs[plan_index][i] for i in range(plan.shard_count())
                 ]
-                merged[plan_index] = _merge_plan_runs(plan, ordered)
+                merged[plan_index] = merge_plan_runs(plan, ordered)
                 telemetry.plan_finished(plan.display_label(), plan.shard_count())
                 if on_plan_done is not None:
                     on_plan_done(plan_index, merged[plan_index])

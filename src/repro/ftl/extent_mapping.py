@@ -83,6 +83,23 @@ class ExtentMap:
         extent = self._extent_at(lpn)
         return extent.translate(lpn) if extent is not None else None
 
+    def lookup_run(self, lpn: int, count: int) -> List[Optional[int]]:
+        """PPAs for ``count`` LPNs from ``lpn`` (None where no extent covers)."""
+        if lpn < 0:
+            raise AddressError(f"negative LPN {lpn}")
+        ppas: List[Optional[int]] = [None] * count
+        end = lpn + count
+        starts = self._starts
+        idx = max(0, bisect.bisect_right(starts, lpn) - 1)
+        while idx < len(starts) and starts[idx] < end:
+            extent = self._extents[starts[idx]]
+            low = max(extent.start_lpn, lpn)
+            high = min(extent.end_lpn, end)
+            for page in range(low, high):
+                ppas[page - lpn] = extent.start_ppa + (page - extent.start_lpn)
+            idx += 1
+        return ppas
+
     def covering_extent(self, lpn: int) -> Optional[Extent]:
         """The extent containing ``lpn``, if any."""
         if lpn < 0:

@@ -20,16 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import AddressError, ConfigurationError, RecoveryError
 from repro.ftl.extent_mapping import Extent, ExtentMap
 from repro.ftl.gc import GarbageCollector
 from repro.ftl.journal import MapJournal, MapUpdate
-from repro.ftl.mapping import PageMap
+from repro.ftl.mapping import PageMap, contiguous_runs
 from repro.ftl.recovery import RecoveryEngine, RecoveryReport
 from repro.ftl.wear import WearLeveler
-from repro.nand.chip import FlashChip, PageState
+from repro.nand.chip import FlashChip, PageState, ReadResult
 from repro.sim.kernel import Kernel
 from repro.units import MSEC
 
@@ -234,12 +234,13 @@ class Ftl:
         self,
         plan: WritePlan,
         tokens: Sequence[int],
-        volts: Optional[Sequence[float]] = None,
+        volts: Union[None, float, Sequence[float]] = None,
     ) -> None:
         """Program the chip and publish the new translations.
 
         ``volts`` optionally gives the rail voltage at each page's true
-        commit instant (see :meth:`FlashChip.program_pages`).
+        commit instant, or one voltage for every page (see
+        :meth:`FlashChip.program_pages`).
         """
         if len(tokens) != plan.page_count:
             raise AddressError("token count does not match plan")
@@ -251,24 +252,25 @@ class Ftl:
         tokens: Sequence[int],
         start: int,
         stop: int,
-        volts: Optional[Sequence[float]] = None,
+        volts: Union[None, float, Sequence[float]] = None,
     ) -> None:
-        """Commit pages ``start:stop`` of a plan (partial batch at power loss)."""
+        """Commit pages ``start:stop`` of a plan (partial batch at power loss).
+
+        ``volts`` is indexed like the plan, or is one voltage for every page.
+        """
         if not 0 <= start <= stop <= plan.page_count:
             raise AddressError("bad plan slice")
         if stop == start:
             return
         committed = plan.assignments[start:stop]
-        self.chip.program_pages(
-            [ppa for _, ppa in committed],
-            tokens[start:stop],
-            None if volts is None else volts[start:stop],
-        )
-        block_of = self.chip.geometry.block_of
+        if volts is not None and not isinstance(volts, (int, float)):
+            volts = volts[start:stop]
+        self.chip.program_pages([ppa for _, ppa in committed], tokens[start:stop], volts)
+        pages_per_block = self.chip.geometry.pages_per_block
         valid_counts = self.valid_counts
         owner = self._ppa_owner
         for lpn, ppa in committed:
-            block = block_of(ppa)
+            block = ppa // pages_per_block
             valid_counts[block] = valid_counts.get(block, 0) + 1
             owner[ppa] = lpn
         self.host_pages_written += len(committed)
@@ -277,42 +279,46 @@ class Ftl:
     def _publish_mapping(self, plan: WritePlan, start: int, stop: int) -> None:
         """Update RAM map + journal for committed pages of the plan."""
         committed = plan.assignments[start:stop]
-        sequential_physical = all(
-            (b_lpn == a_lpn + 1 and b_ppa == a_ppa + 1)
-            for (a_lpn, a_ppa), (b_lpn, b_ppa) in zip(committed, committed[1:])
-        )
         use_extent = (
             plan.stream == STREAM_SEQUENTIAL
-            and sequential_physical
             and len(committed) > 0
+            and all(
+                (b_lpn == a_lpn + 1 and b_ppa == a_ppa + 1)
+                for (a_lpn, a_ppa), (b_lpn, b_ppa) in zip(committed, committed[1:])
+            )
         )
         if use_extent:
             self._publish_extent(committed)
         else:
             self._publish_pages(committed)
-        if plan.stream == STREAM_SEQUENTIAL and committed:
+        if committed:
+            # Random writes can still seed a stream.
             self._last_seq_end = committed[-1][0] + 1
-        elif committed:
-            self._last_seq_end = (
-                committed[-1][0] + 1
-            )  # random writes can still seed a stream
 
     def _publish_pages(self, committed: List[Tuple[int, int]]) -> None:
         now = self.kernel.now
         old_bindings: Dict[int, Optional[int]] = {}
         lpns: List[int] = []
-        for lpn, ppa in committed:
-            displaced_extents = self.extent_map.unmap_range(lpn, lpn + 1)
-            old: Optional[int] = None
-            if displaced_extents:
-                old = displaced_extents[0].start_ppa
-                self._invalidate_ppa_range(displaced_extents)
-            page_old = self.page_map.bind(lpn, ppa)
-            if page_old is not None:
-                old = page_old
-                self._invalidate(page_old)
-            old_bindings[lpn] = old
-            lpns.append(lpn)
+        extent_map = self.extent_map
+        bind = self.page_map.bind
+        index = 0
+        # One extent-map punch per run of consecutive LPNs.
+        for first_lpn, count in contiguous_runs([lpn for lpn, _ in committed]):
+            displaced = extent_map.unmap_range(first_lpn, first_lpn + count)
+            extent_old: Dict[int, int] = {}
+            for run in displaced:
+                for offset in range(run.length):
+                    extent_old[run.start_lpn + offset] = run.start_ppa + offset
+            self._invalidate_ppa_range(displaced)
+            for lpn, ppa in committed[index : index + count]:
+                old = extent_old.get(lpn)
+                page_old = bind(lpn, ppa)
+                if page_old is not None:
+                    old = page_old
+                    self._invalidate(page_old)
+                old_bindings[lpn] = old
+                lpns.append(lpn)
+            index += count
         self.journal.record(
             MapUpdate(kind="page", time_us=now, lpns=lpns, old_bindings=old_bindings)
         )
@@ -405,10 +411,14 @@ class Ftl:
         """Read the data mapped at ``lpn``; unmapped LPNs read as erased."""
         ppa = self.lookup(lpn)
         if ppa is None:
-            from repro.nand.chip import ReadResult
-
             return ReadResult(-1, PageState.ERASED, None, correctable=True)
         return self.chip.read_page(ppa)
+
+    def lookup_run(self, lpn: int, count: int) -> List[Optional[int]]:
+        """Translations of ``count`` LPNs from ``lpn``, each map resolved once."""
+        pages = self.page_map.lookup_run(lpn, count)
+        extents = self.extent_map.lookup_run(lpn, count)
+        return [ppa if ppa is not None else run for ppa, run in zip(pages, extents)]
 
     # ------------------------------------------------------------------ journal IO --
 

@@ -7,10 +7,28 @@ Random-write workloads exercise this table; the sequential-run variant is in
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import AddressError
 
+
+def contiguous_runs(lpns: Iterable[int]) -> Iterator[Tuple[int, int]]:
+    """``(start, count)`` of each run of consecutive values in ``lpns``.
+
+    A run ends wherever the next value is not one more than the last, so
+    ascending LPNs give the runs a run read (``Ftl.lookup_run``,
+    ``SsdDevice.peek_run``) resolves in one call.
+    """
+    start = count = 0
+    for lpn in lpns:
+        if count and lpn == start + count:
+            count += 1
+            continue
+        if count:
+            yield start, count
+        start, count = lpn, 1
+    if count:
+        yield start, count
 
 class PageMap:
     """Sparse LPN -> PPA dictionary with explicit old-value reporting.
@@ -37,6 +55,13 @@ class PageMap:
         if lpn < 0:
             raise AddressError(f"negative LPN {lpn}")
         return self._table.get(lpn)
+
+    def lookup_run(self, lpn: int, count: int) -> List[Optional[int]]:
+        """PPAs bound to ``count`` LPNs from ``lpn`` (None where unmapped)."""
+        if lpn < 0:
+            raise AddressError(f"negative LPN {lpn}")
+        get = self._table.get
+        return [get(page) for page in range(lpn, lpn + count)]
 
     def bind(self, lpn: int, ppa: int) -> Optional[int]:
         """Map ``lpn`` to ``ppa``; returns the displaced PPA, if any."""

@@ -10,6 +10,9 @@ device's flush batch call:
   fault caught mid-ISPP, and the paired-page collateral they cause;
 - :meth:`FlashChip.erase_block_now` and :meth:`FlashChip.read_page` act at
   the current instant (latency is the caller's concern);
+- :meth:`FlashChip.inspect_run` is the forensic read the auditors use: the
+  same ECC and read-retry decision as ``read_page``, with no counter, no
+  read disturb and no draw;
 - :meth:`FlashChip.age_retention` applies charge leakage.
 
 Every random draw lives here, in fixed per-page order: one call over N
@@ -28,16 +31,26 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import repeat
 from random import Random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import AddressError, DeviceUnavailableError, ProtocolError
 from repro.nand.cell import CellKind
 from repro.nand.corruption import CorruptionModel
 from repro.nand.ecc import EccScheme
 from repro.nand.geometry import NandGeometry
-from repro.nand.pagestore import ArrayPageStore, STATE_CORRUPT, STATE_VALID
+from repro.nand.pagestore import ArrayPageStore, STATE_CORRUPT
 from repro.nand.timing import NandTiming
+
+CORRUPT_TOKEN = -1
+"""Forensic-read token of a page whose data is uncorrectable."""
+
+# Outcomes of the one read decision (:meth:`FlashChip._decide`).
+READ_ERASED = 0
+READ_CLEAN = 1
+READ_RETRIED = 2
+READ_UNCORRECTABLE = 3
 
 
 class PageState(enum.Enum):
@@ -149,46 +162,55 @@ class FlashChip:
         value the PSU waveform had at the page's planned commit time, so pages
         that completed inside the discharge window store degraded quality even
         though the bookkeeping runs at power-loss time.  It is ``None``
-        (sample the live rail per page), one voltage for the whole batch, or a
+        (sample the live rail), one voltage for the whole batch, or a
         per-page sequence (entries may be ``None``).
+
+        Each page's range check and non-erased check come before its draw; a
+        failed check raises after the pages before it committed.
         """
         self._check_powered()
-        store = self.store
-        state_of = store.state_of
-        program = store.program
         corruption = self.corruption
         program_quality = corruption.program_quality
-        gauss = self.rng.gauss
-        total_pages = self.geometry.total_pages
-        mean = corruption.base_error_bits * self.cell.raw_bit_error_scale
-        sigma = mean**0.5
         if volts is None or isinstance(volts, (int, float)):
-            volts_seq: Sequence[Optional[float]] = [volts] * len(ppas)
+            quality = program_quality(self.voltage_source() if volts is None else volts)
+            qualities: Iterable[float] = repeat(quality)
+            count = min(len(ppas), len(tokens))
         else:
-            volts_seq = volts
-        committed = 0
-        try:
-            for ppa, token, page_volts in zip(ppas, tokens, volts_seq):
-                if not 0 <= ppa < total_pages:
-                    raise AddressError(f"PPA {ppa} outside array of {total_pages}")
-                if state_of(ppa) == STATE_VALID:
-                    raise ProtocolError(
-                        f"program of non-erased page {ppa} (no in-place update)"
-                    )
+            quality_list: List[float] = []
+            live = last = None
+            for page_volts in volts:
                 if page_volts is None:
-                    page_volts = self.voltage_source()
-                quality = program_quality(page_volts)
-                if quality >= 1.0:
-                    # Nominal-rail fast path: the draw ``sample_error_bits``
-                    # makes at quality 1.0, inlined in the hottest loop.
-                    raw_bits = round(gauss(mean, sigma))
-                    program(ppa, token, raw_bits if raw_bits > 0 else 0, quality)
-                else:
-                    raw_bits = corruption.sample_error_bits(self.rng, self.cell, quality)
-                    program(ppa, token, raw_bits, quality)
-                committed += 1
-        finally:
-            self.programs_committed += committed
+                    if live is None:
+                        live = self.voltage_source()
+                    page_volts = live
+                if page_volts != last:
+                    quality = program_quality(page_volts)
+                    last = page_volts
+                quality_list.append(quality)
+            qualities = quality_list
+            count = min(len(ppas), len(tokens), len(quality_list))
+        rng = self.rng
+        gauss = rng.gauss
+        cell = self.cell
+        sample_error_bits = corruption.sample_error_bits
+        mean = corruption.base_error_bits * cell.raw_bit_error_scale
+        sigma = mean**0.5
+
+        def draw(quality: float) -> int:
+            if quality >= 1.0:
+                # Nominal-rail fast path: the draw ``sample_error_bits``
+                # makes at quality 1.0, inlined in the hottest loop.
+                raw_bits = round(gauss(mean, sigma))
+                return raw_bits if raw_bits > 0 else 0
+            return sample_error_bits(rng, cell, quality)
+
+        done = self.store.program_run(ppas, tokens, qualities, draw)
+        self.programs_committed += done
+        if done < count:
+            # The store stopped at a page outside the array or not erased.
+            ppa = ppas[done]
+            self._check_ppa(ppa)
+            raise ProtocolError(f"program of non-erased page {ppa} (no in-place update)")
 
     def apply_interruption_batch(
         self, interruptions: Sequence[Tuple[int, float, int]]
@@ -236,6 +258,25 @@ class FlashChip:
 
     # -- reads -----------------------------------------------------------------------
 
+    def _decide(self, entry: Optional[Tuple[int, int, int, float]]) -> int:
+        """The read decision for one page-store entry: ECC, then read-retry.
+
+        Returns ``READ_ERASED``, ``READ_CLEAN``, ``READ_RETRIED`` or
+        ``READ_UNCORRECTABLE`` and touches nothing: no counter, no read
+        disturb, no draw.
+        """
+        if entry is None:
+            return READ_ERASED
+        state, _, raw_error_bits, _ = entry
+        if state == STATE_CORRUPT:
+            return READ_UNCORRECTABLE
+        if self.ecc.can_correct(raw_error_bits):
+            return READ_CLEAN
+        # Firmware escalation: re-read with re-centred references.
+        if self.ecc.can_correct_with_retry(raw_error_bits):
+            return READ_RETRIED
+        return READ_UNCORRECTABLE
+
     def read_page(self, ppa: int) -> ReadResult:
         """Read one page (state access; latency is the caller's concern)."""
         self._check_powered()
@@ -243,20 +284,17 @@ class FlashChip:
         self.reads_served += 1
         self._apply_read_disturb(ppa)
         entry = self.store.entry(ppa)
-        if entry is None:
+        outcome = self._decide(entry)
+        if outcome == READ_ERASED:
             return ReadResult(ppa, PageState.ERASED, None, correctable=True)
+        if outcome == READ_RETRIED:
+            self.read_retries += 1
+        elif outcome == READ_UNCORRECTABLE:
+            self.uncorrectable_reads += 1
         state, token, raw_error_bits, _ = entry
         if state == STATE_CORRUPT:
-            self.uncorrectable_reads += 1
             return ReadResult(ppa, PageState.CORRUPT, None, correctable=False)
-        correctable = self.ecc.can_correct(raw_error_bits)
-        if not correctable:
-            # Firmware escalation: re-read with re-centred references.
-            if self.ecc.can_correct_with_retry(raw_error_bits):
-                correctable = True
-                self.read_retries += 1
-        if not correctable:
-            self.uncorrectable_reads += 1
+        correctable = outcome != READ_UNCORRECTABLE
         return ReadResult(
             ppa,
             PageState.VALID,
@@ -264,6 +302,34 @@ class FlashChip:
             correctable=correctable,
             raw_error_bits=raw_error_bits,
         )
+
+    def inspect_run(self, ppas: Sequence[Optional[int]]) -> List[Optional[int]]:
+        """Forensic read of a run of pages, with :meth:`read_page`'s decision.
+
+        Per page: ``None`` for a ``None`` PPA (an unmapped page) or an erased
+        page, :data:`CORRUPT_TOKEN` when ECC and read-retry cannot decode
+        it, else its token.  Unlike :meth:`read_page` it bumps no counter,
+        applies no read disturb and makes no draw, so an audit leaves the
+        array exactly as it found it.
+        """
+        if any(ppa is not None for ppa in ppas):
+            self._check_powered()
+        entry = self.store.entry
+        decide = self._decide
+        tokens: List[Optional[int]] = []
+        for ppa in ppas:
+            if ppa is None:
+                tokens.append(None)
+                continue
+            page = entry(ppa)
+            outcome = decide(page)
+            if outcome == READ_ERASED:
+                tokens.append(None)
+            elif outcome == READ_UNCORRECTABLE:
+                tokens.append(CORRUPT_TOKEN)
+            else:
+                tokens.append(page[1])
+        return tokens
 
     def _apply_read_disturb(self, ppa: int) -> None:
         """Accumulate pass-voltage stress on the block being read.

@@ -21,8 +21,9 @@ its chunk.  Block-wide operations (erase, retention aging) are C-speed
 passes over the ``state`` bytearray rather than per-page dict probes.
 
 The store draws no randomness and applies no policy — corruption physics and
-every RNG draw stay in :class:`~repro.nand.chip.FlashChip`, in per-page order,
-so the layout cannot move a campaign result.
+every RNG draw stay in :class:`~repro.nand.chip.FlashChip`, in per-page order
+(``program_run`` calls the chip's draw once per page it programs), so the
+layout cannot move a campaign result.
 ``tests/test_pagestore_equivalence.py`` drives it against an independent
 dict-of-tuples reference through random operation sequences.
 """
@@ -30,7 +31,7 @@ dict-of-tuples reference through random operation sequences.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.nand.geometry import NandGeometry
 
@@ -87,12 +88,6 @@ class ArrayPageStore:
             return None
         return (state, chunk[1][index], chunk[2][index], chunk[3][index])
 
-    def state_of(self, ppa: int) -> int:
-        chunk = self._chunks.get(ppa // self._ppb)
-        if chunk is None:
-            return STATE_ERASED
-        return chunk[0][ppa % self._ppb]
-
     def program(self, ppa: int, token: int, err: int, quality: float) -> None:
         chunk = self._chunk(ppa // self._ppb)
         index = ppa % self._ppb
@@ -104,6 +99,43 @@ class ArrayPageStore:
         if previous == STATE_ERASED:
             self._written += 1
         self._valid += 1 if previous != STATE_VALID else 0
+
+    def program_run(
+        self,
+        ppas: Iterable[int],
+        tokens: Iterable[int],
+        qualities: Iterable[float],
+        draw: Callable[[float], int],
+    ) -> int:
+        """Program pages in order until one is outside the array or VALID.
+
+        Each page's error count is ``draw(quality)``, called only once that
+        page passed both checks, so a stop leaves the draws of later pages
+        untaken.  Returns the pages programmed.
+        """
+        ppb = self._ppb
+        total = self.geometry.total_pages
+        done = 0
+        current = -1
+        for ppa, token, quality in zip(ppas, tokens, qualities):
+            if not 0 <= ppa < total:
+                break
+            block, index = divmod(ppa, ppb)
+            if block != current:
+                state, token_col, err_col, quality_col = self._chunk(block)
+                current = block
+            previous = state[index]
+            if previous == STATE_VALID:
+                break
+            err_col[index] = draw(quality)
+            state[index] = STATE_VALID
+            token_col[index] = token
+            quality_col[index] = quality
+            if previous == STATE_ERASED:
+                self._written += 1
+            self._valid += 1
+            done += 1
+        return done
 
     def corrupt(self, ppa: int) -> None:
         chunk = self._chunk(ppa // self._ppb)

@@ -18,23 +18,13 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.ftl.mapping import contiguous_runs
 from repro.host.block_layer import BlockRequest
 from repro.host.system import HostSystem, power_on_together
 from repro.power.controller import PowerController
 from repro.sim import Kernel
 from repro.ssd.device import CORRUPT_TOKEN, SsdConfig
 from repro.units import SEC
-
-
-def _contiguous_runs(offsets: List[int]):
-    """Group sorted page offsets into ``(start, length)`` runs."""
-    start = prev = offsets[0]
-    for offset in offsets[1:]:
-        if offset != prev + 1:
-            yield start, prev - start + 1
-            start = offset
-        prev = offset
-    yield start, prev - start + 1
 
 
 @dataclass
@@ -119,28 +109,19 @@ class MirrorPair:
             lambda: len(done) >= expected, 10 * SEC, "the mirror flush"
         )
 
-    def _peek_replica(self, replica: HostSystem, lpn: int, count: int) -> Optional[List[int]]:
+    def _replica_view(
+        self, replica: HostSystem, lpn: int, count: int
+    ) -> Optional[List[int]]:
+        """One run read of a replica: erased pages read 0, and corrupt pages
+        surface as :data:`~repro.ssd.device.CORRUPT_TOKEN`, so a repair can
+        rewrite exactly the pages that deviate.  None when the replica is
+        down."""
         if not replica.ssd.is_ready:
             return None
-        tokens = []
-        for offset in range(count):
-            token = replica.ssd.peek(lpn + offset)
-            if token is None:
-                token = 0
-            if token == CORRUPT_TOKEN:
-                return None
-            tokens.append(token)
-        return tokens
-
-    def _peek_replica_raw(self, replica: HostSystem, lpn: int, count: int) -> List[int]:
-        """Per-page view for repair targeting: corrupt pages surface as
-        :data:`~repro.ssd.device.CORRUPT_TOKEN` instead of poisoning the
-        whole span, so a repair can rewrite exactly the pages that deviate."""
-        tokens = []
-        for offset in range(count):
-            token = replica.ssd.peek(lpn + offset)
-            tokens.append(0 if token is None else token)
-        return tokens
+        return [
+            0 if token is None else token
+            for token in replica.ssd.peek_run(lpn, count)
+        ]
 
     def read_verified(self, lpn: int, count: int, expected: Optional[List[int]] = None) -> MirrorReadResult:
         """Read both replicas, compare, optionally repair.
@@ -148,7 +129,11 @@ class MirrorPair:
         With ``expected`` given (verification mode), a replica whose content
         deviates is counted unhealthy and repaired from a healthy one.
         """
-        views = [self._peek_replica(replica, lpn, count) for replica in self.replicas]
+        raws = [self._replica_view(replica, lpn, count) for replica in self.replicas]
+        # A corrupt page poisons the whole span for the comparison.
+        views = [
+            None if raw is None or CORRUPT_TOKEN in raw else raw for raw in raws
+        ]
         reference = expected
         healthy = []
         for view in views:
@@ -162,16 +147,15 @@ class MirrorPair:
         chosen = healthy[0] if healthy else None
         repaired = 0
         if chosen is not None:
-            for replica, view in zip(self.replicas, views):
-                if view == chosen or not replica.ssd.is_ready:
+            for replica, view, raw in zip(self.replicas, views, raws):
+                if view == chosen or raw is None:
                     continue
-                raw = self._peek_replica_raw(replica, lpn, count)
                 deviating = [
                     offset for offset in range(count) if raw[offset] != chosen[offset]
                 ]
                 if not deviating:
                     continue
-                for start, length in _contiguous_runs(deviating):
+                for start, length in contiguous_runs(deviating):
                     replica.write(lpn + start, chosen[start : start + length])
                 repaired += len(deviating)
                 self.repairs += 1

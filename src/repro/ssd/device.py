@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cache import FlushPolicy, SupercapBackup, WriteCache
 from repro.errors import ConfigurationError, ProtocolError
 from repro.ftl import Ftl, FtlConfig, RecoveryReport
 from repro.ftl.ftl import WritePlan
+from repro.ftl.mapping import contiguous_runs
 from repro.nand import (
     CellKind,
     CorruptionModel,
@@ -31,16 +32,13 @@ from repro.nand import (
     NandGeometry,
     NandTiming,
 )
-from repro.nand.chip import PageState
-from repro.power.psu import AtxPsu
+from repro.nand.chip import CORRUPT_TOKEN, PageState
+from repro.power.psu import AtxPsu, PsuState
 from repro.rand import RandomStreams
 from repro.sim import Kernel, Process, Signal
 from repro.ssd.command import CommandOp, CommandStatus, IoCommand
 from repro.ssd.power_state import DevicePowerState, PowerThresholds
 from repro.units import GIB, KIB, MSEC
-
-CORRUPT_TOKEN = -1
-"""Peek result for a page whose data is uncorrectable."""
 
 
 @dataclass(frozen=True)
@@ -228,11 +226,21 @@ class SsdDevice:
             return 5.0
         return self.psu.voltage()
 
-    def _internal_volts_at(self, time_us: int) -> float:
-        """Voltage the internals saw at a (past) commit instant."""
+    def _batch_volts(
+        self, batch: _FlushBatch, lo: int, hi: int
+    ) -> Union[float, List[float]]:
+        """Voltage the internals saw at the commit instants of pages ``lo:hi``.
+
+        One value while the rail cannot move (the supercap holds it, or the
+        PSU is ``ON``, which reads nominal at every instant of its episode),
+        else one waveform sample per page.
+        """
         if self._backup_power:
             return 5.0
-        return self.psu.voltage_at(time_us)
+        psu = self.psu
+        if psu.state is PsuState.ON:
+            return psu.V_NOMINAL
+        return [psu.voltage_at(batch.commit_time(index)) for index in range(lo, hi)]
 
     # -- PSU load protocol ---------------------------------------------------------
 
@@ -273,24 +281,33 @@ class SsdDevice:
         """
         self._clean_shutdown_armed = True
 
-    def peek(self, lpn: int) -> Optional[int]:
-        """Zero-time forensic read used by the Analyzer after recovery.
+    def peek_run(self, lpn: int, count: int) -> List[Optional[int]]:
+        """Zero-time forensic read of ``count`` pages from ``lpn``.
 
-        Returns the data token visible at ``lpn``: the dirty-cache token if
+        Per page, the data token visible there: the dirty-cache token if
         buffered, the flash token if mapped and correctable,
         :data:`CORRUPT_TOKEN` if unreadable, or None when the page reads as
-        erased/unmapped.
+        erased/unmapped.  The maps are resolved once for the run, and the
+        flash pages go through :meth:`FlashChip.inspect_run`, so the read
+        has no side effect: no counter, SMART attribute, read disturb or
+        random draw moves.  Every auditor reads through here.
         """
-        if self.config.cache_enabled:
-            entry = self.cache.peek(lpn)
-            if entry is not None:
-                return entry.token
-        result = self.ftl.read(lpn)
-        if result.state is PageState.ERASED:
-            return None
-        if not result.ok:
-            return CORRUPT_TOKEN
-        return result.token
+        ppas = self.ftl.lookup_run(lpn, count)
+        cached: Dict[int, int] = {}
+        if self.config.cache_enabled and self.cache.dirty_count:
+            for offset in range(count):
+                entry = self.cache.peek(lpn + offset)
+                if entry is not None:
+                    cached[offset] = entry.token
+                    ppas[offset] = None  # the flash copy is not read
+        tokens = self.chip.inspect_run(ppas)
+        for offset, token in cached.items():
+            tokens[offset] = token
+        return tokens
+
+    def peek(self, lpn: int) -> Optional[int]:
+        """:meth:`peek_run` of one page."""
+        return self.peek_run(lpn, 1)[0]
 
     # -- completion plumbing -------------------------------------------------------------
 
@@ -387,8 +404,9 @@ class SsdDevice:
             self._current_cmd = None
 
     def _write_through(self, command: IoCommand):
-        lpns = list(range(command.lpn, command.lpn + command.page_count))
-        batch = self._build_batch([(lpn, tok) for lpn, tok in zip(lpns, command.tokens)])
+        batch = self._build_batch(
+            range(command.lpn, command.lpn + command.page_count), command.tokens
+        )
         self._active_batch = batch
         yield (batch.start_us - self.kernel.now) + batch.duration_us
         self._commit_batch_full(batch)
@@ -408,35 +426,28 @@ class SsdDevice:
             entries = self.cache.take_batch(policy.batch_pages)
             if not entries:
                 continue
-            batch = self._build_batch([(e.lpn, e.token) for e in entries])
+            batch = self._build_batch([e.lpn for e in entries], [e.token for e in entries])
             self._active_batch = batch
             yield (batch.start_us - self.kernel.now) + batch.duration_us
             self._commit_batch_full(batch)
             self._active_batch = None
             self._drain.fire()
 
-    def _build_batch(self, pages: List[Tuple[int, int]]) -> _FlushBatch:
+    def _build_batch(self, lpns: Sequence[int], tokens: Sequence[int]) -> _FlushBatch:
         """Split a page list into contiguous runs and allocate flash for them."""
-        runs: List[List[Tuple[int, int]]] = []
-        for lpn, token in pages:
-            if runs and runs[-1][-1][0] + 1 == lpn:
-                runs[-1].append((lpn, token))
-            else:
-                runs.append([(lpn, token)])
         plans: List[WritePlan] = []
-        tokens: List[List[int]] = []
+        run_tokens: List[List[int]] = []
         bounds: List[Tuple[int, int]] = []
         cursor = 0
-        for run in runs:
-            plan = self.ftl.prepare_write([lpn for lpn, _ in run])
-            plans.append(plan)
-            tokens.append([token for _, token in run])
-            bounds.append((cursor, cursor + len(run)))
-            cursor += len(run)
+        for start, count in contiguous_runs(lpns):
+            plans.append(self.ftl.prepare_write(list(range(start, start + count))))
+            run_tokens.append(list(tokens[cursor : cursor + count]))
+            bounds.append((cursor, cursor + count))
+            cursor += count
         extra_us = self.ftl.consume_background_us()
         batch = _FlushBatch(
             plans=plans,
-            tokens=tokens,
+            tokens=run_tokens,
             run_bounds=bounds,
             start_us=self.kernel.now + extra_us,
             page_write_us=self.page_write_us,
@@ -447,11 +458,7 @@ class SsdDevice:
 
     def _commit_batch_full(self, batch: _FlushBatch) -> None:
         for plan, run_tokens, (lo, hi) in zip(batch.plans, batch.tokens, batch.run_bounds):
-            volts = [
-                self._internal_volts_at(batch.commit_time(index))
-                for index in range(lo, hi)
-            ]
-            self.ftl.commit_write(plan, run_tokens, volts)
+            self.ftl.commit_write(plan, run_tokens, self._batch_volts(batch, lo, hi))
 
     def _resolve_batch_partial(self, batch: _FlushBatch, damage: PowerFaultDamage) -> None:
         """Page-exact resolution of a batch torn by brownout."""
@@ -461,12 +468,9 @@ class SsdDevice:
         for plan, run_tokens, (lo, hi) in zip(batch.plans, batch.tokens, batch.run_bounds):
             commit_hi = max(lo, min(hi, committed))
             if commit_hi > lo:
-                volts = [
-                    self._internal_volts_at(batch.commit_time(index))
-                    for index in range(lo, commit_hi)
-                ]
                 self.ftl.commit_write_slice(
-                    plan, run_tokens, 0, commit_hi - lo, volts
+                    plan, run_tokens, 0, commit_hi - lo,
+                    self._batch_volts(batch, lo, commit_hi),
                 )
             # Pages whose pulse train had begun but not finished are torn.
             torn: List[Tuple[int, float, int]] = []
@@ -588,10 +592,10 @@ class SsdDevice:
             )
             if not entries:
                 break
-            batch = self._build_batch([(e.lpn, e.token) for e in entries])
+            batch = self._build_batch([e.lpn for e in entries], [e.token for e in entries])
             # Supercap keeps the internals at nominal voltage while it lasts.
             for plan, run_tokens, _ in zip(batch.plans, batch.tokens, batch.run_bounds):
-                self.ftl.commit_write(plan, run_tokens, [5.0] * plan.page_count)
+                self.ftl.commit_write(plan, run_tokens, 5.0)
             saved += batch.total_pages
         if self.cache.dirty_count == 0:
             self.ftl.checkpoint()  # clean map on the way down

@@ -303,9 +303,9 @@ def audit_cycle(
     """Replay one cycle's records and classify every acknowledged LBA.
 
     The Analyzer re-reads each address an acked write touched (through the
-    device's forensic ``peek``) and applies the paper's taxonomy; the
-    remainder — acked writes whose data is present or legitimately
-    superseded — is **intact**.
+    device's side-effect-free ``peek_run``) and applies the paper's
+    taxonomy; the remainder — acked writes whose data is present or
+    legitimately superseded — is **intact**.
     """
     acked, failed, reads_completed, flush_errors = packets_from_records(
         records, cycle_index

@@ -193,7 +193,7 @@ def run_dirty_shard(plan: DirtyCyclePlan, shard: ShardSpec) -> CampaignResult:
     host = HostSystem(config, seed=shard.seed)
     ctrl = NvmeController(host.ssd)
     qpair = ctrl.create_io_qpair(depth=plan.qdepth)
-    analyzer = Analyzer(host.ssd.peek)
+    analyzer = Analyzer(host.ssd.peek_run)
     cmdlog = CommandLog(plan.shard_cmdlog_path(shard))
     current_cycle = [0]
     ctrl.on_submission = lambda cmd: cmdlog.log_submission(current_cycle[0], cmd)

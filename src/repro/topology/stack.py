@@ -34,12 +34,14 @@ verdict               meaning
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cache.flush import FlushPolicy
 from repro.errors import ConfigurationError
+from repro.ftl.mapping import contiguous_runs
 from repro.host.block_layer import BlockRequest
 from repro.host.system import (
     BROWNOUT_TIMEOUT_US,
@@ -301,28 +303,43 @@ class CacheTopology:
             for offset, token in enumerate(tokens):
                 last_writer[lpn + offset] = (order, token)
 
+        # Where each live page survived, read once per (tier, page) and
+        # aligned with the sorted page list: backing holds the live token,
+        # and how many ready cache legs do.
+        pages = sorted(last_writer)
+        live = [last_writer[page][1] for page in pages]
+        backing_peek = self.backing.peek
+        in_backing = bytearray(
+            backing_peek(page) == token for page, token in zip(pages, live)
+        )
+        in_legs = bytearray(len(pages))
         wrote_cache = self.policy in ("wb", "wt")
+        if wrote_cache:
+            for leg in self.legs:
+                if not leg.ssd.is_ready:
+                    continue
+                index = 0
+                for start, count in contiguous_runs(pages):
+                    for token in leg.ssd.peek_run(start, count):
+                        if token == live[index]:
+                            in_legs[index] += 1
+                        index += 1
+
         intact = recovered = lost = 0
         for order, lpn, tokens in self.acked:
             page_lost = False
             device_lost = False
-            for offset, token in enumerate(tokens):
-                page = lpn + offset
-                if last_writer[page][0] != order:
+            # A write's pages are consecutive in ``pages``.
+            base = bisect_left(pages, lpn)
+            for offset in range(len(tokens)):
+                if last_writer[lpn + offset][0] != order:
                     continue  # superseded by a later acked write
-                in_backing = self.backing.peek(page) == token
-                in_cache = wrote_cache and any(
-                    leg.ssd.is_ready and leg.ssd.peek(page) == token
-                    for leg in self.legs
-                )
+                index = base + offset
                 if self.policy == "wb":
-                    home_lost = any(
-                        not leg.ssd.is_ready or leg.ssd.peek(page) != token
-                        for leg in self.legs
-                    )
+                    home_lost = in_legs[index] < len(self.legs)
                 else:
-                    home_lost = not in_backing
-                if not (in_backing or in_cache):
+                    home_lost = not in_backing[index]
+                if not (in_backing[index] or in_legs[index]):
                     page_lost = True
                 elif home_lost:
                     device_lost = True
@@ -334,14 +351,9 @@ class CacheTopology:
                 intact += 1
 
         # Recovery daemon: re-home every surviving live page into backing.
-        for page, (_, token) in sorted(last_writer.items()):
-            if self.backing.peek(page) == token:
-                continue
-            if wrote_cache and any(
-                leg.ssd.is_ready and leg.ssd.peek(page) == token
-                for leg in self.legs
-            ):
-                self.backing.restore(page, token)
+        for index, page in enumerate(pages):
+            if not in_backing[index] and in_legs[index]:
+                self.backing.restore(page, live[index])
 
         audit = CycleAudit(
             acked=len(self.acked),

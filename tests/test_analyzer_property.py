@@ -22,9 +22,11 @@ from repro.workload.packet import DataPacket
 class _FakeDevice:
     def __init__(self, contents: Dict[int, Optional[int]]):
         self.contents = contents
+        self.reads: List[int] = []  # every page read, in order
 
-    def peek(self, lpn: int) -> Optional[int]:
-        return self.contents.get(lpn)
+    def peek_run(self, lpn: int, count: int) -> List[Optional[int]]:
+        self.reads.extend(range(lpn, lpn + count))
+        return [self.contents.get(page) for page in range(lpn, lpn + count)]
 
 
 def oracle_verdict(
@@ -58,10 +60,11 @@ def scenario(draw):
     packets: List[DataPacket] = []
     contents: Dict[int, Optional[int]] = {}
     expected: Dict[int, Optional[FailureKind]] = {}
+    spacing = draw(st.sampled_from([1, 10]))  # 1: one run read covers them all
     next_pid = 1
     ack_time = 0
     for lpn_index in range(lpn_count):
-        lpn = lpn_index * 10
+        lpn = lpn_index * spacing
         chain_len = draw(st.integers(1, 4))
         chain = []
         for _ in range(chain_len):
@@ -94,18 +97,20 @@ class TestAnalyzerAgainstOracle:
     @given(scenario())
     def test_verdicts_match_oracle(self, data):
         packets, contents, expected = data
-        analyzer = Analyzer(_FakeDevice(contents).peek)
+        device = _FakeDevice(contents)
+        analyzer = Analyzer(device.peek_run)
         outcome = analyzer.verify_cycle(0, packets, [])
         got: Dict[int, Optional[FailureKind]] = {p.packet_id: None for p in packets}
         for record in outcome.records:
             got[record.packet_id] = record.kind
         assert got == expected
+        assert sorted(device.reads) == sorted(contents)  # each address once
 
     @settings(max_examples=50, deadline=None)
     @given(scenario())
     def test_record_count_bounded_by_packets(self, data):
         packets, contents, _ = data
-        analyzer = Analyzer(_FakeDevice(contents).peek)
+        analyzer = Analyzer(_FakeDevice(contents).peek_run)
         outcome = analyzer.verify_cycle(0, packets, [])
         assert len(outcome.records) <= len(packets)
         # At most one record per packet.
@@ -116,7 +121,7 @@ class TestAnalyzerAgainstOracle:
     @given(scenario())
     def test_ledger_reconciles_to_observation(self, data):
         packets, contents, _ = data
-        analyzer = Analyzer(_FakeDevice(contents).peek)
+        analyzer = Analyzer(_FakeDevice(contents).peek_run)
         analyzer.verify_cycle(0, packets, [])
         for lpn, observed in contents.items():
             expected_token = TOKEN_ZERO if observed is None else observed

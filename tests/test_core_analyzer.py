@@ -19,7 +19,7 @@ def make_rig(seed=3):
         config=SsdConfig(capacity_bytes=1 * GIB, init_time_us=20 * MSEC), seed=seed
     )
     host.boot()
-    return host, Analyzer(host.ssd.peek)
+    return host, Analyzer(host.ssd.peek_run)
 
 
 def acked_write(host, analyzer, lpn, pages, packet_id):

@@ -81,28 +81,33 @@ class TestSerialisation:
             load_ledger(path)
 
 
+def run_source(store):
+    """A ``peek_run`` over a dict of page tokens."""
+    return lambda lpn, count: [store.get(page) for page in range(lpn, lpn + count)]
+
+
 class TestStandaloneChecker:
     def test_clean_device_passes(self):
         packet = make_packet()
         store = {lpn: packet.token_for(lpn) for lpn in packet.lpns()}
-        outcome = check_ledger(store.get, [packet])
+        outcome = check_ledger(run_source(store), [packet])
         assert outcome.records == []
 
     def test_fwa_detected(self):
         packet = make_packet()
         store = {}  # nothing landed: address reads as before (erased)
-        outcome = check_ledger(store.get, [packet])
+        outcome = check_ledger(run_source(store), [packet])
         assert outcome.count(FailureKind.FWA) == 1
 
     def test_data_failure_detected(self):
         packet = make_packet()
         store = {lpn: -1 for lpn in packet.lpns()}  # corrupt sentinel
-        outcome = check_ledger(store.get, [packet])
+        outcome = check_ledger(run_source(store), [packet])
         assert outcome.count(FailureKind.DATA_FAILURE) == 1
 
     def test_unacked_write_is_io_error(self):
         packet = make_packet(complete_time=-1)
-        outcome = check_ledger(lambda lpn: None, [packet])
+        outcome = check_ledger(run_source({}), [packet])
         assert outcome.count(FailureKind.IO_ERROR) == 1
 
     def test_initial_checksums_drive_fwa(self):
@@ -111,7 +116,7 @@ class TestStandaloneChecker:
         packet = make_packet()
         packet.initial_checksums = [555] * packet.page_count
         store = {lpn: 555 for lpn in packet.lpns()}
-        outcome = check_ledger(store.get, [packet])
+        outcome = check_ledger(run_source(store), [packet])
         assert outcome.count(FailureKind.FWA) == 1
         assert outcome.count(FailureKind.DATA_FAILURE) == 0
 
@@ -148,7 +153,7 @@ class TestEndToEndWorkflow:
         host.restore_power()
         host.wait_until_ready()
 
-        outcome = check_ledger(host.ssd.peek, load_ledger(path))
+        outcome = check_ledger(host.ssd.peek_run, load_ledger(path))
         # Every acked packet is either intact or classified; nothing crashes,
         # totals are consistent.
         acked = sum(1 for p in packets if p.acked)

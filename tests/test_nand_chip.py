@@ -94,12 +94,18 @@ class TestImmediateApi:
         assert qualities[2] == qualities[1]  # None samples the live rail
 
     def test_failed_page_keeps_the_committed_prefix(self):
-        chip = make_chip()
-        with pytest.raises(ProtocolError):
-            chip.program_pages([0, 1, 0, 2], [1, 2, 3, 4])
-        assert chip.programs_committed == 2
-        assert chip.read_page(1).token == 2
-        assert chip.read_page(2).state is PageState.ERASED
+        # A repeated page fails the non-erased check, -1 the range check.
+        for bad_page, error in ((0, ProtocolError), (-1, AddressError)):
+            chip = make_chip()
+            with pytest.raises(error):
+                chip.program_pages([0, 1, bad_page, 2], [1, 2, 3, 4])
+            assert chip.programs_committed == 2
+            # The failed page's checks came before its draw: none was taken.
+            prefix = make_chip()
+            prefix.program_pages([0, 1], [1, 2])
+            assert chip.rng.getstate() == prefix.rng.getstate()
+            assert chip.read_page(1).token == 2
+            assert chip.read_page(2).state is PageState.ERASED
 
 
 class TestPowerLoss:
@@ -147,7 +153,7 @@ class TestPowerLoss:
         else:
             pytest.fail("no seed tore the upper page into its lower sibling")
         assert report.collateral_pages == [6]
-        assert chip.store.state_of(6) == STATE_CORRUPT
+        assert chip.store.entry(6)[0] == STATE_CORRUPT
         assert not chip.read_page(6).ok
 
     def test_power_loss_keeps_stored_charge(self):

@@ -48,6 +48,17 @@ class NaiveStore:
     def program(self, ppa: int, token: int, err: int, quality: float) -> None:
         self.pages[ppa] = [STATE_VALID, token, err, quality]
 
+    def program_run(self, ppas, tokens, qualities, draw) -> int:
+        done = 0
+        for ppa, token, quality in zip(ppas, tokens, qualities):
+            if not 0 <= ppa < self.geometry.total_pages:
+                break
+            if self.state_of(ppa) == STATE_VALID:
+                break
+            self.program(ppa, token, draw(quality), quality)
+            done += 1
+        return done
+
     def corrupt(self, ppa: int) -> None:
         self.pages[ppa] = [STATE_CORRUPT, 0, 0, 1.0]
 
@@ -126,6 +137,15 @@ _quality = st.floats(min_value=0.05, max_value=1.0, allow_nan=False)
 
 _op = st.one_of(
     st.tuples(st.just("program"), _ppa, _token, _err, _quality),
+    st.tuples(
+        st.just("program_run"),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=-1, max_value=_PAGES), _token, _err, _quality
+            ),
+            max_size=10,
+        ),
+    ),
     st.tuples(st.just("corrupt"), _ppa),
     st.tuples(st.just("corrupt_if_valid"), _ppa),
     st.tuples(st.just("add_error_bits_if_valid"), _ppa, _err),
@@ -147,20 +167,38 @@ def _counters(store) -> tuple:
 _CAN_CORRECT = lambda bits: bits <= 40  # noqa: E731 - tiny ECC stand-in
 
 
+def _apply(store, op):
+    """Run one op; ``program_run`` also reports the qualities it drew for."""
+    name, args = op[0], op[1:]
+    if name == "age_retention":
+        return store.age_retention(args[0], 1.0, _CAN_CORRECT)
+    if name == "program_run":
+        pages = args[0]
+        errs = iter([err for _, _, err, _ in pages])
+        drawn = []
+
+        def draw(quality):
+            drawn.append(quality)
+            return next(errs)
+
+        done = store.program_run(
+            [ppa for ppa, _, _, _ in pages],
+            [token for _, token, _, _ in pages],
+            [quality for _, _, _, quality in pages],
+            draw,
+        )
+        return done, drawn
+    return getattr(store, name)(*args)
+
+
 class TestPropertyEquivalence:
     @settings(max_examples=150, deadline=None)
     @given(ops=st.lists(_op, max_size=60))
     def test_random_op_sequences_agree(self, ops):
         stores = [ArrayPageStore(_TINY), NaiveStore(_TINY)]
         for op in ops:
-            name, args = op[0], op[1:]
-            if name == "age_retention":
-                results = [
-                    s.age_retention(args[0], 1.0, _CAN_CORRECT) for s in stores
-                ]
-            else:
-                results = [getattr(s, name)(*args) for s in stores]
-            assert results[0] == results[1], (name, args)
+            results = [_apply(s, op) for s in stores]
+            assert results[0] == results[1], op
         dumps = [_dump(s) for s in stores]
         assert dumps[0] == dumps[1]
         counts = [_counters(s) for s in stores]
@@ -171,17 +209,10 @@ class TestPropertyEquivalence:
     def test_point_reads_agree_after_any_sequence(self, ops, probe):
         stores = [ArrayPageStore(_TINY), NaiveStore(_TINY)]
         for op in ops:
-            name, args = op[0], op[1:]
-            if name == "age_retention":
-                for s in stores:
-                    s.age_retention(args[0], 1.0, _CAN_CORRECT)
-            else:
-                for s in stores:
-                    getattr(s, name)(*args)
+            for s in stores:
+                _apply(s, op)
         entries = [s.entry(probe) for s in stores]
-        states = [s.state_of(probe) for s in stores]
         assert entries[0] == entries[1]
-        assert states[0] == states[1]
 
     def test_erase_drops_chunk_and_counters(self):
         store = ArrayPageStore(_TINY)

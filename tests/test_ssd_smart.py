@@ -5,7 +5,7 @@ import pytest
 from repro.ftl import FtlConfig
 from repro.host import HostSystem
 from repro.ssd import smart
-from repro.ssd.device import SsdConfig
+from repro.ssd.device import CORRUPT_TOKEN, SsdConfig
 from repro.units import GIB, MSEC
 
 
@@ -77,6 +77,11 @@ class TestSmartLog:
         host.run_for_ms(300)
         ppa = host.ssd.ftl.lookup(0)
         host.ssd.chip.store.set_error_bits(ppa, 100_000)
-        host.ssd.peek(0)
+        # A forensic read sees the damage but is not a host read.
+        assert host.ssd.peek_run(0, 1) == [CORRUPT_TOKEN]
+        assert host.ssd.smart_log().value(smart.REPORTED_UNCORRECTABLE) == 0
+        request = host.read(0, 1)
+        host.run_for_ms(10)
+        assert request.done and request.tokens == [CORRUPT_TOKEN]
         log = host.ssd.smart_log()
-        assert log.value(smart.REPORTED_UNCORRECTABLE) >= 1
+        assert log.value(smart.REPORTED_UNCORRECTABLE) == 1
