@@ -11,8 +11,8 @@ Public surface: :class:`~repro.cache.dram.WriteCache`,
 :class:`~repro.cache.supercap.SupercapBackup`.
 """
 
-from repro.cache.dram import CacheEntry, WriteCache
+from repro.cache.dram import WriteCache
 from repro.cache.flush import FlushPolicy
 from repro.cache.supercap import SupercapBackup
 
-__all__ = ["CacheEntry", "FlushPolicy", "SupercapBackup", "WriteCache"]
+__all__ = ["FlushPolicy", "SupercapBackup", "WriteCache"]

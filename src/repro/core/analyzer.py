@@ -23,9 +23,12 @@ exactly the amplification §IV-G reports.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import ConfigurationError
 from repro.ftl.mapping import contiguous_runs
 from repro.ssd.device import CORRUPT_TOKEN
 from repro.workload.checksum import TOKEN_ZERO
@@ -100,7 +103,9 @@ class Analyzer:
 
     def snapshot_initial_checksums(self, packet: DataPacket) -> None:
         """Fill the packet's Initial Checksum header field (Fig. 2)."""
-        packet.initial_checksums = [self.expected_at(lpn) for lpn in packet.lpns()]
+        packet.initial_checksums = list(
+            map(self._expected.get, packet.lpns(), repeat(TOKEN_ZERO))
+        )
 
     # -- verification --------------------------------------------------------------------
 
@@ -118,33 +123,46 @@ class Analyzer:
         records: List[FailureRecord] = []
         ordered = sorted(completed_writes, key=lambda p: p.complete_time)
 
-        # Build per-LPN write chains: [(ack_order, packet, token), ...]
-        chains: Dict[int, List[Tuple[int, DataPacket, int]]] = {}
-        for order, packet in enumerate(ordered):
-            for lpn in packet.lpns():
-                chains.setdefault(lpn, []).append(
-                    (order, packet, packet.token_for(lpn))
+        # Each LPN's last writer's token: later acks overwrite earlier ones.
+        last_token: Dict[int, int] = {}
+        for packet in ordered:
+            if not packet.is_write or len(packet.data_checksums) != packet.page_count:
+                raise ConfigurationError(
+                    f"packet {packet.packet_id} is not a write with one token per page"
                 )
+            last_token.update(zip(packet.lpns(), packet.data_checksums))
 
         # Read every address once, one call per run of contiguous LPNs, then
         # reconcile the ledger with observed reality so the next cycle's
         # Initial Checksums are exact.  Only an address that lacks its last
         # writer's data can hold a failure.
-        lpns = sorted(chains)
+        lpns = sorted(last_token)
         observations: List[Optional[int]] = []
         for start, count in contiguous_runs(lpns):
             observations.extend(self._peek_run(start, count))
+        expected = self._expected
         lost: Dict[int, Tuple[Optional[int], int]] = {}  # lpn -> (observed, prior)
         for lpn, observed in zip(lpns, observations):
             observed_token = TOKEN_ZERO if observed is None else observed
-            if observed_token != chains[lpn][-1][2]:
-                lost[lpn] = (observed, self.expected_at(lpn))
-            self._expected[lpn] = observed_token
+            if observed_token != last_token[lpn]:
+                lost[lpn] = (observed, expected.get(lpn, TOKEN_ZERO))
+            expected[lpn] = observed_token
+
+        # Write chains of the lost addresses only, [(ack_order, packet,
+        # token), ...], in order of first appearance (ack order, then LPN).
+        chains: Dict[int, List[Tuple[int, DataPacket, int]]] = {}
+        if lost:
+            lost_lpns = list(lost)  # ascending
+            for order, packet in enumerate(ordered):
+                low = bisect_left(lost_lpns, packet.address_lpn)
+                high = bisect_left(lost_lpns, packet.end_lpn, low)
+                for lpn in lost_lpns[low:high]:
+                    chains.setdefault(lpn, []).append(
+                        (order, packet, packet.token_for(lpn))
+                    )
 
         failed_page: Dict[int, Tuple[FailureKind, int, Optional[int], int]] = {}
         for lpn, chain in chains.items():
-            if lpn not in lost:
-                continue
             observed, prior = lost[lpn]
             observed_token = TOKEN_ZERO if observed is None else observed
             chain_tokens = [token for _, _, token in chain]

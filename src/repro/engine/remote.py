@@ -280,12 +280,16 @@ def run_worker(
         answered, held = _worker_session(sock, host, port, identity, held, say)
         if not persist:
             return 3 if answered is None else answered
-        if answered is not None:
-            code = answered  # an unanswered hello keeps the last code
+        if answered is None:
+            # An unanswered hello keeps the last code, and pauses before the
+            # re-dial: a stopping service that accepts and then closes would
+            # otherwise be dialled in a tight loop.
+            time.sleep(0.2)
+            continue
+        code = answered
         if answered == 2:
             if held is None:
                 return 2  # fresh handshake rejected: config error, not transient
             held = None  # stale plans: reconnect fresh and re-hydrate
         elif answered == 0:
             held = None  # campaign complete; await the next one
-        time.sleep(0.2)

@@ -91,8 +91,9 @@ class FileSystem:
     >>> host.boot()
     >>> fs = FileSystem(host)
     >>> fs.format()
-    >>> fs.create("hello.txt")
+    >>> inode = fs.create("hello.txt")
     >>> fs.write_file("hello.txt", b"hello world", sync=True)
+    11
     >>> fs.read_file("hello.txt")
     b'hello world'
     """

@@ -18,7 +18,10 @@ bind punches a hole in the other), so lookup order is irrelevant.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
+from operator import floordiv
 from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -95,17 +98,24 @@ class FtlConfig:
 class WritePlan:
     """Physical placement for one batch of logical pages.
 
-    ``assignments`` preserves input order: ``(lpn, ppa)`` per page.
-    ``stream`` records which open block family served the allocation.
+    ``lpns`` and ``ppas`` are parallel and keep input order: page ``i`` of
+    the batch goes from ``lpns[i]`` to ``ppas[i]``.  ``stream`` records
+    which open block family served the allocation.
     """
 
-    assignments: List[Tuple[int, int]]
+    lpns: List[int]
+    ppas: List[int]
     stream: str
 
     @property
     def page_count(self) -> int:
         """Pages in the batch."""
-        return len(self.assignments)
+        return len(self.lpns)
+
+
+def _is_run(values: List[int]) -> bool:
+    """True when ``values`` count up by one from their first element."""
+    return values == list(range(values[0], values[0] + len(values)))
 
 
 class Ftl:
@@ -155,7 +165,6 @@ class Ftl:
         self._ppa_owner: Dict[int, int] = {}
         self._open: Dict[str, Tuple[int, int]] = {}  # stream -> (block, next page)
         self._last_seq_end: Optional[int] = None
-        self._growing_extent: Optional[Extent] = None
         # Background flash work (journal writes, GC copies) owed to the
         # device's time budget, in microseconds.
         self.pending_background_us = 0
@@ -216,19 +225,18 @@ class Ftl:
 
     def prepare_write(self, lpns: Sequence[int], stream: Optional[str] = None) -> WritePlan:
         """Allocate physical pages for ``lpns`` (in order)."""
+        lpns = list(lpns)
         if not lpns:
             raise AddressError("empty write")
-        if any(lpn < 0 for lpn in lpns):
+        if min(lpns) < 0:
             raise AddressError("negative LPN in write")
         if stream is None:
-            contiguous = all(b == a + 1 for a, b in zip(lpns, lpns[1:]))
             stream = (
                 self.classify_stream(lpns[0], len(lpns))
-                if contiguous
+                if _is_run(lpns)
                 else STREAM_RANDOM
             )
-        ppas = self._allocate_run(len(lpns), stream)
-        return WritePlan(assignments=list(zip(lpns, ppas)), stream=stream)
+        return WritePlan(lpns, self._allocate_run(len(lpns), stream), stream)
 
     def commit_write(
         self,
@@ -262,73 +270,60 @@ class Ftl:
             raise AddressError("bad plan slice")
         if stop == start:
             return
-        committed = plan.assignments[start:stop]
+        lpns = plan.lpns[start:stop]
+        ppas = plan.ppas[start:stop]
         if volts is not None and not isinstance(volts, (int, float)):
             volts = volts[start:stop]
-        self.chip.program_pages([ppa for _, ppa in committed], tokens[start:stop], volts)
-        pages_per_block = self.chip.geometry.pages_per_block
+        self.chip.program_pages(ppas, tokens[start:stop], volts)
         valid_counts = self.valid_counts
-        owner = self._ppa_owner
-        for lpn, ppa in committed:
-            block = ppa // pages_per_block
-            valid_counts[block] = valid_counts.get(block, 0) + 1
-            owner[ppa] = lpn
-        self.host_pages_written += len(committed)
-        self._publish_mapping(plan, start, stop)
+        blocks = map(floordiv, ppas, repeat(self.chip.geometry.pages_per_block))
+        for block, pages in Counter(blocks).items():
+            valid_counts[block] = valid_counts.get(block, 0) + pages
+        self._ppa_owner.update(zip(ppas, lpns))
+        self.host_pages_written += len(lpns)
+        self._publish_mapping(plan.stream, lpns, ppas)
 
-    def _publish_mapping(self, plan: WritePlan, start: int, stop: int) -> None:
-        """Update RAM map + journal for committed pages of the plan."""
-        committed = plan.assignments[start:stop]
-        use_extent = (
-            plan.stream == STREAM_SEQUENTIAL
-            and len(committed) > 0
-            and all(
-                (b_lpn == a_lpn + 1 and b_ppa == a_ppa + 1)
-                for (a_lpn, a_ppa), (b_lpn, b_ppa) in zip(committed, committed[1:])
-            )
-        )
-        if use_extent:
-            self._publish_extent(committed)
+    def _publish_mapping(self, stream: str, lpns: List[int], ppas: List[int]) -> None:
+        """Update RAM map + journal for the committed pages ``lpns``/``ppas``."""
+        if stream == STREAM_SEQUENTIAL and _is_run(lpns) and _is_run(ppas):
+            self._publish_extent(lpns, ppas)
         else:
-            self._publish_pages(committed)
-        if committed:
-            # Random writes can still seed a stream.
-            self._last_seq_end = committed[-1][0] + 1
+            self._publish_pages(lpns, ppas)
+        # Random writes can still seed a stream.
+        self._last_seq_end = lpns[-1] + 1
 
-    def _publish_pages(self, committed: List[Tuple[int, int]]) -> None:
+    def _publish_pages(self, lpns: List[int], ppas: List[int]) -> None:
         now = self.kernel.now
         old_bindings: Dict[int, Optional[int]] = {}
-        lpns: List[int] = []
         extent_map = self.extent_map
-        bind = self.page_map.bind
         index = 0
-        # One extent-map punch per run of consecutive LPNs.
-        for first_lpn, count in contiguous_runs([lpn for lpn, _ in committed]):
+        # One extent-map punch and one page-map bind per run of consecutive LPNs.
+        for first_lpn, count in contiguous_runs(lpns):
             displaced = extent_map.unmap_range(first_lpn, first_lpn + count)
             extent_old: Dict[int, int] = {}
             for run in displaced:
                 for offset in range(run.length):
                     extent_old[run.start_lpn + offset] = run.start_ppa + offset
             self._invalidate_ppa_range(displaced)
-            for lpn, ppa in committed[index : index + count]:
-                old = extent_old.get(lpn)
-                page_old = bind(lpn, ppa)
-                if page_old is not None:
-                    old = page_old
-                    self._invalidate(page_old)
+            run_lpns = lpns[index : index + count]
+            page_olds = self.page_map.bind_run(run_lpns, ppas[index : index + count])
+            for lpn, old in zip(run_lpns, page_olds):
+                if old is None:
+                    old = extent_old.get(lpn)
+                else:
+                    self._invalidate(old)
                 old_bindings[lpn] = old
-                lpns.append(lpn)
             index += count
         self.journal.record(
             MapUpdate(kind="page", time_us=now, lpns=lpns, old_bindings=old_bindings)
         )
 
-    def _publish_extent(self, committed: List[Tuple[int, int]]) -> None:
+    def _publish_extent(self, lpns: List[int], ppas: List[int]) -> None:
         now = self.kernel.now
-        start_lpn, start_ppa = committed[0]
-        length = len(committed)
+        start_lpn, start_ppa = lpns[0], ppas[0]
+        length = len(lpns)
         old_bindings: Dict[int, Optional[int]] = {}
-        for lpn, _ in committed:
+        for lpn in lpns:
             page_old = self.page_map.unbind(lpn)
             if page_old is not None:
                 old_bindings[lpn] = page_old
@@ -341,14 +336,13 @@ class Ftl:
                 for offset, lpn in enumerate(run.lpns()):
                     old_bindings.setdefault(lpn, run.start_ppa + offset)
             entry_start = start_lpn
-            self._growing_extent = self.extent_map.covering_extent(start_lpn)
         else:
             entry_start = grown.start_lpn
         self.journal.record(
             MapUpdate(
                 kind="extent",
                 time_us=now,
-                lpns=[lpn for lpn, _ in committed],
+                lpns=lpns,
                 old_bindings=old_bindings,
                 extent_start=entry_start,
             )
@@ -501,7 +495,6 @@ class Ftl:
     def power_loss(self) -> None:
         """Volatile state freezes; the journal timer stops."""
         self.journal.stop()
-        self._growing_extent = None
         self._last_seq_end = None
         # Open blocks are abandoned: their unwritten tail pages may hold
         # partial charge, so the allocator must not append to them again.

@@ -7,7 +7,7 @@ Random-write workloads exercise this table; the sequential-run variant is in
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import AddressError
 
@@ -72,6 +72,21 @@ class PageMap:
         old = self._table.get(lpn)
         self._table[lpn] = ppa
         return old
+
+    def bind_run(self, lpns: Sequence[int], ppas: Sequence[int]) -> List[Optional[int]]:
+        """Map each of the distinct ``lpns`` to the PPA at its index.
+
+        Returns the displaced PPAs in order (None where a page was unmapped),
+        as one :meth:`bind` per page would.
+        """
+        if min(lpns) < 0:
+            raise AddressError(f"negative LPN {min(lpns)}")
+        if min(ppas) < 0:
+            raise AddressError(f"negative PPA {min(ppas)}")
+        table = self._table
+        displaced = list(map(table.get, lpns))
+        table.update(zip(lpns, ppas))
+        return displaced
 
     def unbind(self, lpn: int) -> Optional[int]:
         """Remove the mapping for ``lpn``; returns the displaced PPA."""

@@ -23,7 +23,7 @@ PSU does when clearing its pending list — remains a safe no-op.)
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Type
+from typing import Any, Callable, List, Optional, Tuple, Type
 
 from repro.errors import SimulationError
 
@@ -73,9 +73,6 @@ class Event:
         """True while the event is still going to fire."""
         return not self.cancelled and not self.fired
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
         return f"<Event t={self.time} seq={self.seq} {state} {self.callback!r}>"
@@ -99,7 +96,7 @@ class Kernel:
 
     def __init__(self) -> None:
         self._now = 0
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[int, int, Event]] = []
         self._seq = 0
         self._running = False
         self._stopped = False
@@ -138,7 +135,7 @@ class Kernel:
         else:
             event = Event(int(time), self._seq, callback, args, self)
         self._seq += 1
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (event.time, event.seq, event))
         return event
 
     # -- cancellation bookkeeping ---------------------------------------------
@@ -156,11 +153,11 @@ class Kernel:
     def _compact(self) -> None:
         """Rebuild the heap with only pending events (drops cancelled ones)."""
         pending = []
-        for event in self._heap:
-            if event.cancelled:
-                self._recycle(event)
+        for entry in self._heap:
+            if entry[2].cancelled:
+                self._recycle(entry[2])
             else:
-                pending.append(event)
+                pending.append(entry)
         heapq.heapify(pending)
         self._heap = pending
         self._cancelled_pending = 0
@@ -181,7 +178,7 @@ class Kernel:
     def step(self) -> bool:
         """Fire the single next pending event.  Returns False if none remain."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             if event.cancelled:
                 self._cancelled_pending -= 1
                 self._recycle(event)
@@ -205,7 +202,7 @@ class Kernel:
         self._stopped = False
         try:
             while self._heap and not self._stopped:
-                head = self._heap[0]
+                head = self._heap[0][2]
                 if head.cancelled:
                     heapq.heappop(self._heap)
                     self._cancelled_pending -= 1
@@ -269,7 +266,7 @@ class Kernel:
         """
         heap = self._heap
         while heap:
-            head = heap[0]
+            head = heap[0][2]
             if not head.cancelled:
                 return head.time
             heapq.heappop(heap)

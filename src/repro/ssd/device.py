@@ -293,17 +293,17 @@ class SsdDevice:
         random draw moves.  Every auditor reads through here.
         """
         ppas = self.ftl.lookup_run(lpn, count)
-        cached: Dict[int, int] = {}
-        if self.config.cache_enabled and self.cache.dirty_count:
-            for offset in range(count):
-                entry = self.cache.peek(lpn + offset)
-                if entry is not None:
-                    cached[offset] = entry.token
-                    ppas[offset] = None  # the flash copy is not read
+        if not (self.config.cache_enabled and self.cache.dirty_count):
+            return self.chip.inspect_run(ppas)
+        cached = list(map(self.cache.peek, range(lpn, lpn + count)))
+        for offset, token in enumerate(cached):
+            if token is not None:
+                ppas[offset] = None  # the flash copy is not read
         tokens = self.chip.inspect_run(ppas)
-        for offset, token in cached.items():
-            tokens[offset] = token
-        return tokens
+        return [
+            token if token is not None else flash
+            for token, flash in zip(cached, tokens)
+        ]
 
     def peek(self, lpn: int) -> Optional[int]:
         """:meth:`peek_run` of one page."""
@@ -352,35 +352,14 @@ class SsdDevice:
                     ):
                         self._dirty.fire()
                         yield self._drain
-                    now = self.kernel.now
-                    for offset in range(command.page_count):
-                        self.cache.insert(
-                            command.lpn + offset, command.tokens[offset], now
-                        )
+                    self.cache.insert_run(command.lpn, command.tokens)
                     self._dirty.fire()
                     self._complete(command, CommandStatus.OK)
                 else:
                     # Write-through: durable before ACK (cache disabled).
                     yield from self._write_through(command)
             elif command.op is CommandOp.READ:
-                nand_pages = 0
-                tokens: List[int] = []
-                for offset in range(command.page_count):
-                    lpn = command.lpn + offset
-                    hit = (
-                        self.cache.read_hit(lpn) if config.cache_enabled else None
-                    )
-                    if hit is not None:
-                        tokens.append(hit)
-                        continue
-                    nand_pages += 1
-                    result = self.ftl.read(lpn)
-                    if result.state is PageState.ERASED:
-                        tokens.append(0)
-                    elif not result.ok:
-                        tokens.append(CORRUPT_TOKEN)
-                    else:
-                        tokens.append(result.token)
+                tokens, nand_pages = self._host_read(command.lpn, command.page_count)
                 if nand_pages:
                     rounds = -(-nand_pages // self.parallelism)
                     yield rounds * self.page_read_us
@@ -403,6 +382,38 @@ class SsdDevice:
                 self._complete(command, CommandStatus.OK)
             self._current_cmd = None
 
+    def _host_read(self, lpn: int, count: int) -> Tuple[List[int], int]:
+        """Tokens a host READ of ``count`` pages from ``lpn`` returns, and how
+        many of those pages missed the cache.
+
+        Dirty pages hit the write cache; the misses resolve through the maps
+        once for the run.  An unmapped page reads 0 without touching the
+        chip; a mapped one goes through :meth:`FlashChip.read_page`, with its
+        counters, read disturb and draws, in page order.
+        """
+        tokens = (
+            self.cache.read_run(lpn, count)
+            if self.config.cache_enabled
+            else [None] * count
+        )
+        misses = tokens.count(None)
+        if misses:
+            read_page = self.chip.read_page
+            for offset, ppa in enumerate(self.ftl.lookup_run(lpn, count)):
+                if tokens[offset] is not None:
+                    continue
+                if ppa is None:
+                    tokens[offset] = 0
+                    continue
+                result = read_page(ppa)
+                if result.state is PageState.ERASED:
+                    tokens[offset] = 0
+                elif not result.ok:
+                    tokens[offset] = CORRUPT_TOKEN
+                else:
+                    tokens[offset] = result.token
+        return tokens, misses
+
     def _write_through(self, command: IoCommand):
         batch = self._build_batch(
             range(command.lpn, command.lpn + command.page_count), command.tokens
@@ -423,25 +434,25 @@ class SsdDevice:
                 continue
             if self.cache.dirty_count < policy.batch_pages and policy.linger_us > 0:
                 yield policy.linger_us  # small-write aggregation window
-            entries = self.cache.take_batch(policy.batch_pages)
-            if not entries:
+            lpns, tokens = self.cache.take_batch(policy.batch_pages)
+            if not lpns:
                 continue
-            batch = self._build_batch([e.lpn for e in entries], [e.token for e in entries])
+            batch = self._build_batch(lpns, tokens)
             self._active_batch = batch
             yield (batch.start_us - self.kernel.now) + batch.duration_us
             self._commit_batch_full(batch)
             self._active_batch = None
             self._drain.fire()
 
-    def _build_batch(self, lpns: Sequence[int], tokens: Sequence[int]) -> _FlushBatch:
+    def _build_batch(self, lpns: Sequence[int], tokens: List[int]) -> _FlushBatch:
         """Split a page list into contiguous runs and allocate flash for them."""
         plans: List[WritePlan] = []
         run_tokens: List[List[int]] = []
         bounds: List[Tuple[int, int]] = []
         cursor = 0
         for start, count in contiguous_runs(lpns):
-            plans.append(self.ftl.prepare_write(list(range(start, start + count))))
-            run_tokens.append(list(tokens[cursor : cursor + count]))
+            plans.append(self.ftl.prepare_write(range(start, start + count)))
+            run_tokens.append(tokens[cursor : cursor + count])
             bounds.append((cursor, cursor + count))
             cursor += count
         extra_us = self.ftl.consume_background_us()
@@ -475,7 +486,7 @@ class SsdDevice:
             # Pages whose pulse train had begun but not finished are torn.
             torn: List[Tuple[int, float, int]] = []
             for index in range(max(lo, committed), min(hi, started)):
-                _, ppa = plan.assignments[index - lo]
+                ppa = plan.ppas[index - lo]
                 progress_base = batch.commit_time(index) - batch.page_write_us
                 progress = (now - progress_base) / batch.page_write_us
                 progress = min(1.0, max(0.0, progress))
@@ -587,12 +598,12 @@ class SsdDevice:
         budget_pages = supercap.destageable_pages(self.page_write_us, self.parallelism)
         saved = 0
         while saved < budget_pages and self.cache.dirty_count > 0:
-            entries = self.cache.take_batch(
+            lpns, tokens = self.cache.take_batch(
                 min(self.config.flush.batch_pages, budget_pages - saved)
             )
-            if not entries:
+            if not lpns:
                 break
-            batch = self._build_batch([e.lpn for e in entries], [e.token for e in entries])
+            batch = self._build_batch(lpns, tokens)
             # Supercap keeps the internals at nominal voltage while it lasts.
             for plan, run_tokens, _ in zip(batch.plans, batch.tokens, batch.run_bounds):
                 self.ftl.commit_write(plan, run_tokens, 5.0)

@@ -20,7 +20,9 @@ class BlockTracer:
     -------
     >>> from repro.sim import Kernel
     >>> tracer = BlockTracer(Kernel())
-    >>> tracer.record(Action.QUEUE, request_id=1, lpn=0, page_count=1, is_write=True)
+    >>> event = tracer.record(Action.QUEUE, request_id=1, lpn=0, page_count=1, is_write=True)
+    >>> event.sequence, event.rwbs, event.sector
+    (0, 'W', 0)
     >>> tracer.event_count
     1
     """
@@ -45,13 +47,7 @@ class BlockTracer:
     ) -> TraceEvent:
         """Append one event at the current simulation time."""
         event = TraceEvent(
-            sequence=self._sequence,
-            time_us=self.kernel.now,
-            action=action,
-            request_id=request_id,
-            lpn=lpn,
-            page_count=page_count,
-            is_write=is_write,
+            self._sequence, self.kernel.now, action, request_id, lpn, page_count, is_write
         )
         self._sequence += 1
         self._events.append(event)

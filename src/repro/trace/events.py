@@ -8,7 +8,7 @@ matching how the paper's modified btt surfaces lost IOs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class Action(enum.Enum):
@@ -22,9 +22,8 @@ class Action(enum.Enum):
     COMPLETE_ERROR = "E"  # completed with error / timed out
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One trace line.
+class TraceEvent(NamedTuple):
+    """One trace line (immutable).
 
     ``sequence`` is a collector-assigned monotone index; ``time_us`` the
     simulation clock at emission.

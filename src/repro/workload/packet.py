@@ -52,9 +52,13 @@ class DataPacket:
         if self.address_lpn < 0:
             raise ConfigurationError("negative address")
         if self.is_write and not self.data_checksums:
-            self.data_checksums = [
-                page_token(self.packet_id, offset) for offset in range(self.page_count)
-            ]
+            # Page tokens count up by one; both ends are range-checked.
+            self.data_checksums = list(
+                range(
+                    page_token(self.packet_id, 0),
+                    page_token(self.packet_id, self.page_count - 1) + 1,
+                )
+            )
 
     @property
     def size_bytes(self) -> int:

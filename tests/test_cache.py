@@ -12,90 +12,83 @@ from repro.units import MSEC
 class TestWriteCache:
     def test_insert_and_dirty_count(self):
         cache = WriteCache()
-        assert cache.insert(1, token=10, now=0) is False
+        assert cache.insert_run(1, [10]) == 0
         assert cache.dirty_count == 1
         assert cache.dirty_bytes == 4096
 
     def test_coalesce_on_same_lpn(self):
         cache = WriteCache()
-        cache.insert(1, token=10, now=0)
-        assert cache.insert(1, token=20, now=5) is True
+        cache.insert_run(1, [10])
+        assert cache.insert_run(1, [20]) == 1
         assert cache.dirty_count == 1
-        assert cache.read_hit(1) == 20
+        assert cache.read_run(1, 1) == [20]
         assert cache.coalesces == 1
-        assert cache.peek(1).coalesce_depth == 1
+
+    def test_run_counts_each_page(self):
+        cache = WriteCache()
+        assert cache.insert_run(4, [1, 2, 3]) == 0
+        assert cache.insert_run(5, [4, 5, 6]) == 2  # LPNs 5 and 6 coalesce
+        assert (cache.inserts, cache.coalesces, cache.peak_dirty) == (6, 2, 4)
+        assert cache.read_run(3, 5) == [None, 1, 4, 5, 6]
+
+    def test_coalesce_keeps_fifo_position(self):
+        cache = WriteCache()
+        for lpn in (5, 3, 9):
+            cache.insert_run(lpn, [lpn * 10])
+        cache.insert_run(5, [99])
+        assert cache.take_batch(3) == ([5, 3, 9], [99, 30, 90])
 
     def test_fifo_batch_order(self):
         cache = WriteCache()
         for lpn in (5, 3, 9):
-            cache.insert(lpn, token=lpn * 10, now=0)
-        batch = cache.take_batch(2)
-        assert [e.lpn for e in batch] == [5, 3]
+            cache.insert_run(lpn, [lpn * 10])
+        lpns, tokens = cache.take_batch(2)
+        assert lpns == [5, 3]
+        assert tokens == [50, 30]
         assert cache.dirty_count == 1
 
     def test_take_batch_validation(self):
         with pytest.raises(ConfigurationError):
             WriteCache().take_batch(0)
 
-    def test_put_back_preserves_order_and_newer_wins(self):
-        cache = WriteCache()
-        cache.insert(1, token=10, now=0)
-        cache.insert(2, token=20, now=0)
-        batch = cache.take_batch(2)
-        cache.insert(1, token=99, now=5)  # newer write while batch in flight
-        cache.put_back(batch)
-        assert cache.read_hit(1) == 99  # newer wins
-        assert cache.read_hit(2) == 20
-        # Put-back entries flush before the newer insert.
-        assert cache.take_batch(1)[0].lpn == 2
-
     def test_read_hit_miss_statistics(self):
         cache = WriteCache()
-        cache.insert(1, token=10, now=0)
-        assert cache.read_hit(1) == 10
-        assert cache.read_hit(2) is None
+        cache.insert_run(1, [10])
+        assert cache.read_run(1, 2) == [10, None]
         assert cache.read_hits == 1
         assert cache.read_misses == 1
 
     def test_drop_all(self):
         cache = WriteCache()
-        cache.insert(1, token=10, now=0)
-        cache.insert(2, token=20, now=0)
+        cache.insert_run(1, [10, 20])
         lost = cache.drop_all()
         assert len(lost) == 2
         assert cache.dirty_count == 0
 
-    def test_oldest_age(self):
-        cache = WriteCache()
-        assert cache.oldest_age_us(100) is None
-        cache.insert(1, token=10, now=100)
-        cache.insert(2, token=20, now=300)
-        assert cache.oldest_age_us(500) == 400
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            WriteCache().insert(-1, token=1, now=0)
+            WriteCache().insert_run(-1, [1])
 
     @given(st.lists(st.tuples(st.integers(0, 20), st.integers(1, 100)), max_size=60))
     def test_property_last_write_wins(self, writes):
         """The cache must always surface the latest token per LPN."""
         cache = WriteCache()
         latest = {}
-        for now, (lpn, token) in enumerate(writes):
-            cache.insert(lpn, token, now)
+        for lpn, token in writes:
+            cache.insert_run(lpn, [token])
             latest[lpn] = token
         for lpn, token in latest.items():
-            assert cache.read_hit(lpn) == token
+            assert cache.read_run(lpn, 1) == [token]
         assert cache.dirty_count == len(latest)
 
     @given(st.lists(st.integers(0, 30), min_size=1, max_size=60))
     def test_property_take_batch_drains_everything_once(self, lpns):
         cache = WriteCache()
         for now, lpn in enumerate(lpns):
-            cache.insert(lpn, token=now + 1, now=now)
+            cache.insert_run(lpn, [now + 1])
         seen = []
         while cache.dirty_count:
-            seen.extend(e.lpn for e in cache.take_batch(7))
+            seen.extend(cache.take_batch(7)[0])
         assert sorted(seen) == sorted(set(lpns))
 
 

@@ -152,6 +152,23 @@ class TestSupersession:
         assert outcome.count(FailureKind.FWA) == 1
         assert outcome.count(FailureKind.DATA_FAILURE) == 1
 
+    def test_record_names_lost_pages_in_first_appearance_order(self):
+        host, analyzer = make_rig()
+        first = acked_write(host, analyzer, 11, 1, 1)
+        second = acked_write(host, analyzer, 10, 1, 2)
+        third = acked_write(host, analyzer, 10, 2, 3)
+        for lpn in (10, 11):
+            host.ssd.ftl.page_map.unbind(lpn)
+        assert host.ssd.peek_run(10, 2) == [None, None]
+        outcome = analyzer.verify_cycle(0, [first, second, third], [])
+        # The third packet lost both pages to data failures.  Its record
+        # names the page visited last in order of first appearance (ack
+        # order, then LPN): LPN 11 first appeared in the first packet, so
+        # LPN 10 comes after it.
+        record = next(r for r in outcome.records if r.packet_id == 3)
+        assert record.kind is FailureKind.DATA_FAILURE
+        assert record.lpn == 10
+
     def test_waw_only_second_lost(self):
         host, analyzer = make_rig()
         first = acked_write(host, analyzer, 10, 1, 1)

@@ -32,6 +32,7 @@ import pytest
 from repro.engine import run_plan
 from repro.engine.checkpoint import plans_fingerprint
 from repro.engine.executors import TEST_FAULT_ENV
+from repro.engine import remote
 from repro.engine.remote import run_worker
 from repro.engine.wire import (
     encode_plans,
@@ -470,35 +471,47 @@ def _scripted_coordinator(replies):
     """A listener that answers one connection per scripted reply.
 
     Each connection's hello gets its reply frame, or none when the reply
-    is ``None``; after a ``welcome`` the worker's first request is read
-    and the connection dropped.  The listener closes before the last
-    connection does, so the worker's next connect is refused.
+    is ``None``; after a ``welcome`` the worker's first request is read,
+    then answered by the next frame when the reply is a list of frames,
+    else the connection is dropped.  The listener closes once it has
+    accepted the last connection, so the worker's next connect is refused.
     """
     listener = socket.create_server(("127.0.0.1", 0))
 
     def serve():
         for index, reply in enumerate(replies):
             conn, _ = listener.accept()
+            if index == len(replies) - 1:
+                listener.close()
+            frames = [reply] if isinstance(reply, dict) else reply or []
             with conn:
                 recv_frame(conn)  # the hello
-                if reply is not None:
-                    send_frame(conn, reply)
-                    if reply["kind"] == "welcome":
+                for frame in frames:
+                    send_frame(conn, frame)
+                    if frame["kind"] == "welcome":
                         recv_frame(conn)  # the first request
-                if index == len(replies) - 1:
-                    listener.close()
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
     return listener.getsockname()[1], thread
 
 
+def _welcome(plans):
+    return {
+        "kind": "welcome",
+        "v": PROTOCOL_VERSION,
+        "fingerprint": plans_fingerprint(plans),
+        "plans": encode_plans(plans),
+        "heartbeat_s": 5.0,
+    }
+
+
 class TestPersistExitCode:
-    def run_persist_worker(self, replies):
+    def run_persist_worker(self, replies, connect_timeout_s=0.5):
         port, coordinator = _scripted_coordinator(replies)
         code = run_worker(
             ("127.0.0.1", port),
-            connect_timeout_s=0.5,
+            connect_timeout_s=connect_timeout_s,
             announce=io.StringIO(),
             persist=True,
         )
@@ -506,21 +519,30 @@ class TestPersistExitCode:
         assert not coordinator.is_alive()  # every scripted connection was served
         return code
 
+    def test_finished_campaign_redials_without_a_pause(self, monkeypatch):
+        # The campaign ends (its first request is answered ``shutdown``)
+        # and the service stops: the worker re-dials at once, is refused,
+        # and exits 0 without a pause.
+        sleeps = []
+        monkeypatch.setattr(remote.time, "sleep", sleeps.append)
+        finished = [_welcome([small_plan()]), {"kind": "shutdown"}]
+        assert self.run_persist_worker([finished], connect_timeout_s=0) == 0
+        assert sleeps == []
+
+    def test_unanswered_hello_pauses_before_the_redial(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(remote.time, "sleep", sleeps.append)
+        replies = [{"kind": "shutdown"}, None]
+        assert self.run_persist_worker(replies, connect_timeout_s=0) == 0
+        assert len(sleeps) == 1
+
     def test_unanswered_reconnect_keeps_the_shutdown_code(self):
         # A service that stops while the worker reconnects after a
         # finished campaign closes the connection before any answer.
         assert self.run_persist_worker([{"kind": "shutdown"}, None]) == 0
 
     def test_session_lost_after_welcome_still_exits_3(self):
-        plans = [small_plan()]
-        welcome = {
-            "kind": "welcome",
-            "v": PROTOCOL_VERSION,
-            "fingerprint": plans_fingerprint(plans),
-            "plans": encode_plans(plans),
-            "heartbeat_s": 5.0,
-        }
-        assert self.run_persist_worker([welcome]) == 3
+        assert self.run_persist_worker([_welcome([small_plan()])]) == 3
 
 
 class TestWireFrames:

@@ -48,6 +48,27 @@ class TestPageMap:
         with pytest.raises(AddressError):
             m.bind(1, -5)
 
+    @given(
+        st.lists(st.tuples(st.integers(0, 40), st.integers(0, 9999)), max_size=30),
+        st.integers(0, 40),
+        st.lists(st.integers(0, 9999), min_size=1, max_size=12),
+    )
+    def test_bind_run_matches_one_bind_per_page(self, earlier, start, ppas):
+        run, pages = PageMap(), PageMap()
+        for lpn, ppa in earlier:
+            run.bind(lpn, ppa)
+            pages.bind(lpn, ppa)
+        lpns = list(range(start, start + len(ppas)))
+        displaced = run.bind_run(lpns, ppas)
+        assert displaced == [pages.bind(lpn, ppa) for lpn, ppa in zip(lpns, ppas)]
+        assert run.lookup_run(0, 60) == pages.lookup_run(0, 60)
+
+    def test_bind_run_rejects_negative_addresses(self):
+        with pytest.raises(AddressError):
+            PageMap().bind_run([-1, 0], [5, 6])
+        with pytest.raises(AddressError):
+            PageMap().bind_run([1, 2], [5, -6])
+
     def test_len_and_entry_count(self):
         m = PageMap()
         for i in range(10):

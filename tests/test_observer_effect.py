@@ -63,9 +63,9 @@ def snapshot(ssd: SsdDevice) -> tuple:
 
 def reference_token(ssd: SsdDevice, lpn: int) -> Optional[int]:
     """What one page reads as, from the documented rules alone."""
-    entry = ssd.cache.peek(lpn)
-    if entry is not None:
-        return entry.token
+    cached = ssd.cache.peek(lpn)
+    if cached is not None:
+        return cached
     ppa = ssd.ftl.lookup(lpn)
     page = None if ppa is None else ssd.chip.store.entry(ppa)
     if page is None:
@@ -140,9 +140,8 @@ def damage(ssd: SsdDevice, picks, extent_page: int) -> None:
     store.set_error_bits(ssd.ftl.lookup(hopeless), HOPELESS_BITS)
     store.corrupt(ssd.ftl.lookup(corrupt))
     store.discard(ssd.ftl.lookup(erased))
-    now = ssd.kernel.now
-    ssd.cache.insert(cached, token=10**9, now=now)
-    ssd.cache.insert(PROBED - 1, token=10**9 + 1, now=now)
+    ssd.cache.insert_run(cached, [10**9])
+    ssd.cache.insert_run(PROBED - 1, [10**9 + 1])
 
 
 class TestAuditsLeaveNoTrace:

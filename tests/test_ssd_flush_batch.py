@@ -13,7 +13,9 @@ from repro.ssd.device import _FlushBatch
 
 def make_batch(total_pages=10, parallelism=4, page_write_us=1000, start_us=0):
     plan = WritePlan(
-        assignments=[(i, 100 + i) for i in range(total_pages)], stream="random"
+        lpns=list(range(total_pages)),
+        ppas=[100 + i for i in range(total_pages)],
+        stream="random",
     )
     return _FlushBatch(
         plans=[plan],
