@@ -26,6 +26,7 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
+from operator import ne
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -140,13 +141,23 @@ class Analyzer:
         observations: List[Optional[int]] = []
         for start, count in contiguous_runs(lpns):
             observations.extend(self._peek_run(start, count))
+        # An address that reads as erased holds TOKEN_ZERO.
+        observed_tokens = (
+            [TOKEN_ZERO if token is None else token for token in observations]
+            if None in observations
+            else observations
+        )
+        mismatched = bytes(
+            map(ne, observed_tokens, map(last_token.__getitem__, lpns))
+        )
         expected = self._expected
         lost: Dict[int, Tuple[Optional[int], int]] = {}  # lpn -> (observed, prior)
-        for lpn, observed in zip(lpns, observations):
-            observed_token = TOKEN_ZERO if observed is None else observed
-            if observed_token != last_token[lpn]:
-                lost[lpn] = (observed, expected.get(lpn, TOKEN_ZERO))
-            expected[lpn] = observed_token
+        index = mismatched.find(1)
+        while index != -1:
+            lpn = lpns[index]
+            lost[lpn] = (observations[index], expected.get(lpn, TOKEN_ZERO))
+            index = mismatched.find(1, index + 1)
+        expected.update(zip(lpns, observed_tokens))
 
         # Write chains of the lost addresses only, [(ack_order, packet,
         # token), ...], in order of first appearance (ack order, then LPN).

@@ -361,13 +361,17 @@ class CampaignService:
         driver's core, resumed shards already prefilled, reports through
         the driver's telemetry and commits every shard to its journal
         before reporting it.  Wire clients can neither submit to nor
-        follow a service holding one.
+        follow a service holding one.  A checkpointed run's journal already
+        carries the batch fingerprint, which the handshake reuses.
         """
         plans = list({index: plan for index, plan, _ in core.by_key.values()}.values())
-        self._serial += 1
-        submission = _Submission(
-            self, self._serial, plans_fingerprint(plans), plans, core=core
+        fingerprint = (
+            core.journal.fingerprint
+            if core.journal is not None
+            else plans_fingerprint(plans)
         )
+        self._serial += 1
+        submission = _Submission(self, self._serial, fingerprint, plans, core=core)
         self._local = submission
         self._active[submission.fingerprint] = submission
         return submission

@@ -100,6 +100,16 @@ class ExtentMap:
             idx += 1
         return ppas
 
+    def overlaps(self, lpn: int, count: int) -> bool:
+        """True when some extent maps a page of the ``count`` LPNs from ``lpn``.
+
+        Extents are sorted and disjoint, so the range meets one exactly when
+        the last extent starting before the range's end reaches past its
+        start.
+        """
+        idx = bisect.bisect_left(self._starts, lpn + count) - 1
+        return idx >= 0 and self._extents[self._starts[idx]].end_lpn > lpn
+
     def covering_extent(self, lpn: int) -> Optional[Extent]:
         """The extent containing ``lpn``, if any."""
         if lpn < 0:

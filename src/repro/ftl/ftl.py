@@ -5,12 +5,14 @@ Write path (driven by the device's cache flusher):
 1. :meth:`Ftl.prepare_write` allocates physical pages for a run of LPNs,
    keeping sequential streams physically contiguous (so they can live in the
    extent table) and random traffic in its own open block.
-2. The flusher models the batch latency, then calls :meth:`Ftl.commit_write`
-   with the rail voltage each page committed at; the FTL programs the chip,
-   updates the RAM map, journals the update, and invalidates displaced pages.
-3. On power loss the flusher never calls ``commit_write`` for the pages that
-   were still in flight; their allocated pages are simply burned (the
-   allocator's cursor never revisits a page before its block is erased).
+2. The flusher models the batch latency, then calls :meth:`Ftl.commit_batch`
+   with every plan of the batch and the rail voltage each page committed
+   at; the FTL programs the chip once for the batch, then per plan updates
+   the RAM map, journals the update, and invalidates displaced pages.
+3. On power loss the flusher commits only the batch's prefix whose commit
+   instants had passed; the pages after it are torn or never written, and
+   their allocated pages are simply burned (the allocator's cursor never
+   revisits a page before its block is erased).
 
 Translation precedence: the page map and extent map are kept disjoint (each
 bind punches a hole in the other), so lookup order is irrelevant.
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import floordiv
 from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -244,7 +246,7 @@ class Ftl:
         tokens: Sequence[int],
         volts: Union[None, float, Sequence[float]] = None,
     ) -> None:
-        """Program the chip and publish the new translations.
+        """Program the chip and publish the new translations of one plan.
 
         ``volts`` optionally gives the rail voltage at each page's true
         commit instant, or one voltage for every page (see
@@ -252,36 +254,57 @@ class Ftl:
         """
         if len(tokens) != plan.page_count:
             raise AddressError("token count does not match plan")
-        self.commit_write_slice(plan, tokens, 0, plan.page_count, volts)
+        self.commit_batch([plan], tokens, volts)
 
-    def commit_write_slice(
+    def commit_batch(
         self,
-        plan: WritePlan,
+        plans: Sequence[WritePlan],
         tokens: Sequence[int],
-        start: int,
-        stop: int,
         volts: Union[None, float, Sequence[float]] = None,
     ) -> None:
-        """Commit pages ``start:stop`` of a plan (partial batch at power loss).
+        """Commit the first ``len(tokens)`` pages of ``plans``, in plan order.
 
-        ``volts`` is indexed like the plan, or is one voltage for every page.
+        The pages go to the chip in one :meth:`FlashChip.program_pages`, so
+        each draws in page order; then, plan by plan, the FTL counts its
+        blocks' valid pages, records its pages' owners and publishes its
+        translations (one journal :class:`MapUpdate` per plan).  A device's
+        destage batch commits here whole, and its power-fault prefix too,
+        which may end inside a plan.  ``volts`` is one voltage for every
+        page or one per committed page.
         """
-        if not 0 <= start <= stop <= plan.page_count:
-            raise AddressError("bad plan slice")
-        if stop == start:
+        if len(tokens) > sum(plan.page_count for plan in plans):
+            raise AddressError("more tokens than planned pages")
+        if not tokens:
             return
-        lpns = plan.lpns[start:stop]
-        ppas = plan.ppas[start:stop]
-        if volts is not None and not isinstance(volts, (int, float)):
-            volts = volts[start:stop]
-        self.chip.program_pages(ppas, tokens[start:stop], volts)
+        ppas = (
+            plans[0].ppas
+            if len(plans) == 1
+            else list(chain.from_iterable(plan.ppas for plan in plans))
+        )
+        self.chip.program_pages(ppas, tokens, volts)
+        remaining = len(tokens)
+        for plan in plans:
+            if remaining <= 0:
+                break
+            lpns, ppas = plan.lpns, plan.ppas
+            if len(lpns) > remaining:
+                lpns, ppas = lpns[:remaining], ppas[:remaining]
+            remaining -= len(lpns)
+            self._count_valid(ppas)
+            self._ppa_owner.update(zip(ppas, lpns))
+            self.host_pages_written += len(lpns)
+            self._publish_mapping(plan.stream, lpns, ppas)
+
+    def _count_valid(self, ppas: List[int]) -> None:
+        """Add newly programmed ``ppas`` to their blocks' valid counts."""
+        ppb = self.chip.geometry.pages_per_block
         valid_counts = self.valid_counts
-        blocks = map(floordiv, ppas, repeat(self.chip.geometry.pages_per_block))
-        for block, pages in Counter(blocks).items():
+        block = min(ppas) // ppb
+        if block == max(ppas) // ppb:
+            valid_counts[block] = valid_counts.get(block, 0) + len(ppas)
+            return
+        for block, pages in Counter(map(floordiv, ppas, repeat(ppb))).items():
             valid_counts[block] = valid_counts.get(block, 0) + pages
-        self._ppa_owner.update(zip(ppas, lpns))
-        self.host_pages_written += len(lpns)
-        self._publish_mapping(plan.stream, lpns, ppas)
 
     def _publish_mapping(self, stream: str, lpns: List[int], ppas: List[int]) -> None:
         """Update RAM map + journal for the committed pages ``lpns``/``ppas``."""
@@ -298,7 +321,8 @@ class Ftl:
         extent_map = self.extent_map
         index = 0
         # One extent-map punch and one page-map bind per run of consecutive LPNs.
-        for first_lpn, count in contiguous_runs(lpns):
+        runs = [(lpns[0], len(lpns))] if _is_run(lpns) else contiguous_runs(lpns)
+        for first_lpn, count in runs:
             displaced = extent_map.unmap_range(first_lpn, first_lpn + count)
             extent_old: Dict[int, int] = {}
             for run in displaced:
@@ -307,12 +331,15 @@ class Ftl:
             self._invalidate_ppa_range(displaced)
             run_lpns = lpns[index : index + count]
             page_olds = self.page_map.bind_run(run_lpns, ppas[index : index + count])
-            for lpn, old in zip(run_lpns, page_olds):
-                if old is None:
-                    old = extent_old.get(lpn)
-                else:
-                    self._invalidate(old)
-                old_bindings[lpn] = old
+            # Each LPN's old binding is its page-map PPA, else its extent PPA.
+            old_bindings.update(zip(run_lpns, page_olds))
+            for lpn, old in extent_old.items():
+                if old_bindings[lpn] is None:
+                    old_bindings[lpn] = old
+            if page_olds.count(None) < count:
+                for old in page_olds:
+                    if old is not None:
+                        self._invalidate(old)
             index += count
         self.journal.record(
             MapUpdate(kind="page", time_us=now, lpns=lpns, old_bindings=old_bindings)
@@ -411,6 +438,8 @@ class Ftl:
     def lookup_run(self, lpn: int, count: int) -> List[Optional[int]]:
         """Translations of ``count`` LPNs from ``lpn``, each map resolved once."""
         pages = self.page_map.lookup_run(lpn, count)
+        if not self.extent_map.overlaps(lpn, count):
+            return pages
         extents = self.extent_map.lookup_run(lpn, count)
         return [ppa if ppa is not None else run for ppa, run in zip(pages, extents)]
 
@@ -421,10 +450,7 @@ class Ftl:
         pages = -(-entries // self.config.journal_entries_per_page)
         ppas = self._allocate_run(pages, STREAM_META)
         self.chip.program_pages(ppas, [TOKEN_JOURNAL] * len(ppas))
-        block_of = self.chip.geometry.block_of
-        for ppa in ppas:
-            block = block_of(ppa)
-            self.valid_counts[block] = self.valid_counts.get(block, 0) + 1
+        self._count_valid(ppas)
         self.journal_pages_written += len(ppas)
         write_cost = pages * self.chip.timing.page_write_us(
             self.chip.cell, self.chip.geometry.page_size

@@ -60,8 +60,7 @@ class PageMap:
         """PPAs bound to ``count`` LPNs from ``lpn`` (None where unmapped)."""
         if lpn < 0:
             raise AddressError(f"negative LPN {lpn}")
-        get = self._table.get
-        return [get(page) for page in range(lpn, lpn + count)]
+        return list(map(self._table.get, range(lpn, lpn + count)))
 
     def bind(self, lpn: int, ppa: int) -> Optional[int]:
         """Map ``lpn`` to ``ppa``; returns the displaced PPA, if any."""

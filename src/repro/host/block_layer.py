@@ -11,15 +11,19 @@ Responsibilities modelled:
   attached :class:`~repro.trace.blktrace.BlockTracer`;
 - **timeout**: requests stuck longer than the paper's 30 s rule
   (:data:`~repro.trace.btt.DELAYED_REQUEST_TIMEOUT_US`) complete with IO
-  error, like the kernel's request timeout.
+  error, like the kernel's request timeout.  Every deadline is queue time
+  plus the same 30 s, so submit order is deadline order, and one kernel
+  event per layer, armed at the oldest unfinished request's deadline,
+  serves them all.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
 from collections import deque
+from dataclasses import dataclass, field
+from itertools import chain
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.errors import ProtocolError
 from repro.sim.kernel import Event, Kernel
@@ -63,6 +67,8 @@ class BlockRequest:
     complete_time: int = -1
     children: List[IoCommand] = field(default_factory=list)
     _pending_children: int = 0
+    _dispatched_children: int = 0
+    _child_failed: bool = False
 
     def __post_init__(self) -> None:
         if self.page_count <= 0:
@@ -126,7 +132,11 @@ class BlockLayer:
         self._pumping = False
         self._pump_again = False
         self._next_id = 1
-        self._timeout_events: Dict[int, Event] = {}
+        # Unfinished requests by id, in submit order, which is deadline
+        # order; the one timeout timer is armed while any is unfinished, at
+        # or before the oldest one's deadline.
+        self._unfinished: Dict[int, BlockRequest] = {}
+        self._timer: Optional[Event] = None
         # Statistics.
         self.submitted = 0
         self.completed = 0
@@ -145,15 +155,18 @@ class BlockLayer:
         self._trace(request, Action.QUEUE)
         self._split(request)
         self._trace(request, Action.GET_REQUEST)
-        self._timeout_events[request.request_id] = self.kernel.schedule(
-            DELAYED_REQUEST_TIMEOUT_US, self._timeout_fired, request
-        )
+        self._unfinished[request.request_id] = request
+        if self._timer is None:
+            self._timer = self.kernel.schedule(
+                DELAYED_REQUEST_TIMEOUT_US, self._timer_fired
+            )
         self._dispatch_queue.append(request)
         self._pump()
         return request
 
     def _split(self, request: BlockRequest) -> None:
         """Fan a request out into device-sized sub-commands (X events)."""
+        on_complete = self._child_done
         offset = 0
         while offset < request.page_count:
             take = min(MAX_SEGMENT_PAGES, request.page_count - offset)
@@ -165,7 +178,7 @@ class BlockLayer:
             else:
                 child = IoCommand.read(request.lpn + offset, take)
             child.tag = request.request_id
-            child.on_complete = self._child_done(request)
+            child.on_complete = on_complete
             request.children.append(child)
             offset += take
         request._pending_children = len(request.children)
@@ -191,44 +204,43 @@ class BlockLayer:
             self._pumping = False
 
     def _pump_once(self) -> None:
-        while self._dispatch_queue and self._outstanding < self.queue_depth:
-            head = self._dispatch_queue[0]
+        queue = self._dispatch_queue
+        while queue and self._outstanding < self.queue_depth:
+            head = queue[0]
             if head.done:  # timed out while waiting
-                self._dispatch_queue.popleft()
+                queue.popleft()
                 continue
-            remaining = [c for c in head.children if c.status is CommandStatus.PENDING and c.submit_time < 0]
-            if not remaining:
-                self._dispatch_queue.popleft()
-                continue
-            budget = self.queue_depth - self._outstanding
-            for child in remaining[:budget]:
+            # Children before the cursor are on the device; submit the next
+            # ones the queue depth allows, and pop the head once all are.
+            children = head.children
+            first = head._dispatched_children
+            last = min(len(children), first + self.queue_depth - self._outstanding)
+            head._dispatched_children = last
+            if head.state is RequestState.QUEUED:
+                head.state = RequestState.DISPATCHED
+                head.dispatch_time = self.kernel.now
+                self._trace(head, Action.ISSUE)
+            if last == len(children):
+                queue.popleft()
+            for child in children[first:last]:
                 self._outstanding += 1
-                if head.state is RequestState.QUEUED:
-                    head.state = RequestState.DISPATCHED
-                    head.dispatch_time = self.kernel.now
-                    self._trace(head, Action.ISSUE)
                 self.device.submit(child)
-            if all(
-                c.submit_time >= 0 or c.status is not CommandStatus.PENDING
-                for c in head.children
-            ):
-                self._dispatch_queue.popleft()
 
-    def _child_done(self, request: BlockRequest) -> Callable[[IoCommand], None]:
-        def on_complete(command: IoCommand) -> None:
-            if command.submit_time >= 0:
-                self._outstanding = max(0, self._outstanding - 1)
+    def _child_done(self, command: IoCommand) -> None:
+        if command.submit_time >= 0:
+            self._outstanding = max(0, self._outstanding - 1)
+        request = self._unfinished.get(command.tag)
+        if request is not None:
+            if command.status is not CommandStatus.OK:
+                request._child_failed = True
             request._pending_children -= 1
-            if request._pending_children <= 0 and not request.done:
+            if request._pending_children <= 0:
                 self._finish(request)
-            self._pump()
-
-        return on_complete
+        self._pump()
 
     def _finish(self, request: BlockRequest) -> None:
         request.complete_time = self.kernel.now
-        failed = any(c.status is not CommandStatus.OK for c in request.children)
-        if failed:
+        if request._child_failed:
             request.state = RequestState.FAILED
             self.failed += 1
             self._trace(request, Action.COMPLETE_ERROR)
@@ -236,26 +248,52 @@ class BlockLayer:
             request.state = RequestState.COMPLETED
             self.completed += 1
             if not request.is_write:
-                request.tokens = [
-                    token for child in request.children for token in child.tokens
-                ]
+                request.tokens = list(
+                    chain.from_iterable(child.tokens for child in request.children)
+                )
             self._trace(request, Action.COMPLETE)
-        timeout = self._timeout_events.pop(request.request_id, None)
-        if timeout is not None:
-            timeout.cancel()
+        self._retire(request)
         if request.on_done is not None:
             request.on_done(request)
 
-    def _timeout_fired(self, request: BlockRequest) -> None:
-        self._timeout_events.pop(request.request_id, None)
-        if request.done:
-            return
-        request.state = RequestState.TIMED_OUT
-        request.complete_time = self.kernel.now
-        self.timed_out += 1
-        self._trace(request, Action.COMPLETE_ERROR)
-        if request.on_done is not None:
-            request.on_done(request)
+    # -- the 30 s rule ----------------------------------------------------------------
+
+    def _retire(self, request: BlockRequest) -> None:
+        """Forget a request that reached a terminal state.
+
+        Once no request is unfinished the timer is cancelled, so a drained
+        layer leaves nothing in the kernel's heap.
+        """
+        del self._unfinished[request.request_id]
+        if not self._unfinished and self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
+    def _timer_fired(self) -> None:
+        """Time out every request that is due, then re-arm for the next.
+
+        The timer may have been armed for a request that has since
+        finished; then nothing is due and it only re-arms.
+        """
+        now = self.kernel.now
+        due: List[BlockRequest] = []
+        self._timer = None
+        for request in self._unfinished.values():
+            deadline = request.queue_time + DELAYED_REQUEST_TIMEOUT_US
+            if deadline > now:
+                self._timer = self.kernel.schedule_at(deadline, self._timer_fired)
+                break
+            due.append(request)
+        for request in due:
+            if request.done:  # failed by an earlier request's on_done
+                continue
+            request.state = RequestState.TIMED_OUT
+            request.complete_time = now
+            self.timed_out += 1
+            self._trace(request, Action.COMPLETE_ERROR)
+            self._retire(request)
+            if request.on_done is not None:
+                request.on_done(request)
 
     # -- power-fault housekeeping -----------------------------------------------------
 
@@ -274,9 +312,7 @@ class BlockLayer:
             request.complete_time = self.kernel.now
             self.failed += 1
             self._trace(request, Action.COMPLETE_ERROR)
-            timeout = self._timeout_events.pop(request.request_id, None)
-            if timeout is not None:
-                timeout.cancel()
+            self._retire(request)
             if request.on_done is not None:
                 request.on_done(request)
             count += 1
@@ -293,9 +329,9 @@ class BlockLayer:
     def _trace(self, request: BlockRequest, action: Action) -> None:
         if self.tracer is not None:
             self.tracer.record(
-                action=action,
-                request_id=request.request_id,
-                lpn=request.lpn,
-                page_count=request.page_count,
-                is_write=request.is_write,
+                action,
+                request.request_id,
+                request.lpn,
+                request.page_count,
+                request.is_write,
             )

@@ -31,16 +31,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import repeat
 from random import Random
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import AddressError, DeviceUnavailableError, ProtocolError
 from repro.nand.cell import CellKind
 from repro.nand.corruption import CorruptionModel
 from repro.nand.ecc import EccScheme
 from repro.nand.geometry import NandGeometry
-from repro.nand.pagestore import ArrayPageStore, STATE_CORRUPT
+from repro.nand.pagestore import STATE_CORRUPT, ArrayPageStore
 from repro.nand.timing import NandTiming
 
 CORRUPT_TOKEN = -1
@@ -169,14 +168,13 @@ class FlashChip:
         failed check raises after the pages before it committed.
         """
         self._check_powered()
-        corruption = self.corruption
-        program_quality = corruption.program_quality
+        program_quality = self.corruption.program_quality
+        count = min(len(ppas), len(tokens))
         if volts is None or isinstance(volts, (int, float)):
             quality = program_quality(self.voltage_source() if volts is None else volts)
-            qualities: Iterable[float] = repeat(quality)
-            count = min(len(ppas), len(tokens))
+            qualities = [quality] * count
         else:
-            quality_list: List[float] = []
+            qualities = []
             live = last = None
             for page_volts in volts:
                 if page_volts is None:
@@ -186,31 +184,39 @@ class FlashChip:
                 if page_volts != last:
                     quality = program_quality(page_volts)
                     last = page_volts
-                quality_list.append(quality)
-            qualities = quality_list
-            count = min(len(ppas), len(tokens), len(quality_list))
-        rng = self.rng
-        gauss = rng.gauss
-        cell = self.cell
-        sample_error_bits = corruption.sample_error_bits
-        mean = corruption.base_error_bits * cell.raw_bit_error_scale
-        sigma = mean**0.5
-
-        def draw(quality: float) -> int:
-            if quality >= 1.0:
-                # Nominal-rail fast path: the draw ``sample_error_bits``
-                # makes at quality 1.0, inlined in the hottest loop.
-                raw_bits = round(gauss(mean, sigma))
-                return raw_bits if raw_bits > 0 else 0
-            return sample_error_bits(rng, cell, quality)
-
-        done = self.store.program_run(ppas, tokens, qualities, draw)
+                qualities.append(quality)
+            count = min(count, len(qualities))
+        done = self.store.program_run(ppas, tokens, qualities, self._error_bits)
         self.programs_committed += done
         if done < count:
             # The store stopped at a page outside the array or not erased.
             ppa = ppas[done]
             self._check_ppa(ppa)
             raise ProtocolError(f"program of non-erased page {ppa} (no in-place update)")
+
+    def _error_bits(self, qualities: Sequence[float]) -> List[int]:
+        """Raw-bit-error counts of a run of programs, drawn in page order.
+
+        A page at nominal quality draws what ``sample_error_bits`` draws at
+        quality 1.0, inlined in the hottest loop; a page below nominal
+        quality keeps its own ``sample_error_bits`` call.
+        """
+        corruption = self.corruption
+        cell = self.cell
+        rng = self.rng
+        gauss = rng.gauss
+        sample_error_bits = corruption.sample_error_bits
+        mean = corruption.base_error_bits * cell.raw_bit_error_scale
+        sigma = mean**0.5
+        errors: List[int] = []
+        append = errors.append
+        for quality in qualities:
+            if quality >= 1.0:
+                raw_bits = round(gauss(mean, sigma))
+                append(raw_bits if raw_bits > 0 else 0)
+            else:
+                append(sample_error_bits(rng, cell, quality))
+        return errors
 
     def apply_interruption_batch(
         self, interruptions: Sequence[Tuple[int, float, int]]
@@ -310,25 +316,23 @@ class FlashChip:
         page, :data:`CORRUPT_TOKEN` when ECC and read-retry cannot decode
         it, else its token.  Unlike :meth:`read_page` it bumps no counter,
         applies no read disturb and makes no draw, so an audit leaves the
-        array exactly as it found it.
+        array exactly as it found it.  The page store answers every page
+        that a first-pass decode reads as is
+        (:meth:`~repro.nand.pagestore.ArrayPageStore.clean_tokens`, given the
+        ECC budget); every other written page goes through :meth:`_decide`.
         """
-        if any(ppa is not None for ppa in ppas):
+        if ppas.count(None) < len(ppas):
             self._check_powered()
-        entry = self.store.entry
-        decide = self._decide
-        tokens: List[Optional[int]] = []
-        for ppa in ppas:
-            if ppa is None:
-                tokens.append(None)
-                continue
-            page = entry(ppa)
-            outcome = decide(page)
-            if outcome == READ_ERASED:
-                tokens.append(None)
-            elif outcome == READ_UNCORRECTABLE:
-                tokens.append(CORRUPT_TOKEN)
-            else:
-                tokens.append(page[1])
+        store = self.store
+        tokens, undecided = store.clean_tokens(
+            ppas, self.ecc.correctable_bits_per_page
+        )
+        for position in undecided:
+            page = store.entry(ppas[position])
+            if self._decide(page) == READ_UNCORRECTABLE:
+                tokens[position] = CORRUPT_TOKEN
+            else:  # decoded after read-retry
+                tokens[position] = page[1]
         return tokens
 
     def _apply_read_disturb(self, ppa: int) -> None:

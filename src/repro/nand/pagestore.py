@@ -22,8 +22,9 @@ passes over the ``state`` bytearray rather than per-page dict probes.
 
 The store draws no randomness and applies no policy — corruption physics and
 every RNG draw stay in :class:`~repro.nand.chip.FlashChip`, in per-page order
-(``program_run`` calls the chip's draw once per page it programs), so the
-layout cannot move a campaign result.
+(``program_run`` asks the chip for the error counts of each block-local run
+of pages it is about to program, and of no page after a stop), so the layout
+cannot move a campaign result.
 ``tests/test_pagestore_equivalence.py`` drives it against an independent
 dict-of-tuples reference through random operation sequences.
 """
@@ -31,7 +32,9 @@ dict-of-tuples reference through random operation sequences.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from itertools import islice, repeat
+from operator import add, ne
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.nand.geometry import NandGeometry
 
@@ -42,6 +45,8 @@ STATE_CORRUPT = 2
 _NO_TOKEN = 0
 """Column filler for pages without data (token validity is derived from the
 state column — 0 is also a legitimate stored token, e.g. the journal's)."""
+
+_VALID_BYTE = bytes((STATE_VALID,))
 
 
 class ArrayPageStore:
@@ -76,6 +81,48 @@ class ArrayPageStore:
             self._chunks[block] = chunk
         return chunk
 
+    def clean_tokens(
+        self, ppas: Sequence[Optional[int]], budget: int
+    ) -> Tuple[List[Optional[int]], List[int]]:
+        """Tokens of a run of pages that a first-pass read decodes as is.
+
+        Returns ``(tokens, undecided)``.  ``tokens[i]`` is the token of a
+        VALID page whose error count is in ``[0, budget]`` (the first-pass
+        test of :meth:`~repro.nand.ecc.EccScheme.can_correct`), else
+        ``None``: for a ``None`` PPA, an erased page, or a page listed by
+        its position in ``undecided`` (CORRUPT, or VALID past the budget),
+        which the caller decides from :meth:`entry`.  Reads one chunk per
+        block entered and changes nothing.
+        """
+        ppb = self._ppb
+        chunks = self._chunks
+        tokens: List[Optional[int]] = []
+        undecided: List[int] = []
+        append = tokens.append
+        current = chunk = None
+        base = 0
+        for position, ppa in enumerate(ppas):
+            if ppa is None:
+                append(None)
+                continue
+            block = ppa // ppb
+            if block != current:
+                current = block
+                chunk = chunks.get(block)
+                base = block * ppb
+            if chunk is None:
+                append(None)  # an erased block
+                continue
+            index = ppa - base
+            state = chunk[0][index]
+            if state == STATE_VALID and 0 <= chunk[2][index] <= budget:
+                append(chunk[1][index])
+                continue
+            if state != STATE_ERASED:
+                undecided.append(position)
+            append(None)
+        return tokens, undecided
+
     # -- single-page ops ------------------------------------------------------
 
     def entry(self, ppa: int) -> Optional[Tuple[int, int, int, float]]:
@@ -102,39 +149,51 @@ class ArrayPageStore:
 
     def program_run(
         self,
-        ppas: Iterable[int],
-        tokens: Iterable[int],
-        qualities: Iterable[float],
-        draw: Callable[[float], int],
+        ppas: Sequence[int],
+        tokens: Sequence[int],
+        qualities: Sequence[float],
+        draw: Callable[[Sequence[float]], List[int]],
     ) -> int:
         """Program pages in order until one is outside the array or VALID.
 
-        Each page's error count is ``draw(quality)``, called only once that
-        page passed both checks, so a stop leaves the draws of later pages
-        untaken.  Returns the pages programmed.
+        The pages are taken one block-local run of consecutive PPAs at a
+        time (a PPA list that is not consecutive runs page by page): the
+        run is range-checked, one ``find`` looks for a VALID page in it,
+        ``draw(qualities)`` returns the error counts of the pages before
+        that stop, and each column takes them in one slice.  So a stop
+        leaves the draws of later pages untaken.  Returns the pages
+        programmed.
         """
+        count = min(len(ppas), len(tokens), len(qualities))
         ppb = self._ppb
         total = self.geometry.total_pages
+        # breaks[i] is 1 where page i + 1 does not follow page i.
+        breaks = bytes(map(ne, islice(ppas, 1, count), map(add, ppas, repeat(1))))
         done = 0
-        current = -1
-        for ppa, token, quality in zip(ppas, tokens, qualities):
-            if not 0 <= ppa < total:
+        while done < count:
+            first = ppas[done]
+            if not 0 <= first < total:
                 break
-            block, index = divmod(ppa, ppb)
-            if block != current:
-                state, token_col, err_col, quality_col = self._chunk(block)
-                current = block
-            previous = state[index]
-            if previous == STATE_VALID:
+            block, lo = divmod(first, ppb)
+            limit = done + min(count - done, ppb - lo)
+            stop = breaks.find(1, done, limit - 1)
+            hi = lo + (limit if stop == -1 else stop + 1) - done
+            state, token_col, err_col, quality_col = self._chunk(block)
+            valid = state.find(STATE_VALID, lo, hi)
+            if valid != -1:
+                hi = valid
+            n = hi - lo
+            if n:
+                run_qualities = qualities[done : done + n]
+                err_col[lo:hi] = array("q", draw(run_qualities))
+                self._written += n - state.count(STATE_CORRUPT, lo, hi)
+                self._valid += n
+                state[lo:hi] = _VALID_BYTE * n
+                token_col[lo:hi] = array("q", tokens[done : done + n])
+                quality_col[lo:hi] = array("d", run_qualities)
+                done += n
+            if valid != -1:
                 break
-            err_col[index] = draw(quality)
-            state[index] = STATE_VALID
-            token_col[index] = token
-            quality_col[index] = quality
-            if previous == STATE_ERASED:
-                self._written += 1
-            self._valid += 1
-            done += 1
         return done
 
     def corrupt(self, ppa: int) -> None:

@@ -7,10 +7,12 @@ of fault-injection campaigns.
 
 Cancellation is lazy (a cancelled event stays in the heap and is skipped when
 it surfaces), but the kernel tracks how many cancelled events the heap is
-carrying and compacts it once they outnumber the pending ones — a campaign
-that cancels timeouts at every completed IO would otherwise drag a heap of
-corpses through every sift.  Cancelled events that leave the heap are pooled
-on a freelist and reused by :meth:`Kernel.schedule`.
+carrying and compacts it once they outnumber the pending ones, so
+far-future timers cancelled long before they are due (the map journal's
+commit timer and a device's init timer at a power fault, a drained block
+layer's 30 s timeout timer) cannot pile up and be dragged through every
+sift.  Cancelled events that leave the heap are pooled on a freelist and
+reused by :meth:`Kernel.schedule`.
 
 Handle-retention contract: an :class:`Event` handle is only meaningful until
 it fires or until you cancel it.  After calling :meth:`Event.cancel`, drop

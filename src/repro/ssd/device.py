@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cache import FlushPolicy, SupercapBackup, WriteCache
@@ -90,12 +91,15 @@ class _FlushBatch:
     """Bookkeeping for one in-flight destage batch."""
 
     plans: List[WritePlan]
-    tokens: List[List[int]]  # parallel to plans
-    run_bounds: List[Tuple[int, int]]  # batch-index range per plan
+    tokens: List[int]  # one per page of the plans, in plan order
     start_us: int
     page_write_us: int
     parallelism: int
-    total_pages: int
+
+    @property
+    def total_pages(self) -> int:
+        """Pages in the batch."""
+        return len(self.tokens)
 
     def commit_time(self, batch_index: int) -> int:
         """Planned commit instant of the batch's ``batch_index``-th page."""
@@ -446,58 +450,53 @@ class SsdDevice:
 
     def _build_batch(self, lpns: Sequence[int], tokens: List[int]) -> _FlushBatch:
         """Split a page list into contiguous runs and allocate flash for them."""
-        plans: List[WritePlan] = []
-        run_tokens: List[List[int]] = []
-        bounds: List[Tuple[int, int]] = []
-        cursor = 0
-        for start, count in contiguous_runs(lpns):
-            plans.append(self.ftl.prepare_write(range(start, start + count)))
-            run_tokens.append(tokens[cursor : cursor + count])
-            bounds.append((cursor, cursor + count))
-            cursor += count
+        plans = [
+            self.ftl.prepare_write(range(start, start + count))
+            for start, count in contiguous_runs(lpns)
+        ]
         extra_us = self.ftl.consume_background_us()
-        batch = _FlushBatch(
+        return _FlushBatch(
             plans=plans,
-            tokens=run_tokens,
-            run_bounds=bounds,
+            tokens=tokens,
             start_us=self.kernel.now + extra_us,
             page_write_us=self.page_write_us,
             parallelism=self.parallelism,
-            total_pages=cursor,
         )
-        return batch
 
     def _commit_batch_full(self, batch: _FlushBatch) -> None:
-        for plan, run_tokens, (lo, hi) in zip(batch.plans, batch.tokens, batch.run_bounds):
-            self.ftl.commit_write(plan, run_tokens, self._batch_volts(batch, lo, hi))
+        self.ftl.commit_batch(
+            batch.plans, batch.tokens, self._batch_volts(batch, 0, batch.total_pages)
+        )
 
     def _resolve_batch_partial(self, batch: _FlushBatch, damage: PowerFaultDamage) -> None:
-        """Page-exact resolution of a batch torn by brownout."""
+        """Page-exact resolution of a batch torn by brownout.
+
+        The pages whose commit instants had passed commit as one prefix;
+        the pages whose pulse trains had begun are torn in one
+        :meth:`FlashChip.apply_interruption_batch`.  Every committed page
+        precedes every torn one, so the draws keep batch page order.
+        """
         now = self.kernel.now
         committed = batch.committed_prefix(now)
         started = batch.started_count(now)
-        for plan, run_tokens, (lo, hi) in zip(batch.plans, batch.tokens, batch.run_bounds):
-            commit_hi = max(lo, min(hi, committed))
-            if commit_hi > lo:
-                self.ftl.commit_write_slice(
-                    plan, run_tokens, 0, commit_hi - lo,
-                    self._batch_volts(batch, lo, commit_hi),
-                )
-            # Pages whose pulse train had begun but not finished are torn.
+        if committed:
+            self.ftl.commit_batch(
+                batch.plans, batch.tokens[:committed], self._batch_volts(batch, 0, committed)
+            )
+        if started > committed:
+            ppas = list(chain.from_iterable(plan.ppas for plan in batch.plans))
             torn: List[Tuple[int, float, int]] = []
-            for index in range(max(lo, committed), min(hi, started)):
-                ppa = plan.ppas[index - lo]
+            for index in range(committed, started):
                 progress_base = batch.commit_time(index) - batch.page_write_us
                 progress = (now - progress_base) / batch.page_write_us
                 progress = min(1.0, max(0.0, progress))
-                torn.append((ppa, progress, run_tokens[index - lo]))
-            if torn:
-                report = self.chip.apply_interruption_batch(torn)
-                damage.inflight_pages_torn += len(torn)
-                damage.inflight_pages_corrupted += len(report.corrupted_pages)
-                damage.collateral_pages_corrupted += len(report.collateral_pages)
-            # Later pages never reached the array; their data dies with DRAM.
-            damage.dirty_pages_lost += max(0, hi - max(lo, started))
+                torn.append((ppas[index], progress, batch.tokens[index]))
+            report = self.chip.apply_interruption_batch(torn)
+            damage.inflight_pages_torn += len(torn)
+            damage.inflight_pages_corrupted += len(report.corrupted_pages)
+            damage.collateral_pages_corrupted += len(report.collateral_pages)
+        # Later pages never reached the array; their data dies with DRAM.
+        damage.dirty_pages_lost += batch.total_pages - started
 
     # -- power-event handlers ------------------------------------------------------------------
 
@@ -605,8 +604,7 @@ class SsdDevice:
                 break
             batch = self._build_batch(lpns, tokens)
             # Supercap keeps the internals at nominal voltage while it lasts.
-            for plan, run_tokens, _ in zip(batch.plans, batch.tokens, batch.run_bounds):
-                self.ftl.commit_write(plan, run_tokens, 5.0)
+            self.ftl.commit_batch(batch.plans, batch.tokens, 5.0)
             saved += batch.total_pages
         if self.cache.dirty_count == 0:
             self.ftl.checkpoint()  # clean map on the way down

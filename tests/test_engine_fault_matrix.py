@@ -272,6 +272,26 @@ class TestRemoteWorkerLoss:
         assert resumed.summary() == baseline
         assert resumed.execution.shards_resumed == 4
 
+    def test_checkpointed_listen_run_fingerprints_its_plans_once(
+        self, tmp_path, monkeypatch
+    ):
+        # The journal's fingerprint is the handshake's too.  Workers run in
+        # their own processes, so only the coordinator's calls count here.
+        calls = []
+
+        def counting(plans):
+            calls.append(len(plans))
+            return plans_fingerprint(plans)
+
+        monkeypatch.setattr("repro.engine.plans_fingerprint", counting)
+        monkeypatch.setattr("repro.engine.serve.plans_fingerprint", counting)
+        result, codes = run_distributed(
+            small_plan(), workers=1, checkpoint=tmp_path / "ck.jsonl"
+        )
+        assert result.summary() == clean_summary()
+        assert codes == [0]
+        assert calls == [1]
+
 
 class TestCoordinatorRestart:
     """A coordinator dies mid-campaign; its persistent workers survive it.

@@ -70,7 +70,7 @@ class TestWriteReadPath:
     def test_partial_commit_slice(self):
         _, _, ftl = make_ftl()
         plan = ftl.prepare_write([20, 21, 22, 23])
-        ftl.commit_write_slice(plan, tokens=[1, 2, 3, 4], start=0, stop=2)
+        ftl.commit_batch([plan], tokens=[1, 2])  # a power-fault prefix
         assert ftl.read(20).token == 1
         assert ftl.read(21).token == 2
         assert ftl.read(22).state is PageState.ERASED

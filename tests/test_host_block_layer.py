@@ -172,6 +172,74 @@ class TestFailures:
         assert req.state is RequestState.TIMED_OUT
         assert host.block.timed_out == 1
 
+    def test_one_timer_times_out_each_request_at_its_deadline(self):
+        host = make_host()
+        host.ssd._dispatcher.kill()
+        first = host.write(0, [1])
+        second = host.write(8, [2])  # same instant as the first
+        host.run_for(5 * MSEC)
+        third = host.write(16, [3])
+        requests = (first, second, third)
+        deadline = first.queue_time + DELAYED_REQUEST_TIMEOUT_US
+        host.kernel.run(until=deadline - 1)
+        assert not any(r.done for r in requests)
+        host.kernel.run(until=deadline)
+        assert [r.done for r in requests] == [True, True, False]
+        host.kernel.run(until=third.queue_time + DELAYED_REQUEST_TIMEOUT_US)
+        for request in requests:
+            assert request.state is RequestState.TIMED_OUT
+            assert request.complete_time == request.queue_time + DELAYED_REQUEST_TIMEOUT_US
+        errors = [e.request_id for e in host.tracer.events() if e.action is Action.COMPLETE_ERROR]
+        assert errors == [r.request_id for r in requests]  # submit order
+        assert host.block.timed_out == 3
+
+    def test_completed_request_never_times_out(self):
+        # The timer is armed at the first write's deadline; that write
+        # completes and the second sticks on the device, so the firing at
+        # the first deadline only re-arms.  The queue depth's worth of
+        # writes after it stick too, except the last, which waits on the
+        # host and fails there: finished behind unfinished requests, it
+        # must not time out with them.
+        host = make_host()
+        done = host.write(0, [1])
+        host.run_for(50)
+        stuck = host.write(8, [2])
+        host.kernel.pump_until(lambda: done.done, MSEC, "first write")
+        host.ssd._dispatcher.kill()
+        more = [host.write(16 + 8 * i, [3]) for i in range(host.block.queue_depth)]
+        assert host.block.flush_queue_as_errors() == 1
+        host.run_for(DELAYED_REQUEST_TIMEOUT_US)
+        assert done.state is RequestState.COMPLETED
+        assert more[-1].state is RequestState.FAILED
+        for request in [stuck] + more[:-1]:
+            assert request.state is RequestState.TIMED_OUT
+            assert request.complete_time == request.queue_time + DELAYED_REQUEST_TIMEOUT_US
+        assert host.block.timed_out == host.block.queue_depth
+
+    def test_request_failed_by_a_timeout_callback_does_not_time_out(self):
+        # Every write is due at the same firing; the first one's callback
+        # fails the last, still queued on the host, before its turn comes.
+        host = make_host()
+        host.ssd._dispatcher.kill()
+        first = host.write(0, [1], on_done=lambda _: host.block.flush_queue_as_errors())
+        rest = [host.write(8 + 8 * i, [2]) for i in range(host.block.queue_depth)]
+        host.run_for(DELAYED_REQUEST_TIMEOUT_US)
+        assert rest[-1].state is RequestState.FAILED
+        assert all(r.state is RequestState.TIMED_OUT for r in [first] + rest[:-1])
+        assert (host.block.timed_out, host.block.failed) == (host.block.queue_depth, 1)
+        errors = [e.request_id for e in host.tracer.events() if e.action is Action.COMPLETE_ERROR]
+        assert sorted(errors) == [r.request_id for r in [first] + rest]
+
+    def test_drained_layer_leaves_no_timer(self):
+        # Reads of never-written pages touch no flash, so nothing but the
+        # timeout timer could keep the kernel busy past the last completion.
+        host = make_host()
+        requests = [host.read(lpn, 4) for lpn in (0, 64, 128)]
+        host.kernel.run()
+        assert all(r.ok for r in requests)
+        assert host.kernel.now == max(r.complete_time for r in requests)
+        assert host.kernel.pending_count() == 0
+
 
 class TestBttIntegration:
     def test_per_io_dump_reassembles_split_requests(self):

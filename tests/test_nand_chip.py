@@ -5,9 +5,14 @@ import random
 
 import pytest
 
-from repro.errors import AddressError, DeviceUnavailableError, ProtocolError
+from repro.errors import (
+    AddressError,
+    ConfigurationError,
+    DeviceUnavailableError,
+    ProtocolError,
+)
 from repro.nand import CorruptionModel, EccScheme, FlashChip, NandGeometry
-from repro.nand.chip import PageState
+from repro.nand.chip import CORRUPT_TOKEN, PageState
 from repro.nand.pagestore import STATE_CORRUPT, STATE_VALID
 
 
@@ -224,6 +229,28 @@ class TestEccInteraction:
             if not expect_ok:
                 assert result.token is None
                 assert chip.uncorrectable_reads == 1
+
+    def test_inspect_run_decides_like_read_page_and_changes_nothing(self):
+        # Clean, at the budget, retried, uncorrectable, torn and erased
+        # pages over two blocks, with an unmapped page between them.
+        chip = make_chip(ecc=EccScheme("BCH", 60, read_retry_factor=0.45))
+        chip.program_pages([0, 1, 2, 3, 16], [10, 11, 12, 13, 14])
+        for ppa, bits in ((0, 0), (1, 60), (2, 100), (3, 200), (16, 0)):
+            chip.store.set_error_bits(ppa, bits)
+        chip.store.corrupt(17)
+        ppas = [0, 1, 2, 3, 4, None, 16, 17, 40]
+        before = list(chip.store.iter_entries()), chip.rng.getstate()
+        assert chip.inspect_run(ppas) == [
+            10, 11, 12, CORRUPT_TOKEN, None, None, 14, CORRUPT_TOKEN, None
+        ]
+        assert (list(chip.store.iter_entries()), chip.rng.getstate()) == before
+        assert chip.reads_served == chip.read_retries == chip.uncorrectable_reads == 0
+        # A negative error count fails the ECC decision, as on a read.
+        chip.store.set_error_bits(0, -1)
+        with pytest.raises(ConfigurationError):
+            chip.inspect_run([0])
+        with pytest.raises(ConfigurationError):
+            chip.read_page(0)
 
     def test_statistics_counters(self):
         chip = make_chip()

@@ -55,9 +55,22 @@ class NaiveStore:
                 break
             if self.state_of(ppa) == STATE_VALID:
                 break
-            self.program(ppa, token, draw(quality), quality)
+            (err,) = draw([quality])
+            self.program(ppa, token, err, quality)
             done += 1
         return done
+
+    def clean_tokens(self, ppas, budget):
+        tokens, undecided = [], []
+        for position, ppa in enumerate(ppas):
+            row = self.pages.get(ppa)
+            if row is not None and row[0] == STATE_VALID and 0 <= row[2] <= budget:
+                tokens.append(row[1])
+                continue
+            tokens.append(None)
+            if row is not None:
+                undecided.append(position)
+        return tokens, undecided
 
     def corrupt(self, ppa: int) -> None:
         self.pages[ppa] = [STATE_CORRUPT, 0, 0, 1.0]
@@ -139,11 +152,16 @@ _op = st.one_of(
     st.tuples(st.just("program"), _ppa, _token, _err, _quality),
     st.tuples(
         st.just("program_run"),
+        # A None PPA continues the previous page's run, so the lists mix
+        # consecutive runs (which cross block boundaries) with jumps.
         st.lists(
             st.tuples(
-                st.integers(min_value=-1, max_value=_PAGES), _token, _err, _quality
+                st.one_of(st.none(), st.integers(min_value=-1, max_value=_PAGES)),
+                _token,
+                _err,
+                _quality,
             ),
-            max_size=10,
+            max_size=20,
         ),
     ),
     st.tuples(st.just("corrupt"), _ppa),
@@ -167,6 +185,27 @@ def _counters(store) -> tuple:
 _CAN_CORRECT = lambda bits: bits <= 40  # noqa: E731 - tiny ECC stand-in
 
 
+def _run_ppas(pages) -> list:
+    """The PPAs of a ``program_run`` op, a None following the page before."""
+    ppas = []
+    for ppa, _, _, _ in pages:
+        ppas.append(ppa if ppa is not None else (ppas[-1] + 1 if ppas else 0))
+    return ppas
+
+
+def _program_run(store, ppas, tokens, errs, qualities):
+    """``store.program_run`` with a draw that hands out ``errs`` in order;
+    returns the pages programmed and the qualities drawn for, in order."""
+    supply = iter(errs)
+    drawn = []
+
+    def draw(run_qualities):
+        drawn.extend(run_qualities)
+        return [next(supply) for _ in run_qualities]
+
+    return store.program_run(ppas, tokens, qualities, draw), drawn
+
+
 def _apply(store, op):
     """Run one op; ``program_run`` also reports the qualities it drew for."""
     name, args = op[0], op[1:]
@@ -174,20 +213,13 @@ def _apply(store, op):
         return store.age_retention(args[0], 1.0, _CAN_CORRECT)
     if name == "program_run":
         pages = args[0]
-        errs = iter([err for _, _, err, _ in pages])
-        drawn = []
-
-        def draw(quality):
-            drawn.append(quality)
-            return next(errs)
-
-        done = store.program_run(
-            [ppa for ppa, _, _, _ in pages],
+        return _program_run(
+            store,
+            _run_ppas(pages),
             [token for _, token, _, _ in pages],
+            [err for _, _, err, _ in pages],
             [quality for _, _, _, quality in pages],
-            draw,
         )
-        return done, drawn
     return getattr(store, name)(*args)
 
 
@@ -213,6 +245,59 @@ class TestPropertyEquivalence:
                 _apply(s, op)
         entries = [s.entry(probe) for s in stores]
         assert entries[0] == entries[1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ops=st.lists(_op, max_size=40),
+        probes=st.lists(st.one_of(st.none(), _ppa), max_size=20),
+        budget=_err,
+    )
+    def test_clean_tokens_agree_after_any_sequence(self, ops, probes, budget):
+        stores = [ArrayPageStore(_TINY), NaiveStore(_TINY)]
+        for op in ops:
+            for s in stores:
+                _apply(s, op)
+        results = [s.clean_tokens(probes, budget) for s in stores]
+        assert results[0] == results[1]
+
+    def test_run_crossing_a_block_boundary(self):
+        # Pages 5..11 straddle blocks 0 and 1 (8 pages each); page 9 held
+        # charge and was torn, so it is rewritten without counting twice.
+        stores = [ArrayPageStore(_TINY), NaiveStore(_TINY)]
+        for store in stores:
+            store.corrupt(9)
+        ppas = list(range(5, 12))
+        results = [
+            _program_run(s, ppas, [p + 100 for p in ppas], ppas, [1.0] * 7)
+            for s in stores
+        ]
+        assert results[0] == results[1] == (7, [1.0] * 7)
+        assert _dump(stores[0]) == _dump(stores[1])
+        assert _counters(stores[0]) == _counters(stores[1]) == (7, 7, 0)
+
+    def test_run_stops_at_a_valid_page_without_drawing_for_it(self):
+        store = ArrayPageStore(_TINY)
+        store.program(4, token=44, err=0, quality=1.0)
+        ppas = [1, 2, 3, 4, 5, 6]
+        done, drawn = _program_run(
+            store, ppas, [11, 12, 13, 14, 15, 16], [0] * 6, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+        )
+        assert done == 3
+        assert drawn == [0.1, 0.2, 0.3]  # nothing for page 4 or after it
+        assert store.entry(4) == (STATE_VALID, 44, 0, 1.0)
+        assert store.entry(5) is None
+
+    def test_run_stepping_out_of_the_array(self):
+        stores = [ArrayPageStore(_TINY), NaiveStore(_TINY)]
+        ppas = [_PAGES - 2, _PAGES - 1, _PAGES]
+        results = [
+            _program_run(s, ppas, [1, 2, 3], [5, 6, 7], [1.0, 0.5, 0.25])
+            for s in stores
+        ]
+        assert results[0] == results[1] == (2, [1.0, 0.5])
+        assert _dump(stores[0]) == _dump(stores[1])
+        done, drawn = _program_run(ArrayPageStore(_TINY), [-1, 0], [1, 2], [3, 4], [1.0, 1.0])
+        assert (done, drawn) == (0, [])
 
     def test_erase_drops_chunk_and_counters(self):
         store = ArrayPageStore(_TINY)

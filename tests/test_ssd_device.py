@@ -252,10 +252,9 @@ class TestPowerFault:
         pc.power_on()
         k.run(until=k.now + SEC)
         assert all(r.status is CommandStatus.OK for r in results)
-        tokens = [token for run in batch.tokens for token in run]
         # Token t was written at LPN t - 1.
-        assert all(ssd.peek(t - 1) == t for t in tokens[:committed])
-        assert not any(ssd.peek(t - 1) == t for t in tokens[committed:])
+        assert all(ssd.peek(t - 1) == t for t in batch.tokens[:committed])
+        assert not any(ssd.peek(t - 1) == t for t in batch.tokens[committed:])
 
     def test_recovery_restores_ready_and_durable_data(self):
         k, pc, ssd = rig()

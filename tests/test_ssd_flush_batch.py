@@ -19,12 +19,10 @@ def make_batch(total_pages=10, parallelism=4, page_write_us=1000, start_us=0):
     )
     return _FlushBatch(
         plans=[plan],
-        tokens=[[1000 + i for i in range(total_pages)]],
-        run_bounds=[(0, total_pages)],
+        tokens=[1000 + i for i in range(total_pages)],
         start_us=start_us,
         page_write_us=page_write_us,
         parallelism=parallelism,
-        total_pages=total_pages,
     )
 
 
